@@ -4,6 +4,7 @@ Two on-disk formats are understood: the plain-text amat layout (one row
 per sample, 785 whitespace-separated numbers: 784 pixel intensities
 followed by the class label) and the big-endian IDX image/label pair.
 Pixels are clamped into [0, 1] on load; labels must be integers in 0..9.
+Non-finite values (nan, inf, -inf) are rejected, never clamped.
 """
 from __future__ import annotations
 
@@ -42,6 +43,8 @@ class Dataset:
             raise ValueError("labels must be integers")
         if y.min() < 0 or y.max() > 9:
             raise ValueError("labels must lie in 0..9")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("pixel values must be finite")
         if x.min() < 0.0 or x.max() > 1.0:
             raise ValueError("pixel values must lie in [0, 1]")
         object.__setattr__(self, "features", x)
@@ -70,6 +73,8 @@ def load_amat(path):
                 values = np.array(parts, dtype=np.float64)
             except ValueError:
                 raise ParseError("non-numeric value in row", line=lineno) from None
+            if not np.all(np.isfinite(values)):
+                raise ParseError("non-finite value in row", line=lineno)
             label = values[-1]
             if label != int(label) or not 0 <= label <= 9:
                 raise ParseError("label %g is not a digit class" % label, line=lineno)

@@ -31,7 +31,7 @@ class InvalidBasisSizeError(MlmklError):
 
 
 class NumericalFailureError(MlmklError):
-    """An iterative solver produced NaN or Inf and cannot continue."""
+    """A solver met NaN or Inf, or did not finish, and cannot continue."""
 
 
 class DegenerateGramError(MlmklError):

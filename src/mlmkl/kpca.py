@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGramError, ShapeError
+from .kernels import _mirror_upper
 
 __all__ = ["KpcaModel", "center_gram", "fit", "transform"]
 
@@ -44,9 +45,7 @@ def center_gram(k):
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
     centered = v - row_means[:, None] - row_means[None, :] + total_mean
-    iu, ju = np.triu_indices_from(centered, 1)
-    centered[ju, iu] = centered[iu, ju]
-    return centered, row_means, total_mean
+    return _mirror_upper(centered), row_means, total_mean
 
 
 @dataclass(frozen=True)

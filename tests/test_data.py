@@ -84,6 +84,19 @@ def test_amat_clamps_pixels(tmp_path):
     assert ds.features[0, 1] == 0.0
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_amat_rejects_non_finite_pixels(tmp_path, bad):
+    # clamping would turn inf into 1 and -inf into 0, and nan would survive it
+    path = tmp_path / "bad.amat"
+    row = " ".join(["0"] * 784) + " 1\n"
+    cells = ["0"] * 784
+    cells[5] = bad
+    path.write_text(row + " ".join(cells) + " 1\n")
+    with pytest.raises(ParseError) as exc:
+        load_amat(path)
+    assert exc.value.line == 2
+
+
 def test_amat_empty_file(tmp_path):
     path = tmp_path / "empty.amat"
     path.write_text("\n\n")
@@ -186,3 +199,11 @@ def test_dataset_validation():
         Dataset(np.zeros((2, 784)), np.array([0, 11]))
     with pytest.raises(ValueError):
         Dataset(np.full((2, 784), 1.5), np.array([0, 1]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_pixels(bad):
+    x = np.zeros((2, 784))
+    x[1, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Dataset(x, np.array([0, 1]))
