@@ -6,7 +6,7 @@ kernel principal components, and keeps the most class-informative ones;
 a kernel SVM sits on the final representation.
 """
 
-from . import config, data, errors, featsel, kernels, kpca, pipeline, svm, umkl
+from . import config, data, errors, featsel, kernels, kpca, pipeline, search, svm, umkl
 from .errors import MlmklError
 from .kernels import KernelFamily, KernelSpec, cross_gram, gram, parse_kernel
 from .pipeline import LayerConfig, MlmklModel, fit, load, predict, save, transform
@@ -22,6 +22,7 @@ __all__ = [
     "kernels",
     "kpca",
     "pipeline",
+    "search",
     "svm",
     "umkl",
     "MlmklError",

@@ -9,41 +9,26 @@ Subcommands:
 
 Randomness is controlled by --seed alone; two train runs with the same
 flags write byte-identical model files.  --jobs parallelizes cv over
-grid candidates and is capped by the MLMKL_THREADS environment variable.
+repeats x kernel sets and is capped by the MLMKL_THREADS environment
+variable.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
-from . import data, pipeline
-from .config import SVM_C_GRID, config_to_dict, load_config
-from .errors import ConfigError, MlmklError
-from .pipeline import LayerConfig
+from . import data, pipeline, search
+from .config import load_config
+from .errors import MlmklError
+from .search import error_percent, probe_error
 
 __all__ = ["main"]
-
-
-def _error_percent(predicted, actual):
-    return 100.0 * float(np.mean(np.asarray(predicted) != np.asarray(actual)))
-
-
-def _probe_error(train_feats, y_train, test_feats, y_test, classifier_cfg, cap):
-    """Validation error of an SVM trained on (at most ``cap``) feature rows."""
-    m = min(cap, train_feats.shape[0])
-    machine = pipeline.train_classifier(
-        train_feats[:m], y_train[:m], classifier_cfg.kernel,
-        c=classifier_cfg.c, tol=classifier_cfg.tol,
-    )
-    return _error_percent(pipeline.classifier_predict(machine, test_feats), y_test)
 
 
 def _effective_jobs(requested):
@@ -99,7 +84,7 @@ def cmd_train(args):
         }
         if state["valid_rep"] is not None:
             state["valid_rep"] = pipeline.transform_layer(layer, state["valid_rep"])
-            row["valid_error_percent"] = _probe_error(
+            row["valid_error_percent"] = probe_error(
                 rep, train_ds.labels, state["valid_rep"], valid_ds.labels,
                 cfg.classifier, cfg.probe_cap,
             )
@@ -122,7 +107,7 @@ def cmd_train(args):
     total_seconds = time.perf_counter() - t_start
     valid_error = None
     if valid_ds is not None:
-        valid_error = _error_percent(pipeline.predict(model, valid_ds.features), valid_ds.labels)
+        valid_error = error_percent(pipeline.predict(model, valid_ds.features), valid_ds.labels)
     pipeline.save(model, args.out)
 
     lines = ["loaded %s: %d rows" % (args.train, ds.n)]
@@ -173,7 +158,7 @@ def cmd_eval(args):
     model = pipeline.load(args.model)
     ds = data.load_amat(args.test)
     predicted = pipeline.predict(model, ds.features)
-    error = _error_percent(predicted, ds.labels)
+    error = error_percent(predicted, ds.labels)
     classes = np.union1d(model.classifier.classes, np.unique(ds.labels))
     index = {c: i for i, c in enumerate(classes)}
     confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
@@ -223,178 +208,45 @@ def cmd_weights(args):
 # cv
 
 
-def _cv_candidates(cv, base_layer):
-    kernel_sets = cv.kernel_sets or (base_layer.kernels,)
-    gammas = cv.gammas or (base_layer.gamma,)
-    widths = cv.widths or (base_layer.width,)
-    out = []
-    for ks, g, w in itertools.product(kernel_sets, gammas, widths):
-        out.append(
-            LayerConfig(kernels=ks, width=w, gamma=g, basis_size=base_layer.basis_size)
-        )
-    return out
-
-
-def _cv_probe_task(task):
-    """One grid cell of one repeat; shaped for executor.map.
-
-    Infeasible cells (e.g. a width larger than the usable spectrum of
-    that layer's Gram) report an infinite error instead of aborting the
-    whole search.
-    """
-    (cand_i, rep_i, train_rep, y_train, valid_rep, y_valid, layer_cfg, fit_idx,
-     classifier_cfg, cap) = task
-    try:
-        layer, rep = pipeline.fit_layer(train_rep, y_train, layer_cfg, fit_idx)
-        valid_feats = pipeline.transform_layer(layer, valid_rep)
-        err = _probe_error(rep, y_train, valid_feats, y_valid, classifier_cfg, cap)
-    except (MlmklError, ValueError) as exc:
-        return cand_i, rep_i, np.inf, str(exc)
-    return cand_i, rep_i, err, None
-
-
 def cmd_cv(args):
     cfg = load_config(args.config)
-    if cfg.cv is None:
-        raise ConfigError("config has no 'cv' section")
-    if cfg.split is None or cfg.split[1] < 1:
-        raise ConfigError("cv needs a split with a nonempty validation set")
     if args.subsample is not None:
         cfg = replace(cfg, subsample=args.subsample)
-    ds = data.load_amat(args.train)
-    repeats = cfg.cv.repeats
-    jobs = _effective_jobs(args.jobs)
-
-    # one independent stream per repeat; each advances layer by layer
-    states = []
-    for r in range(repeats):
-        train_ds, valid_ds = data.split(ds, cfg.split[0], cfg.split[1], seed=args.seed + r)
-        states.append(
-            {
-                "train": train_ds.features,
-                "y_train": train_ds.labels,
-                "valid": valid_ds.features,
-                "y_valid": valid_ds.labels,
-                "rng": np.random.default_rng(args.seed + r),
-            }
-        )
-
-    def run_tasks(tasks):
-        if jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                return list(pool.map(_cv_probe_task, tasks))
-        return [_cv_probe_task(t) for t in tasks]
-
+    result = search.grid_search(
+        data.load_amat(args.train), cfg, seed=args.seed, jobs=_effective_jobs(args.jobs)
+    )
+    report = result.report
     lines = []
-    report = {"layers": [], "seed": args.seed, "repeats": repeats}
-    chosen_layers = []
-    for li, base_layer in enumerate(cfg.layers):
-        candidates = _cv_candidates(cfg.cv, base_layer)
-        tasks = []
-        fit_indices = []
-        for r, st in enumerate(states):
-            n = st["train"].shape[0]
-            if cfg.subsample and cfg.subsample < n:
-                fit_idx = np.sort(st["rng"].choice(n, size=cfg.subsample, replace=False))
-            else:
-                fit_idx = None
-            fit_indices.append(fit_idx)
-            for ci, cand in enumerate(candidates):
-                tasks.append(
-                    (ci, r, st["train"], st["y_train"], st["valid"], st["y_valid"],
-                     cand, fit_idx, cfg.classifier, cfg.probe_cap)
-                )
-        errors = np.full((len(candidates), repeats), np.inf)
-        notes = {}
-        for ci, r, err, note in run_tasks(tasks):
-            errors[ci, r] = err
-            if note is not None:
-                notes[ci] = note
-        feasible = np.all(np.isfinite(errors), axis=1)
-        means = np.full(len(candidates), np.inf)
-        stds = np.full(len(candidates), np.inf)
-        means[feasible] = errors[feasible].mean(axis=1)
-        stds[feasible] = errors[feasible].std(axis=1)
-        if not np.any(np.isfinite(means)):
-            raise ConfigError(
-                "every layer %d candidate failed, e.g.: %s"
-                % (li + 1, notes.get(0, "unknown"))
-            )
-        best = int(np.argmin(means))  # ties go to the earliest grid entry
-        layer_report = []
-        for ci, cand in enumerate(candidates):
-            marker = " <-- selected" if ci == best else ""
+    for li, rows in enumerate(report["layers"]):
+        for ci, row in enumerate(rows):
             outcome = (
-                "error %.2f%% +- %.2f%%" % (means[ci], stds[ci])
-                if np.isfinite(means[ci])
-                else "failed (%s)" % notes.get(ci, "infeasible")
+                "error %.2f%% +- %.2f%%" % (row["mean_error_percent"], row["std_error_percent"])
+                if row["mean_error_percent"] is not None
+                else "failed (%s)" % result.notes[li, ci]
             )
             lines.append(
                 "layer %d cand %d/%d: kernels=[%s] gamma=%g width=%d  %s%s"
-                % (li + 1, ci + 1, len(candidates),
-                   " ".join(k.canonical() for k in cand.kernels),
-                   cand.gamma, cand.width, outcome, marker)
+                % (li + 1, ci + 1, len(rows), " ".join(row["kernels"]), row["gamma"],
+                   row["width"], outcome, " <-- selected" if row["selected"] else "")
             )
-            layer_report.append(
-                {
-                    "kernels": [k.canonical() for k in cand.kernels],
-                    "gamma": float(cand.gamma),
-                    "width": int(cand.width),
-                    "mean_error_percent": float(means[ci]) if np.isfinite(means[ci]) else None,
-                    "std_error_percent": float(stds[ci]) if np.isfinite(stds[ci]) else None,
-                    "selected": ci == best,
-                }
-            )
-        report["layers"].append(layer_report)
-        chosen = candidates[best]
-        chosen_layers.append(chosen)
-        # advance every repeat's representation through the winning layer
-        for r, st in enumerate(states):
-            layer, rep = pipeline.fit_layer(st["train"], st["y_train"], chosen, fit_indices[r])
-            st["train"] = rep
-            st["valid"] = pipeline.transform_layer(layer, st["valid"])
-
-    c_errors = []
-    for c in cfg.cv.svm_c:
-        per_rep = [
-            _probe_error(st["train"], st["y_train"], st["valid"], st["y_valid"],
-                         replace(cfg.classifier, c=c), cfg.probe_cap)
-            for st in states
-        ]
-        c_errors.append((float(np.mean(per_rep)), float(np.std(per_rep))))
+    for row in report["svm_c"]:
         lines.append(
-            "svm C=%g  error %.2f%% +- %.2f%%" % (c, c_errors[-1][0], c_errors[-1][1])
+            "svm C=%g  error %.2f%% +- %.2f%%"
+            % (row["C"], row["mean_error_percent"], row["std_error_percent"])
         )
-    best_c_i = int(np.argmin([m for m, _ in c_errors]))
-    best_c = cfg.cv.svm_c[best_c_i]
-    lines.append("selected C=%g" % best_c)
-
-    best_cfg = replace(
-        cfg,
-        layers=tuple(chosen_layers),
-        classifier=replace(cfg.classifier, c=best_c),
-        cv=None,
-    )
-    best_dict = config_to_dict(best_cfg)
-    report["svm_c"] = [
-        {"C": float(c), "mean_error_percent": m, "std_error_percent": s,
-         "selected": i == best_c_i}
-        for i, (c, (m, s)) in enumerate(zip(cfg.cv.svm_c, c_errors))
-    ]
-    report["best_config"] = best_dict
-    report["best_mean_error_percent"] = c_errors[best_c_i][0]
-    report["best_std_error_percent"] = c_errors[best_c_i][1]
+    best = report["best_config"]
+    lines.append("selected C=%g" % best["classifier"]["C"])
     lines.append(
         "best: error %.2f%% +- %.2f%%"
-        % (c_errors[best_c_i][0], c_errors[best_c_i][1])
+        % (report["best_mean_error_percent"], report["best_std_error_percent"])
     )
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(best_dict, fh, indent=2, sort_keys=True)
+            json.dump(best, fh, indent=2, sort_keys=True)
             fh.write("\n")
         lines.append("best config written to %s" % args.out)
     else:
-        lines.append(json.dumps(best_dict, indent=2, sort_keys=True))
+        lines.append(json.dumps(best, indent=2, sort_keys=True))
     _emit(args, report, lines)
     return 0
 
@@ -438,7 +290,7 @@ def _build_parser():
     p.add_argument("--train", required=True, help="training data (amat)")
     p.add_argument("--out", default=None, help="where to write the best config JSON")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for grid candidates (capped by MLMKL_THREADS)")
+                   help="parallel workers for repeats x kernel sets (capped by MLMKL_THREADS)")
     p.add_argument("--subsample", type=int, default=None,
                    help="override the config's per-layer fit subsample")
     common(p)

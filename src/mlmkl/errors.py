@@ -14,6 +14,10 @@ class ShapeError(MlmklError):
     """Operands have incompatible or unexpected array shapes."""
 
 
+class NonFiniteInputError(MlmklError, ValueError):
+    """Input features hold nan, inf or -inf."""
+
+
 class ZeroVectorError(MlmklError):
     """An input vector has zero norm where a direction is required."""
 

@@ -366,6 +366,20 @@ class GramMatrix:
         return self.values.shape[0]
 
 
+def _gram_values(k):
+    """Values of a kernel matrix: a GramMatrix's as they are (its
+    constructor checked them), a raw array's once checked to be square
+    and exactly symmetric."""
+    if isinstance(k, GramMatrix):
+        return k.values
+    v = np.asarray(k, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ShapeError("kernel matrix must be square, got shape %r" % (v.shape,))
+    if not np.array_equal(v, v.T):
+        raise ShapeError("kernel matrix must be symmetric")
+    return v
+
+
 def _mirror_upper(k):
     """Copy the upper triangle onto the lower one, in place."""
     iu, ju = np.triu_indices_from(k, 1)

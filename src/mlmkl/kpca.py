@@ -19,19 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGramError, ShapeError
-from .kernels import _mirror_upper
+from .kernels import _gram_values, _mirror_upper
 
-__all__ = ["KpcaModel", "center_gram", "fit", "transform"]
+__all__ = ["KpcaModel", "center_gram", "fit", "leading", "transform"]
 
 _EIGENVALUE_CUTOFF = 1e-10
-
-
-def _gram_values(k):
-    v = getattr(k, "values", k)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ShapeError("Gram matrix must be square, got shape %r" % (v.shape,))
-    return v
 
 
 def center_gram(k):
@@ -57,6 +49,15 @@ class KpcaModel:
     row_means: np.ndarray  # (n_fit,) row means of the uncentered fit Gram
     total_mean: float
 
+    def __post_init__(self):
+        a = self.alphas
+        shapes = (self.row_means.shape, self.eigenvalues.shape)
+        if a.ndim != 2 or shapes != (a.shape[:1], a.shape[1:]):
+            raise ShapeError(
+                "alphas %r, eigenvalues %r and row means %r disagree"
+                % (a.shape, self.eigenvalues.shape, self.row_means.shape)
+            )
+
     @property
     def n_fit(self):
         return self.alphas.shape[0]
@@ -70,6 +71,19 @@ class KpcaModel:
         return self.alphas * self.eigenvalues[None, :]
 
 
+def _check_count(n_components):
+    if not isinstance(n_components, (int, np.integer)) or n_components < 1:
+        raise ValueError("n_components must be a positive integer, got %r" % (n_components,))
+
+
+def _warn_short(n_components, usable):
+    warnings.warn(
+        "requested %d components but only %d eigenvalues are usable"
+        % (n_components, usable),
+        stacklevel=3,
+    )
+
+
 def fit(k, n_components):
     """Extract the leading kernel principal components.
 
@@ -78,8 +92,7 @@ def fit(k, n_components):
     cutoff.  A spectrum with no positive eigenvalue at all means the
     centered Gram carries no variance and is rejected.
     """
-    if not isinstance(n_components, (int, np.integer)) or n_components < 1:
-        raise ValueError("n_components must be a positive integer, got %r" % (n_components,))
+    _check_count(n_components)
     centered, row_means, total_mean = center_gram(k)
     lams, vecs = np.linalg.eigh(centered)
     lams = lams[::-1]
@@ -92,11 +105,7 @@ def fit(k, n_components):
     usable = int(np.sum(lams > _EIGENVALUE_CUTOFF * lam_max))
     keep = min(n_components, usable)
     if keep < n_components:
-        warnings.warn(
-            "requested %d components but only %d eigenvalues are usable"
-            % (n_components, usable),
-            stacklevel=2,
-        )
+        _warn_short(n_components, usable)
     lams = lams[:keep].copy()
     vecs = vecs[:, :keep].copy()
     # deterministic sign: make the largest-magnitude entry of each vector positive
@@ -106,6 +115,26 @@ def fit(k, n_components):
             vecs[:, j] = -vecs[:, j]
     alphas = vecs / np.sqrt(lams)[None, :]
     return KpcaModel(alphas=alphas, eigenvalues=lams, row_means=row_means, total_mean=total_mean)
+
+
+def leading(model, n_components):
+    """The first ``n_components`` components of a model that ``fit``
+    returned for at least that many.
+
+    Bit for bit what ``fit`` returns for ``n_components`` on the same
+    Gram, with the same warning when fewer are usable, so one
+    eigendecomposition serves every smaller count.
+    """
+    _check_count(n_components)
+    keep = min(n_components, model.n_components)
+    if keep < n_components:
+        _warn_short(n_components, model.n_components)
+    return KpcaModel(
+        alphas=model.alphas[:, :keep].copy(),
+        eigenvalues=model.eigenvalues[:keep].copy(),
+        row_means=model.row_means,
+        total_mean=model.total_mean,
+    )
 
 
 def transform(model, cross):

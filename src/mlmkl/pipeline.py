@@ -22,7 +22,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from . import featsel, kpca, svm
 from .errors import (
     ChecksumError,
     ModelIOError,
+    NonFiniteInputError,
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
@@ -39,6 +40,7 @@ from .kpca import KpcaModel
 from .svm import SvmModel
 from .umkl import (
     KernelWeights,
+    UmklProblem,
     assemble_qp,
     combine,
     problem_from_features,
@@ -49,7 +51,13 @@ __all__ = [
     "LayerConfig",
     "LayerModel",
     "MlmklModel",
+    "LayerGrams",
     "DEFAULT_CLASSIFIER_KERNEL",
+    "combined_cross",
+    "layer_grams",
+    "layer_weights",
+    "training_cross",
+    "layer_select",
     "fit_layer",
     "transform_layer",
     "fit",
@@ -119,6 +127,24 @@ class LayerModel:
     fit_sample: np.ndarray  # rows the Grams were built on, in layer input space
     fit_indices: np.ndarray | None  # their positions in the training matrix
 
+    def __post_init__(self):
+        n_fit, n_comp = self.kpca.alphas.shape
+        sel = self.selected
+        checks = {
+            "weights": len(self.weights) == len(self.kernels),
+            "fit_sample": self.fit_sample.ndim == 2 and self.fit_sample.shape[0] == n_fit,
+            "fit_indices": self.fit_indices is None or self.fit_indices.shape == (n_fit,),
+            "scores": self.scores.shape == (n_comp,),
+            "selected": sel.ndim == 1 and np.issubdtype(sel.dtype, np.integer)
+            and bool(np.all((sel >= 0) & (sel < n_comp))),
+        }
+        bad = [name for name, ok in checks.items() if not ok]
+        if bad:
+            raise ShapeError(
+                "layer %s do not fit %d kernels, %d fit rows and %d components"
+                % (", ".join(bad), len(self.kernels), n_fit, n_comp)
+            )
+
     @property
     def width(self):
         return self.selected.size
@@ -128,7 +154,8 @@ class LayerModel:
         return self.fit_sample.shape[1]
 
 
-def _combined_cross(rows, cols, kernels, weights):
+def combined_cross(rows, cols, kernels, weights):
+    """Combined kernel block k(rows_i, cols_j) under simplex ``weights``."""
     out = None
     for wt, spec in zip(weights.mu, kernels):
         if wt == 0.0:
@@ -140,36 +167,75 @@ def _combined_cross(rows, cols, kernels, weights):
     return out
 
 
+@dataclass(frozen=True)
+class LayerGrams:
+    """Stage 1 of a layer: what depends only on the rows, the kernel set
+    and the fit rows.  Stage 2 (``layer_weights``) depends on gamma, stage
+    3 (``kpca.fit``) on the component count, stage 4 (``layer_select``) on
+    the width; ``fit_layer`` composes them."""
+
+    rows: np.ndarray  # every training row of the layer input
+    fit_idx: np.ndarray | None  # positions of the fit rows; None means all
+    fit_sample: np.ndarray  # the fit rows
+    kernels: tuple
+    problem: UmklProblem  # base Grams, linear Gram and neighbour bases
+
+
+def layer_grams(features, config, fit_idx=None):
+    """Stage 1 for ``config``'s kernels and basis size (its gamma is
+    replaced in stage 2) on the rows ``fit_idx`` (None means all)."""
+    x = np.asarray(features, dtype=np.float64)
+    if x.ndim != 2:
+        raise ShapeError("features must be 2-d, got shape %r" % (x.shape,))
+    idx = None if fit_idx is None else np.asarray(fit_idx)
+    xs = x if idx is None else x[idx]
+    problem = problem_from_features(xs, config.kernels, config.gamma, config.basis_size)
+    return LayerGrams(x, idx, xs, config.kernels, problem)
+
+
+def layer_weights(grams, gamma):
+    """Stage 2: kernel weights at locality penalty ``gamma`` and the
+    combined Gram of the fit rows."""
+    problem = replace(grams.problem, gamma=float(gamma))
+    weights = solve_simplex_qp(assemble_qp(problem))
+    return weights, combine(problem.base_grams, weights)
+
+
+def training_cross(grams, weights, k_fit):
+    """Combined kernel rows of every training row against the fit rows."""
+    if grams.fit_idx is None:
+        return k_fit.values
+    cross = combined_cross(grams.rows, grams.fit_sample, grams.kernels, weights)
+    # fit rows get their exact same-set kernel values, not the
+    # round-off-limited recomputation
+    cross[grams.fit_idx] = k_fit.values
+    return cross
+
+
+def layer_select(kp, cross, labels, width):
+    """Stage 4: project kernel rows on the components and keep the
+    ``width`` best by the F test."""
+    return featsel.select(kpca.transform(kp, cross), labels, width)
+
+
 def fit_layer(features, labels, config, fit_idx=None):
     """Fit one layer and return it with the transformed training rows.
 
     ``fit_idx`` selects the rows used for the Gram matrices (None means
     all of them); every row of ``features`` is transformed regardless.
     """
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("features must be 2-d, got shape %r" % (x.shape,))
-    xs = x if fit_idx is None else x[np.asarray(fit_idx)]
-    problem = problem_from_features(xs, config.kernels, config.gamma, config.basis_size)
-    weights = solve_simplex_qp(assemble_qp(problem))
-    k_fit = combine(problem.base_grams, weights)
+    grams = layer_grams(features, config, fit_idx)
+    weights, k_fit = layer_weights(grams, config.gamma)
     kp = kpca.fit(k_fit, config.components)
-    if fit_idx is None:
-        cross = k_fit.values
-    else:
-        cross = _combined_cross(x, xs, config.kernels, weights)
-        # fit rows get their exact same-set kernel values, not the
-        # round-off-limited recomputation
-        cross[np.asarray(fit_idx)] = k_fit.values
-    feats = kpca.transform(kp, cross)
-    ranking, reduced = featsel.select(feats, labels, config.width)
+    cross = training_cross(grams, weights, k_fit)
+    ranking, reduced = layer_select(kp, cross, labels, config.width)
     layer = LayerModel(
         kernels=config.kernels,
         weights=weights,
         kpca=kp,
         scores=ranking.scores,
         selected=ranking.selected,
-        fit_sample=np.array(xs, copy=True),
+        fit_sample=np.array(grams.fit_sample, copy=True),
         fit_indices=None if fit_idx is None else np.asarray(fit_idx, dtype=np.int64),
     )
     return layer, reduced
@@ -182,7 +248,7 @@ def transform_layer(layer, features):
         raise ShapeError(
             "expected rows of dimension %d, got shape %r" % (layer.input_dim, x.shape)
         )
-    cross = _combined_cross(x, layer.fit_sample, layer.kernels, layer.weights)
+    cross = combined_cross(x, layer.fit_sample, layer.kernels, layer.weights)
     feats = kpca.transform(layer.kpca, cross)
     return feats[:, layer.selected]
 
@@ -245,6 +311,15 @@ def classifier_predict(machine, features):
     return svm.predict(machine, cross)
 
 
+def _finite(features):
+    x = np.asarray(features, dtype=np.float64)
+    finite = np.isfinite(x)
+    if not finite.all():
+        first = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteInputError("features hold nan or inf, first at index %s" % (first,))
+    return x
+
+
 def fit(
     features,
     labels,
@@ -262,7 +337,7 @@ def fit(
     fitted, with the training rows already pushed through it; useful for
     per-layer diagnostics without a second pass.
     """
-    x = np.asarray(features, dtype=np.float64)
+    x = _finite(features)
     y = np.asarray(labels)
     configs = list(configs)
     if len(configs) < 1:
@@ -306,7 +381,7 @@ def fit(
 
 def transform(model, features):
     """Final-layer representation of new rows."""
-    rep = np.asarray(features, dtype=np.float64)
+    rep = _finite(features)
     for layer in model.layers:
         rep = transform_layer(layer, rep)
     return rep
@@ -392,7 +467,8 @@ def save(model, path):
 
 
 def load(path):
-    """Read a model file back; inverse of ``save``."""
+    """Read a model file back; inverse of ``save``.  A file whose arrays
+    do not fit together fails here, not at predict time."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = 8 + _PREFIX.size
@@ -454,5 +530,5 @@ def load(path):
             support_vectors=arrays["classifier/support_vectors"],
         )
         return MlmklModel(layers=layers, classifier=machine, metadata=header["metadata"])
-    except (KeyError, ValueError, IndexError) as exc:
+    except (KeyError, ValueError, IndexError, ShapeError) as exc:
         raise ModelIOError("malformed model content: %s" % exc) from None

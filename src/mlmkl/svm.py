@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateLabelsError, ShapeError
+from .kernels import GramMatrix, _gram_values
 
 __all__ = [
     "BinarySvm",
@@ -36,16 +37,6 @@ __all__ = [
     "kkt_violation",
     "dual_objective",
 ]
-
-
-def _gram_values(k):
-    v = getattr(k, "values", k)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ShapeError("kernel matrix must be square, got shape %r" % (v.shape,))
-    if not np.array_equal(v, v.T):
-        raise ShapeError("kernel matrix must be symmetric")
-    return v
 
 
 def _signed_labels(y, n):
@@ -182,6 +173,22 @@ class SvmModel:
     support_vectors: np.ndarray | None = None
     iterations: tuple = field(default_factory=tuple)
 
+    def __post_init__(self):
+        r, s = self.classes.shape[0], self.support.shape[0]
+        sv = self.support_vectors
+        if (
+            self.classes.ndim != 1
+            or self.support.ndim != 1
+            or self.dual_coef.shape != (r, s)
+            or self.biases.shape != (r,)
+            or (sv is not None and (sv.ndim != 2 or sv.shape[0] != s))
+        ):
+            raise ShapeError(
+                "classes %r, support %r, dual_coef %r, biases %r and support vectors %r disagree"
+                % (self.classes.shape, self.support.shape, self.dual_coef.shape,
+                   self.biases.shape, None if sv is None else sv.shape)
+            )
+
     @property
     def n_support(self):
         return self.support.size
@@ -189,8 +196,9 @@ class SvmModel:
 
 def train_multiclass(k, y, c=1.0, tol=1e-3, kernel=None, max_iter=1_000_000):
     """One binary machine per class, sharing one support index set."""
-    kv = _gram_values(k)
-    n = kv.shape[0]
+    if not isinstance(k, GramMatrix):
+        k = GramMatrix(np.asarray(k, dtype=np.float64))  # checked once for all machines
+    n = k.n
     y = np.asarray(y)
     if y.shape != (n,):
         raise ShapeError("labels shape %r does not match %d samples" % (y.shape, n))
@@ -202,7 +210,7 @@ def train_multiclass(k, y, c=1.0, tol=1e-3, kernel=None, max_iter=1_000_000):
     iterations = []
     for r, cls in enumerate(classes):
         yb = np.where(y == cls, 1.0, -1.0)
-        machine = train_binary(kv, yb, c, tol=tol, max_iter=max_iter)
+        machine = train_binary(k, yb, c, tol=tol, max_iter=max_iter)
         coef_full[r] = machine.alpha * yb
         biases[r] = machine.bias
         iterations.append(machine.iterations)

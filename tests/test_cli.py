@@ -1,10 +1,15 @@
+import collections
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import digits_like, write_amat
+from conftest import digits_like, direction_blobs, write_amat
 from mlmkl import cli, pipeline
+from mlmkl.errors import ModelIOError
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -225,3 +230,80 @@ def test_effective_jobs_honours_thread_cap(monkeypatch):
     assert cli._effective_jobs(1) == 1
     monkeypatch.setenv("MLMKL_THREADS", "junk")
     assert cli._effective_jobs(8) == 8
+
+
+def test_eval_rejects_model_with_out_of_range_selection(corpus, capsys):
+    model_path = corpus["tmp"] / "model.bin"
+    assert cli.main(["train", "--config", str(corpus["cfg_path"]),
+                     "--train", corpus["train"], "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    model = pipeline.load(model_path)
+    model.layers[0].selected = np.array([0, 1, 2, 99])  # the checksum stays valid
+    pipeline.save(model, model_path)
+    with pytest.raises(ModelIOError, match="selected"):
+        pipeline.load(model_path)
+    rc = cli.main(["eval", "--model", str(model_path), "--test", corpus["test"]])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture
+def golden_corpus(tmp_path):
+    """Two layers, 2 kernel sets x 2 gammas x 3 widths, 2 repeats on
+    subsampled splits; width 40 is beyond every usable spectrum, width 10
+    beyond some, so failed and warned candidates are both covered."""
+    rng = np.random.default_rng(7)
+    pool = rng.choice(784, size=40, replace=False)
+    groups = [rng.choice(pool, size=16, replace=False) for _ in range(3)]
+    x, y = direction_blobs(20, 784, groups, noise=0.3, lift=0.3, seed=7)
+    train = tmp_path / "train.amat"
+    write_amat(train, x, y)
+    config = {
+        "layers": [
+            {"kernels": ["rbf(gamma=0.05)", "linear"], "width": 4, "basis_size": 5},
+            {"kernels": ["arccos(n=1,L=1)", "linear"], "width": 3, "basis_size": 5},
+        ],
+        "subsample": 30,
+        "split": {"train": 40, "valid": 20},
+        "classifier": {"kernel": "arccos(n=1,L=1)", "C": 10},
+        "cv": {
+            "kernels": [["rbf(gamma=0.05)", "linear"], ["arccos(n=1,L=1)", "rbf(gamma=0.01)"]],
+            "gamma": [0.05, 0.5], "width": [3, 10, 40], "svm_c": [1, 10], "repeats": 2,
+        },
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return ["cv", "--config", str(cfg), "--train", str(train)]
+
+
+# Captured from commit 3c86fa7, which fitted every candidate on its own and
+# refitted the winners.  The kPCA warnings are that commit's per-candidate
+# ones; the refits' repeats of them are gone.
+GOLDEN_KPCA_WARNINGS = {
+    "requested 120 components but only 10 eigenvalues are usable": 2,
+    "requested 120 components but only 29 eigenvalues are usable": 14,
+    "requested 30 components but only 10 eigenvalues are usable": 2,
+    "requested 30 components but only 29 eigenvalues are usable": 14,
+}
+
+
+@pytest.mark.parametrize("fmt,golden", [("text", "cv_report.txt"), ("json", "cv_report.json")])
+def test_cv_matches_golden_report(golden_corpus, fmt, golden, capsys):
+    with pytest.warns(UserWarning) as caught:
+        rc = cli.main(golden_corpus + ["--format", fmt])
+    assert rc == 0
+    assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+    kpca_warnings = collections.Counter(
+        str(w.message) for w in caught if "eigenvalues are usable" in str(w.message)
+    )
+    assert kpca_warnings == GOLDEN_KPCA_WARNINGS
+
+
+def test_cv_report_does_not_depend_on_jobs(golden_corpus, capsys, monkeypatch):
+    monkeypatch.delenv("MLMKL_THREADS", raising=False)
+    with pytest.warns(UserWarning):
+        assert cli.main(golden_corpus + ["--format", "json", "--jobs", "1"]) == 0
+    serial = capsys.readouterr().out
+    # two worker processes share the 2 repeats x 2 kernel sets of each layer
+    assert cli.main(golden_corpus + ["--format", "json", "--jobs", "2"]) == 0
+    assert capsys.readouterr().out == serial == (GOLDEN / "cv_report.json").read_text()

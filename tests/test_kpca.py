@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -122,6 +124,32 @@ def test_component_count_validation():
     with pytest.warns(UserWarning):
         model = kpca.fit(k, 5)
     assert model.n_components == 3
+    # a raw matrix must be exactly symmetric, not quietly cut to its upper triangle
+    with pytest.raises(ShapeError):
+        kpca.fit(np.array([[2.0, 0.5], [0.4, 1.0]]), 1)
+
+
+def _recording_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        return fn(*args), [str(w.message) for w in caught]
+
+
+def test_leading_components_equal_a_fresh_fit():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(15, 4))
+    # the linear Gram of 4-wide rows has 4 usable components, so 6 warns
+    for k, n in ((gram(x, parse_kernel("rbf(gamma=0.3)")), 6), (linear_gram(x), 3),
+                 (linear_gram(x), 6)):
+        full, _ = _recording_warnings(kpca.fit, k, 10)
+        got, got_warned = _recording_warnings(kpca.leading, full, n)
+        want, want_warned = _recording_warnings(kpca.fit, k, n)
+        assert got_warned == want_warned
+        np.testing.assert_array_equal(got.alphas, want.alphas)
+        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        np.testing.assert_array_equal(got.row_means, want.row_means)
+        assert got.total_mean == want.total_mean
+    assert want_warned == ["requested 6 components but only 4 eigenvalues are usable"]
 
 
 def test_sign_convention_is_deterministic():

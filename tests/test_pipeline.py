@@ -1,18 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.stats
 
 from conftest import direction_blobs, loo_nearest_neighbour_accuracy
-from mlmkl import pipeline
+from mlmkl import kpca, pipeline
 from mlmkl.errors import (
     ChecksumError,
     ModelIOError,
+    NonFiniteInputError,
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
 )
 from mlmkl.kernels import parse_kernel
 from mlmkl.pipeline import LayerConfig, fit_layer, transform_layer
+from mlmkl.umkl import KernelWeights
 
 RBF = parse_kernel("rbf(gamma=0.2)")
 LINEAR = parse_kernel("linear")
@@ -86,6 +90,26 @@ def test_subsampled_layer_used_exact_rows_for_fit_points():
     )
 
 
+def test_fit_layer_is_the_composition_of_its_stages():
+    x, y = blob_data(n_per_class=30)
+    cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, gamma=0.3, basis_size=4)
+    fit_idx = np.arange(0, 60, 2)
+    layer, reduced = fit_layer(x, y, cfg, fit_idx=fit_idx)
+    # as a grid search runs them: Grams shared across gammas, kernel PCA
+    # at a larger component count cut down to this one
+    grams = pipeline.layer_grams(x, replace(cfg, gamma=0.0), fit_idx)
+    weights, k_fit = pipeline.layer_weights(grams, cfg.gamma)
+    kp = kpca.leading(kpca.fit(k_fit, 2 * cfg.components), cfg.components)
+    cross = pipeline.training_cross(grams, weights, k_fit)
+    ranking, feats = pipeline.layer_select(kp, cross, y, cfg.width)
+    np.testing.assert_array_equal(grams.fit_sample, layer.fit_sample)
+    np.testing.assert_array_equal(weights.mu, layer.weights.mu)
+    np.testing.assert_array_equal(kp.alphas, layer.kpca.alphas)
+    np.testing.assert_array_equal(kp.eigenvalues, layer.kpca.eigenvalues)
+    np.testing.assert_array_equal(ranking.selected, layer.selected)
+    np.testing.assert_array_equal(feats, reduced)
+
+
 def test_transform_layer_rejects_wrong_dimension():
     x, y = blob_data()
     layer, _ = fit_layer(x, y, LayerConfig(kernels=(LINEAR,), width=3, basis_size=3))
@@ -154,6 +178,19 @@ def test_classifier_predict_requires_support_vectors():
     model.classifier.support_vectors = None
     with pytest.raises(ValueError):
         pipeline.predict(model, x)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fit_and_predict_reject_non_finite_features(bad):
+    x, y = blob_data()
+    model = pipeline.fit(x, y, default_configs(), subsample=0)
+    dirty = x.copy()
+    dirty[3, 5] = bad
+    with pytest.raises(NonFiniteInputError, match=r"\(3, 5\)"):
+        pipeline.fit(dirty, y, default_configs(), subsample=0)
+    for entry in (pipeline.transform, pipeline.predict):
+        with pytest.raises(NonFiniteInputError, match=r"\(3, 5\)"):
+            entry(model, dirty)
 
 
 def test_fit_requires_a_layer():
@@ -263,3 +300,32 @@ def test_save_requires_support_vectors(tmp_path):
     model.classifier.support_vectors = None
     with pytest.raises(ValueError):
         pipeline.save(model, tmp_path / "model.bin")
+
+
+def _shorten(obj, name):
+    object.__setattr__(obj, name, getattr(obj, name)[:-1])  # also on frozen dataclasses
+
+
+@pytest.mark.parametrize(
+    "match,corrupt",
+    [
+        ("weights", lambda m: setattr(m.layers[0], "weights", KernelWeights([1.0]))),
+        ("fit_sample", lambda m: _shorten(m.layers[0], "fit_sample")),
+        ("fit_indices", lambda m: _shorten(m.layers[0], "fit_indices")),
+        ("row means", lambda m: _shorten(m.layers[0].kpca, "row_means")),
+        ("eigenvalues", lambda m: _shorten(m.layers[0].kpca, "eigenvalues")),
+        ("scores", lambda m: _shorten(m.layers[1], "scores")),
+        ("selected", lambda m: m.layers[1].selected.__setitem__(0, -1)),
+        ("chain", lambda m: _shorten(m.layers[0], "selected")),
+        ("dual_coef", lambda m: setattr(m.classifier, "dual_coef", m.classifier.dual_coef[:, 1:])),
+        ("biases", lambda m: _shorten(m.classifier, "biases")),
+        ("support vectors", lambda m: _shorten(m.classifier, "support_vectors")),
+    ],
+)
+def test_load_rejects_arrays_that_do_not_fit_together(tmp_path, match, corrupt):
+    _, _, model = fitted_model(subsample=40)
+    corrupt(model)
+    path = tmp_path / "model.bin"
+    pipeline.save(model, path)  # with a valid checksum
+    with pytest.raises(ModelIOError, match=match):
+        pipeline.load(path)

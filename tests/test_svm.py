@@ -157,3 +157,9 @@ def test_gram_matrix_and_ndarray_agree():
     b = svm.train_binary(k.values, y, c=1.0)
     np.testing.assert_array_equal(a.alpha, b.alpha)
     assert a.bias == b.bias
+    a = svm.train_multiclass(k, y, c=1.0)
+    b = svm.train_multiclass(k.values, y, c=1.0)
+    np.testing.assert_array_equal(a.dual_coef, b.dual_coef)
+    np.testing.assert_array_equal(a.biases, b.biases)
+    with pytest.raises(ShapeError):
+        svm.train_multiclass(k.values + np.triu(np.ones((12, 12)), 1), y)
