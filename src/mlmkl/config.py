@@ -204,16 +204,7 @@ def load_config(path):
 def config_to_dict(cfg):
     """Canonical JSON-ready snapshot of a configuration."""
     out = {
-        "layers": [
-            {
-                "kernels": [k.canonical() for k in layer.kernels],
-                "width": int(layer.width),
-                "kpca_components": int(layer.components),
-                "gamma": float(layer.gamma),
-                "basis_size": int(layer.basis_size),
-            }
-            for layer in cfg.layers
-        ],
+        "layers": [layer.to_dict() for layer in cfg.layers],
         "subsample": int(cfg.subsample),
         "classifier": {
             "kernel": cfg.classifier.kernel.canonical(),

@@ -249,14 +249,15 @@ def j_n(theta, degree):
     """
     _check_degree(degree)
     t = np.asarray(theta, dtype=np.float64)
-    rest = np.pi - t
     if degree == 0:
-        out = rest
-    elif degree == 1:
-        out = np.sin(t) + rest * np.cos(t)
+        out = np.pi - t
+    elif degree == 1:  # sin(t) + (pi - t) cos(t), bit for bit, with fewer temporaries
+        out = np.cos(t)
+        out *= np.pi - t
+        out += np.sin(t)
     else:
         c = np.cos(t)
-        out = 3.0 * np.sin(t) * c + rest * (1.0 + 2.0 * c * c)
+        out = 3.0 * np.sin(t) * c + (np.pi - t) * (1.0 + 2.0 * c * c)
     if out.ndim == 0:
         return float(out)
     return out
@@ -343,12 +344,10 @@ def evaluate(spec, x, y):
 class GramMatrix:
     """Square kernel matrix over one sample set, exactly symmetric.
 
-    ``spec`` records how the matrix was built and is None for matrices
-    assembled by other means (e.g. convex combination of base Grams).
+    The constructor is the one place that checks exact symmetry.
     """
 
     values: np.ndarray
-    spec: KernelSpec | None = None
 
     def __post_init__(self):
         v = self.values
@@ -367,64 +366,63 @@ class GramMatrix:
 
 
 def _gram_values(k):
-    """Values of a kernel matrix: a GramMatrix's as they are (its
-    constructor checked them), a raw array's once checked to be square
-    and exactly symmetric."""
-    if isinstance(k, GramMatrix):
-        return k.values
-    v = np.asarray(k, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ShapeError("kernel matrix must be square, got shape %r" % (v.shape,))
-    if not np.array_equal(v, v.T):
-        raise ShapeError("kernel matrix must be symmetric")
-    return v
-
-
-def _mirror_upper(k):
-    """Copy the upper triangle onto the lower one, in place."""
-    iu, ju = np.triu_indices_from(k, 1)
-    k[ju, iu] = k[iu, ju]
-    return k
+    """Values of a kernel matrix: a GramMatrix's as they are, a raw
+    array's once its GramMatrix has checked them."""
+    if not isinstance(k, GramMatrix):
+        k = GramMatrix(np.asarray(k, dtype=np.float64))
+    return k.values
 
 
 def _as_matrix(x, name):
+    """Rows as a float64 matrix, copied only when strided: numpy computes
+    ``x @ x.T`` exactly symmetric when ``x`` is C- or F-contiguous, not
+    always when it is strided."""
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
         raise ShapeError("%s must be 2-d (samples x features), got shape %r" % (name, arr.shape))
+    if not (arr.flags.c_contiguous or arr.flags.f_contiguous):
+        arr = np.ascontiguousarray(arr)
     return arr
+
+
+def _row_norms(x):
+    """Row norms, which the arc-cosine kernel needs nonzero."""
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise ZeroVectorError("arc-cosine kernel undefined for zero row %d" % np.argmin(norms))
+    return norms
 
 
 def _arc_cosine_block(x_rows, x_cols, degree, depth, same):
     """Arc-cosine kernel block between two sample sets.
 
-    With ``same`` set, the diagonal angle is pinned to zero at every
-    composition level, which keeps the degree-0 diagonal at exactly 1
-    and the degree-1 diagonal at exactly the squared norms.
+    Each level turns the block of the level before into cosines, by the
+    row norms at level 1 and by that level's self-kernels after it.  With
+    ``same`` set, the diagonal angle is pinned to zero at every level,
+    which keeps the degree-0 diagonal at exactly 1 and the degree-1
+    diagonal at exactly the squared norms.
     """
-    nr = np.linalg.norm(x_rows, axis=1)
-    nc = nr if same else np.linalg.norm(x_cols, axis=1)
-    if np.any(nr == 0.0) or np.any(nc == 0.0):
-        raise ZeroVectorError("arc-cosine kernel undefined for zero-norm rows")
-    outer = nr[:, None] * nc[None, :]
-    cos = np.clip((x_rows @ x_cols.T) / outer, -1.0, 1.0)
-    if same:
-        np.fill_diagonal(cos, 1.0)
-    theta = np.arccos(cos)
-    k = outer**degree * (j_n(theta, degree) / np.pi)
+    nr = _row_norms(x_rows)
+    nc = nr if same else _row_norms(x_cols)
     c0 = _J0_OVER_PI[degree]
-    s_rows = c0 * (nr * nr) ** degree
-    s_cols = s_rows if same else c0 * (nc * nc) ** degree
-    for _ in range(depth - 1):
-        if not (np.all(np.isfinite(s_rows)) and np.all(np.isfinite(s_cols))):
-            raise DegenerateRecursionError("self-kernel overflowed in arc-cosine recursion")
-        if np.any(s_rows <= 0.0) or np.any(s_cols <= 0.0):
-            raise DegenerateRecursionError("non-positive self-kernel in arc-cosine recursion")
-        scale = np.sqrt(s_rows[:, None] * s_cols[None, :])
-        cos = np.clip(k / scale, -1.0, 1.0)
+    s_rows, s_cols = nr * nr, nc * nc
+    k = x_rows @ x_cols.T
+    for level in range(depth):
+        if level == 0:
+            scale = nr[:, None] * nc[None, :]
+        else:
+            if not (np.all(np.isfinite(s_rows)) and np.all(np.isfinite(s_cols))):
+                raise DegenerateRecursionError("self-kernel overflowed in arc-cosine recursion")
+            if np.any(s_rows <= 0.0) or np.any(s_cols <= 0.0):
+                raise DegenerateRecursionError("non-positive self-kernel in arc-cosine recursion")
+            scale = np.sqrt(s_rows[:, None] * s_cols[None, :])
+        k /= scale
+        np.clip(k, -1.0, 1.0, out=k)
         if same:
-            np.fill_diagonal(cos, 1.0)
-        theta = np.arccos(cos)
-        k = scale**degree * (j_n(theta, degree) / np.pi)
+            np.fill_diagonal(k, 1.0)
+        k = j_n(np.arccos(k, out=k), degree)
+        k /= np.pi
+        k *= scale**degree
         s_rows = c0 * s_rows**degree
         s_cols = s_rows if same else c0 * s_cols**degree
     return k
@@ -449,15 +447,17 @@ def _kernel_block(x_rows, x_cols, spec, same):
 def gram(samples, spec):
     """Kernel matrix of one sample set with itself.
 
-    Returns a GramMatrix whose values are exactly symmetric (the upper
-    triangle is mirrored) and whose diagonal is computed at theta = 0
-    for angle-based kernels.
+    Returns a GramMatrix whose diagonal is computed at theta = 0 for
+    angle-based kernels.  Its values are exactly symmetric without a
+    copy of one triangle onto the other: every family is an elementwise
+    function of ``x @ x.T``, which numpy computes exactly symmetric for
+    the contiguous rows ``_as_matrix`` hands over, and of row terms that
+    enter each (i, j) and (j, i) entry by the same commutative operation.
     """
     x = _as_matrix(samples, "samples")
     if x.shape[0] < 1:
         raise ShapeError("need at least one sample")
-    k = _kernel_block(x, x, spec, same=True)
-    return GramMatrix(_mirror_upper(k), spec=spec)
+    return GramMatrix(_kernel_block(x, x, spec, same=True))
 
 
 def cross_gram(rows, cols, spec):

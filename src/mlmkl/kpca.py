@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGramError, ShapeError
-from .kernels import _gram_values, _mirror_upper
+from .kernels import _gram_values
 
 __all__ = ["KpcaModel", "center_gram", "fit", "leading", "transform"]
 
@@ -37,7 +37,11 @@ def center_gram(k):
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
     centered = v - row_means[:, None] - row_means[None, :] + total_mean
-    return _mirror_upper(centered), row_means, total_mean
+    # v - r_i - r_j + t rounds differently from v - r_j - r_i + t, so this
+    # is the one kernel matrix whose upper triangle is copied onto the lower
+    iu, ju = np.triu_indices_from(centered, 1)
+    centered[ju, iu] = centered[iu, ju]
+    return centered, row_means, total_mean
 
 
 @dataclass(frozen=True)

@@ -31,11 +31,14 @@ from .errors import (
     ChecksumError,
     ModelIOError,
     NonFiniteInputError,
+    ParseError,
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
 )
-from .kernels import KernelSpec, cross_gram, gram, parse_kernel
+from .kernels import (
+    KernelFamily, KernelSpec, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
+)
 from .kpca import KpcaModel
 from .svm import SvmModel
 from .umkl import (
@@ -45,6 +48,7 @@ from .umkl import (
     combine,
     problem_from_features,
     solve_simplex_qp,
+    weighted_sum,
 )
 
 __all__ = [
@@ -54,6 +58,7 @@ __all__ = [
     "LayerGrams",
     "DEFAULT_CLASSIFIER_KERNEL",
     "combined_cross",
+    "draw_fit_rows",
     "layer_grams",
     "layer_weights",
     "training_cross",
@@ -114,6 +119,16 @@ class LayerConfig:
     def components(self):
         return self.kpca_components if self.kpca_components is not None else 3 * self.width
 
+    def to_dict(self):
+        """JSON-ready form, as in model headers and configuration files."""
+        return {
+            "kernels": [k.canonical() for k in self.kernels],
+            "width": int(self.width),
+            "kpca_components": int(self.components),
+            "gamma": float(self.gamma),
+            "basis_size": int(self.basis_size),
+        }
+
 
 @dataclass
 class LayerModel:
@@ -155,16 +170,23 @@ class LayerModel:
 
 
 def combined_cross(rows, cols, kernels, weights):
-    """Combined kernel block k(rows_i, cols_j) under simplex ``weights``."""
-    out = None
-    for wt, spec in zip(weights.mu, kernels):
-        if wt == 0.0:
-            continue
-        block = wt * cross_gram(rows, cols, spec)
-        out = block if out is None else out + block
-    if out is None:  # all weights zero cannot happen on the simplex
-        raise ValueError("kernel weights are all zero")
-    return out
+    """Combined kernel block k(rows_i, cols_j) under simplex ``weights``.
+
+    A zero row fails with ``ZeroVectorError`` when the layer has an
+    arc-cosine kernel, whatever its weight, as it fails the layer's fit.
+    """
+    if any(spec.family is KernelFamily.ARC_COSINE for spec in kernels):
+        _row_norms(np.asarray(rows, dtype=np.float64))
+    return weighted_sum(weights.mu, lambda t: cross_gram(rows, cols, kernels[t]))
+
+
+def draw_fit_rows(rng, n, subsample):
+    """Sorted positions of ``subsample`` of ``n`` rows drawn by ``rng``
+    without replacement, or None (every row) when ``subsample`` is 0 or
+    not below ``n``."""
+    if subsample and subsample < n:
+        return np.sort(rng.choice(n, size=subsample, replace=False))
+    return None
 
 
 @dataclass(frozen=True)
@@ -184,9 +206,7 @@ class LayerGrams:
 def layer_grams(features, config, fit_idx=None):
     """Stage 1 for ``config``'s kernels and basis size (its gamma is
     replaced in stage 2) on the rows ``fit_idx`` (None means all)."""
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("features must be 2-d, got shape %r" % (x.shape,))
+    x = _as_matrix(features, "features")
     idx = None if fit_idx is None else np.asarray(fit_idx)
     xs = x if idx is None else x[idx]
     problem = problem_from_features(xs, config.kernels, config.gamma, config.basis_size)
@@ -348,12 +368,7 @@ def fit(
     rep = x
     layers = []
     for index, cfg in enumerate(configs):
-        n = rep.shape[0]
-        if subsample and subsample < n:
-            fit_idx = np.sort(rng.choice(n, size=subsample, replace=False))
-        else:
-            fit_idx = None
-        layer, rep = fit_layer(rep, y, cfg, fit_idx)
+        layer, rep = fit_layer(rep, y, cfg, draw_fit_rows(rng, rep.shape[0], subsample))
         layers.append(layer)
         if callback is not None:
             callback(index, layer, rep)
@@ -365,16 +380,7 @@ def fit(
         "svm_c": float(svm_c),
         "svm_tol": float(svm_tol),
         "data_sha256": _fingerprint(x, y),
-        "layer_configs": [
-            {
-                "kernels": [k.canonical() for k in cfg.kernels],
-                "width": int(cfg.width),
-                "kpca_components": int(cfg.components),
-                "gamma": float(cfg.gamma),
-                "basis_size": int(cfg.basis_size),
-            }
-            for cfg in configs
-        ],
+        "layer_configs": [cfg.to_dict() for cfg in configs],
     }
     return MlmklModel(layers=layers, classifier=machine, metadata=metadata)
 
@@ -530,5 +536,6 @@ def load(path):
             support_vectors=arrays["classifier/support_vectors"],
         )
         return MlmklModel(layers=layers, classifier=machine, metadata=header["metadata"])
-    except (KeyError, ValueError, IndexError, ShapeError) as exc:
+    except (KeyError, ValueError, IndexError, ShapeError, ParseError,
+            TypeError, OverflowError) as exc:  # TypeError: e.g. a number for a list
         raise ModelIOError("malformed model content: %s" % exc) from None

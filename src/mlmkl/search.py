@@ -128,10 +128,7 @@ def grid_search(dataset, config, seed=0, jobs=1):
         candidates = [cand for grid in grids for row in grid for cand in row]
         calls = []
         for split, rng in zip(splits, rngs):
-            n = split["train"].shape[0]
-            fit_idx = None
-            if config.subsample and config.subsample < n:
-                fit_idx = np.sort(rng.choice(n, size=config.subsample, replace=False))
+            fit_idx = pipeline.draw_fit_rows(rng, split["train"].shape[0], config.subsample)
             calls += [partial(_probe_kernel_set, split, fit_idx, grid, config.classifier,
                               config.probe_cap) for grid in grids]
         done = _run(calls, jobs)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from .kernels import GramMatrix, _mirror_upper
+from .kernels import GramMatrix, _as_matrix
 
 __all__ = [
     "KernelWeights",
@@ -46,6 +46,7 @@ __all__ = [
     "assemble_qp",
     "minimize_qp",
     "solve_simplex_qp",
+    "weighted_sum",
     "combine",
 ]
 
@@ -99,13 +100,6 @@ class LocalBases:
     @property
     def basis_size(self):
         return self.indices.shape[1]
-
-    def mask(self):
-        """Boolean (n, n) matrix, mask[i, j] = (j in B_i)."""
-        n = self.n
-        out = np.zeros((n, n), dtype=bool)
-        out[np.arange(n)[:, None], self.indices] = True
-        return out
 
 
 def squared_distances(linear_gram):
@@ -182,10 +176,8 @@ def problem_from_features(features, specs, gamma=0.1, basis_size=10):
     """Convenience constructor: Grams, linear Gram and bases from raw features."""
     from .kernels import gram  # local import keeps module load light
 
-    x = np.asarray(features, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError("features must be 2-d, got shape %r" % (x.shape,))
-    p = _mirror_upper(x @ x.T)
+    x = _as_matrix(features, "features")
+    p = x @ x.T  # exactly symmetric for the contiguous rows of _as_matrix
     bases = build_local_bases(p, basis_size)
     grams = tuple(gram(x, s) for s in specs)
     return UmklProblem(grams, p, bases, float(gamma))
@@ -350,16 +342,23 @@ def solve_simplex_qp(qp):
     return KernelWeights(mu)
 
 
+def weighted_sum(weights, term):
+    """sum_t weights[t] * term(t), calling ``term`` for nonzero weights only."""
+    blocks = (wt * term(t) for t, wt in enumerate(weights) if wt != 0.0)
+    out = next(blocks, None)
+    if out is None:
+        raise ValueError("kernel weights are all zero")
+    for block in blocks:
+        out += block
+    return out
+
+
 def combine(base_grams, weights):
     """Convex combination sum_t mu_t K_t of base Gram matrices."""
     grams = list(base_grams)
     if len(grams) < 1:
         raise ValueError("need at least one base Gram")
     w = _weights_array(weights, len(grams))
-    n = grams[0].n
-    out = np.zeros((n, n))
-    for wt, g in zip(w, grams):
-        if g.n != n:
-            raise ShapeError("base Grams disagree on sample count")
-        out += wt * g.values
-    return GramMatrix(out, spec=None)
+    if any(g.n != grams[0].n for g in grams):
+        raise ShapeError("base Grams disagree on sample count")
+    return GramMatrix(weighted_sum(w, lambda t: grams[t].values))

@@ -209,11 +209,14 @@ def test_evaluate_dispatch_matches_gram_entries():
 )
 def test_gram_symmetric_and_psd(text):
     rng = np.random.default_rng(8)
-    x = rng.uniform(0.05, 1.0, size=(40, 6))
-    k = gram(x, parse_kernel(text)).values
-    np.testing.assert_array_equal(k, k.T)
-    eig = np.linalg.eigvalsh(k)
-    assert eig[0] >= -1e-8 * max(eig[-1], 1e-30)
+    x = rng.uniform(0.05, 1.0, size=(300, 6))
+    # the same rows in C order, in F order and column-strided; at this size
+    # numpy's product of the strided rows with their transpose is asymmetric
+    for rows in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+        k = gram(rows, parse_kernel(text)).values
+        np.testing.assert_array_equal(k, k.T)
+        eig = np.linalg.eigvalsh(k)
+        assert eig[0] >= -1e-8 * max(eig[-1], 1e-30)
 
 
 def test_gram_exact_diagonals():

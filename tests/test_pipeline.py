@@ -13,6 +13,7 @@ from mlmkl.errors import (
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
+    ZeroVectorError,
 )
 from mlmkl.kernels import parse_kernel
 from mlmkl.pipeline import LayerConfig, fit_layer, transform_layer
@@ -191,6 +192,26 @@ def test_fit_and_predict_reject_non_finite_features(bad):
     for entry in (pipeline.transform, pipeline.predict):
         with pytest.raises(NonFiniteInputError, match=r"\(3, 5\)"):
             entry(model, dirty)
+
+
+@pytest.mark.parametrize("gamma,arc_weighted", [(0.5, False), (50.0, True)])
+def test_zero_row_fails_with_an_arc_cosine_kernel_whatever_its_weight(gamma, arc_weighted):
+    rng = np.random.default_rng(0)
+    x = rng.uniform(size=(120, 8))
+    y = (x[:, 0] > 0.5).astype(int)
+    kernels = (ARC, parse_kernel("rbf(gamma=%r)" % gamma))
+    cfg = LayerConfig(kernels=kernels, width=3)
+    model = pipeline.fit(x, y, [cfg], subsample=0)
+    assert (model.layers[0].weights.mu[0] > 0.0) == arc_weighted
+    for entry in (pipeline.transform, pipeline.predict):
+        with pytest.raises(ZeroVectorError, match="zero row 1"):
+            entry(model, np.vstack([x[:1], np.zeros((1, 8))]))
+    # a zero training row outside the fit rows fails the fit as one inside does
+    fit_rows = np.sort(np.random.default_rng(0).choice(120, size=60, replace=False))
+    outside = np.setdiff1d(np.arange(120), fit_rows)[0]
+    x[outside] = 0.0
+    with pytest.raises(ZeroVectorError, match="zero row %d" % outside):
+        pipeline.fit(x, y, [cfg], subsample=60, seed=0)
 
 
 def test_fit_requires_a_layer():

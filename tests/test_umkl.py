@@ -55,16 +55,6 @@ def test_bases_size_validation():
             build_local_bases(p, bad)
 
 
-def test_bases_mask_matches_indices():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(9, 3))
-    lb = build_local_bases(x @ x.T, 4)
-    mask = lb.mask()
-    assert mask.sum() == 9 * 4
-    for i in range(9):
-        assert sorted(np.nonzero(mask[i])[0]) == sorted(lb.indices[i])
-
-
 def test_local_bases_type_rejects_self():
     with pytest.raises(ValueError):
         LocalBases(np.array([[0], [0]]))
@@ -217,6 +207,23 @@ def test_combine_frozen_value():
     ones = GramMatrix(np.ones((2, 2)))
     out = combine([half_identity, ones], KernelWeights(np.array([0.5, 0.5])))
     np.testing.assert_allclose(out.values, [[1.0, 0.5], [0.5, 1.0]], atol=0)
+
+
+def test_combine_skips_zero_weights():
+    # a zero-weight term is not computed, so 0 * inf never turns into nan
+    poisoned = GramMatrix(np.full((2, 2), np.inf))
+    out = combine([GramMatrix(np.eye(2)), poisoned], KernelWeights(np.array([1.0, 0.0])))
+    np.testing.assert_array_equal(out.values, np.eye(2))
+
+
+def test_problem_from_strided_rows_is_exactly_symmetric():
+    # numpy multiplies a column-strided matrix by its transpose with a
+    # general product whose result is not symmetric; the rows are copied
+    x = np.random.default_rng(3).uniform(0.05, 1.0, size=(300, 12))[:, ::2]
+    assert not (x.flags.c_contiguous or x.flags.f_contiguous)
+    assert not np.array_equal(x @ x.T, (x @ x.T).T)
+    prob = problem_from_features(x, SPECS, basis_size=4)
+    np.testing.assert_array_equal(prob.linear_gram, prob.linear_gram.T)
 
 
 def test_combine_validates_lengths():
