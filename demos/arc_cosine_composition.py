@@ -11,7 +11,12 @@ story.
 
 import numpy as np
 
-from mlmkl.kernels import arc_cosine
+from mlmkl.kernels import KernelFamily, KernelSpec, evaluate
+
+
+def arc_cosine(x, y, degree, depth=1):
+    return evaluate(KernelSpec(KernelFamily.ARC_COSINE, degree=degree, depth=depth), x, y)
+
 
 x = np.array([1.0, 0.0])
 y = np.array([0.0, 1.0])

@@ -106,8 +106,10 @@ def cmd_train(args):
     svm_seconds = time.perf_counter() - state["t"]
     total_seconds = time.perf_counter() - t_start
     valid_error = None
-    if valid_ds is not None:
-        valid_error = error_percent(pipeline.predict(model, valid_ds.features), valid_ds.labels)
+    if valid_ds is not None:  # the callback has pushed the rows through every layer
+        valid_error = error_percent(
+            pipeline.classifier_predict(model.classifier, state["valid_rep"]), valid_ds.labels
+        )
     pipeline.save(model, args.out)
 
     lines = ["loaded %s: %d rows" % (args.train, ds.n)]

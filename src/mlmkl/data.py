@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeError
+from .errors import ParseError, RowCountError, ShapeError
 
 __all__ = ["Dataset", "load_amat", "write_amat", "load_idx", "split"]
 
@@ -131,9 +131,9 @@ def load_idx(images_path, labels_path):
 def split(dataset, n_train, n_valid, seed=0):
     """Disjoint random train/validation subsets drawn without replacement."""
     if n_train < 1 or n_valid < 0:
-        raise ValueError("need n_train >= 1 and n_valid >= 0")
+        raise RowCountError("need n_train >= 1 and n_valid >= 0")
     if n_train + n_valid > dataset.n:
-        raise ValueError(
+        raise RowCountError(
             "cannot draw %d + %d rows from %d" % (n_train, n_valid, dataset.n)
         )
     rng = np.random.default_rng(seed)

@@ -18,6 +18,10 @@ class NonFiniteInputError(MlmklError, ValueError):
     """Input features hold nan, inf or -inf."""
 
 
+class RowCountError(MlmklError, ValueError):
+    """A requested number of rows is negative or more than the data holds."""
+
+
 class ZeroVectorError(MlmklError):
     """An input vector has zero norm where a direction is required."""
 

@@ -24,12 +24,11 @@ vector with itself reproduces ||x||^2 at every level.
 Numerical care: arccos is ill-conditioned near cos = 1, so a dot-product
 round-off of one ulp turns into an angle of ~1e-8.  Same-set Gram
 construction therefore pins theta = 0 on the diagonal at every
-composition level, and pairwise evaluation detects identical inputs
-before falling back to the general formula.
+composition level, and ``evaluate`` takes a pair of exactly equal
+inputs as a one-row Gram, so their angle is pinned too.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -49,15 +48,10 @@ __all__ = [
     "KernelSpec",
     "GramMatrix",
     "parse_kernel",
-    "angle",
     "j_n",
-    "arc_cosine",
-    "gaussian",
-    "polynomial",
-    "linear",
-    "evaluate",
     "gram",
     "cross_gram",
+    "evaluate",
 ]
 
 # J_n(0) / pi, exact: J_0(0) = pi, J_1(0) = pi, J_2(0) = 3*pi.
@@ -211,35 +205,7 @@ def parse_kernel(text):
 
 
 # ---------------------------------------------------------------------------
-# pointwise evaluation
-
-
-def _as_vector(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError("%s must be a 1-d vector, got shape %r" % (name, arr.shape))
-    return arr
-
-
-def _check_pair(x, y):
-    x = _as_vector(x, "x")
-    y = _as_vector(y, "y")
-    if x.shape != y.shape:
-        raise ShapeError("mismatched vector lengths %d and %d" % (x.size, y.size))
-    return x, y
-
-
-def angle(x, y):
-    """Angle in [0, pi] between two nonzero vectors."""
-    x, y = _check_pair(x, y)
-    nx = float(np.linalg.norm(x))
-    ny = float(np.linalg.norm(y))
-    if nx == 0.0 or ny == 0.0:
-        raise ZeroVectorError("angle undefined for a zero vector")
-    if np.array_equal(x, y):
-        return 0.0
-    c = float(np.dot(x, y)) / (nx * ny)
-    return math.acos(min(1.0, max(-1.0, c)))
+# Gram matrices
 
 
 def j_n(theta, degree):
@@ -261,83 +227,6 @@ def j_n(theta, degree):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def _pair_level(sq_x, sq_y, inner, degree, identical):
-    """One composition level of the arc-cosine recursion for a single pair.
-
-    ``sq_x`` and ``sq_y`` are the current self-kernel values k(x,x), k(y,y)
-    and ``inner`` the current cross value k(x,y).
-    """
-    if sq_x <= 0.0 or sq_y <= 0.0:
-        raise DegenerateRecursionError(
-            "non-positive self-kernel (%r, %r) in arc-cosine recursion" % (sq_x, sq_y)
-        )
-    prod = sq_x * sq_y
-    if identical:
-        # theta = 0 exactly; J_n(0)/pi is 1, 1 or 3
-        return _J0_OVER_PI[degree] * prod ** (degree / 2.0)
-    c = inner / math.sqrt(prod)
-    theta = math.acos(min(1.0, max(-1.0, c)))
-    return prod ** (degree / 2.0) * (j_n(theta, degree) / math.pi)
-
-
-def arc_cosine(x, y, degree, depth=1):
-    """Arc-cosine kernel of activation order ``degree`` composed ``depth`` times."""
-    _check_degree(degree)
-    if not isinstance(depth, (int, np.integer)) or depth < 1:
-        raise ValueError("depth must be a positive integer, got %r" % (depth,))
-    x, y = _check_pair(x, y)
-    sq_x = float(np.dot(x, x))
-    sq_y = float(np.dot(y, y))
-    if sq_x == 0.0 or sq_y == 0.0:
-        raise ZeroVectorError("arc-cosine kernel undefined for a zero vector")
-    identical = np.array_equal(x, y)
-    k = _pair_level(sq_x, sq_y, float(np.dot(x, y)), degree, identical)
-    c0 = _J0_OVER_PI[degree]
-    sq_x = c0 * sq_x**degree
-    sq_y = c0 * sq_y**degree
-    for _ in range(depth - 1):
-        k = _pair_level(sq_x, sq_y, k, degree, identical)
-        sq_x = c0 * sq_x**degree
-        sq_y = c0 * sq_y**degree
-    return k
-
-
-def gaussian(x, y, gamma):
-    """exp(-gamma ||x - y||^2)."""
-    if not gamma > 0:
-        raise ValueError("gamma must be positive, got %r" % (gamma,))
-    x, y = _check_pair(x, y)
-    d = x - y
-    return math.exp(-gamma * float(np.dot(d, d)))
-
-
-def polynomial(x, y, degree, coef0=1.0, scale=1.0):
-    """(scale <x, y> + coef0)^degree."""
-    x, y = _check_pair(x, y)
-    return (scale * float(np.dot(x, y)) + coef0) ** degree
-
-
-def linear(x, y):
-    """<x, y>."""
-    x, y = _check_pair(x, y)
-    return float(np.dot(x, y))
-
-
-def evaluate(spec, x, y):
-    """Evaluate one kernel value k(x, y) under ``spec``."""
-    if spec.family is KernelFamily.ARC_COSINE:
-        return arc_cosine(x, y, spec.degree, spec.depth)
-    if spec.family is KernelFamily.GAUSSIAN:
-        return gaussian(x, y, spec.gamma)
-    if spec.family is KernelFamily.POLYNOMIAL:
-        return polynomial(x, y, spec.degree, spec.coef0, spec.scale)
-    return linear(x, y)
-
-
-# ---------------------------------------------------------------------------
-# Gram matrices
 
 
 @dataclass(frozen=True)
@@ -434,11 +323,17 @@ def _kernel_block(x_rows, x_cols, spec, same):
     if spec.family is KernelFamily.GAUSSIAN:
         sq_r = np.einsum("ij,ij->i", x_rows, x_rows)
         sq_c = sq_r if same else np.einsum("ij,ij->i", x_cols, x_cols)
-        sq = sq_r[:, None] + sq_c[None, :] - 2.0 * (x_rows @ x_cols.T)
+        # in place, in the order of sq_r + sq_c - 2 (x_rows @ x_cols.T) and
+        # exp(-gamma * sq), so the bits are those of the plain expression
+        p = x_rows @ x_cols.T
+        p *= 2.0
+        sq = sq_r[:, None] + sq_c[None, :]
+        sq -= p
         np.maximum(sq, 0.0, out=sq)
         if same:
             np.fill_diagonal(sq, 0.0)
-        return np.exp(-spec.gamma * sq)
+        sq *= -spec.gamma
+        return np.exp(sq, out=sq)
     if spec.family is KernelFamily.POLYNOMIAL:
         return (spec.scale * (x_rows @ x_cols.T) + spec.coef0) ** spec.degree
     return x_rows @ x_cols.T
@@ -479,3 +374,16 @@ def cross_gram(rows, cols, spec):
     if xr.shape[0] == 0:
         return np.zeros((0, xc.shape[0]))
     return _kernel_block(xr, xc, spec, same=False)
+
+
+def evaluate(spec, x, y):
+    """One kernel value k(x, y) under ``spec``, from the block path.
+
+    Exactly equal inputs are evaluated as a one-row ``gram``, so their
+    angle is pinned to zero; any other pair as a 1 x 1 ``cross_gram``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if np.array_equal(x, y):
+        return float(gram(x[None], spec).values[0, 0])
+    return float(cross_gram(x[None], y[None], spec)[0, 0])

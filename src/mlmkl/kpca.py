@@ -24,6 +24,7 @@ from .kernels import _gram_values
 __all__ = ["KpcaModel", "center_gram", "fit", "leading", "transform"]
 
 _EIGENVALUE_CUTOFF = 1e-10
+_MIRROR_BLOCK = 256  # rows per transpose copy in center_gram
 
 
 def center_gram(k):
@@ -38,9 +39,14 @@ def center_gram(k):
     total_mean = float(v.mean())
     centered = v - row_means[:, None] - row_means[None, :] + total_mean
     # v - r_i - r_j + t rounds differently from v - r_j - r_i + t, so this
-    # is the one kernel matrix whose upper triangle is copied onto the lower
-    iu, ju = np.triu_indices_from(centered, 1)
-    centered[ju, iu] = centered[iu, ju]
+    # is the one kernel matrix whose upper triangle is copied onto the lower,
+    # a block of rows at a time
+    n = centered.shape[0]
+    for s in range(0, n, _MIRROR_BLOCK):
+        e = min(s + _MIRROR_BLOCK, n)
+        centered[s:e, :s] = centered[:s, s:e].T
+        iu, ju = np.triu_indices(e - s, 1)
+        centered[s + ju, s + iu] = centered[s + iu, s + ju]
     return centered, row_means, total_mean
 
 

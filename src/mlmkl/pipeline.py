@@ -32,6 +32,7 @@ from .errors import (
     ModelIOError,
     NonFiniteInputError,
     ParseError,
+    RowCountError,
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
@@ -183,7 +184,10 @@ def combined_cross(rows, cols, kernels, weights):
 def draw_fit_rows(rng, n, subsample):
     """Sorted positions of ``subsample`` of ``n`` rows drawn by ``rng``
     without replacement, or None (every row) when ``subsample`` is 0 or
-    not below ``n``."""
+    not below ``n``.  A negative ``subsample`` fails here, for ``fit``
+    and ``search.grid_search`` alike."""
+    if subsample and subsample < 0:
+        raise RowCountError("subsample must be >= 0, got %d" % subsample)
     if subsample and subsample < n:
         return np.sort(rng.choice(n, size=subsample, replace=False))
     return None

@@ -42,7 +42,6 @@ __all__ = [
     "build_local_bases",
     "squared_distances",
     "problem_from_features",
-    "objective_scalar",
     "assemble_qp",
     "minimize_qp",
     "solve_simplex_qp",
@@ -188,26 +187,6 @@ def _weights_array(mu, m):
     if arr.shape != (m,):
         raise ShapeError("expected %d weights, got shape %r" % (m, arr.shape))
     return arr
-
-
-def objective_scalar(problem, mu):
-    """Direct per-sample evaluation of J(mu); the reference the QP must match.
-
-    Accepts any weight vector, on the simplex or off it, so finite
-    differences can probe the neighbourhood of a feasible point.
-    """
-    w = _weights_array(mu, problem.m)
-    k = sum(wt * g.values for wt, g in zip(w, problem.base_grams))
-    p = problem.linear_gram
-    v = squared_distances(p)
-    idx = problem.bases.indices
-    total = 0.5 * float(np.trace(p))
-    for i in range(problem.n):
-        b = idx[i]
-        a = k[b, i]
-        total += -float(a @ p[b, i]) + 0.5 * float(a @ p[np.ix_(b, b)] @ a)
-        total += problem.gamma * float(a @ v[b, i])
-    return total
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,132 @@
+"""Pointwise reference kernels and the brute-force weight objective.
+
+The library builds every kernel value as part of a block (``gram``,
+``cross_gram``) and the weight objective as an m x m quadratic form
+(``assemble_qp``).  The functions here compute the same quantities one
+pair, or one sample, at a time from the closed forms in the
+``mlmkl.kernels`` and ``mlmkl.umkl`` docstrings, with ``math`` for the
+angular factors, so agreement with the library is evidence, not
+tautology.  Only ``KernelSpec`` (the description of a kernel) is shared.
+"""
+import math
+
+import numpy as np
+
+from mlmkl.kernels import KernelFamily
+
+# J_n(0) / pi: J_0(0) = pi, J_1(0) = pi, J_2(0) = 3 pi
+J0_OVER_PI = {0: 1.0, 1: 1.0, 2: 3.0}
+
+
+def _pair(x, y):
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError("need two vectors of one length, got %r and %r" % (x.shape, y.shape))
+    return x, y
+
+
+def angle(x, y):
+    """Angle in [0, pi] between two nonzero vectors; 0 for equal ones."""
+    x, y = _pair(x, y)
+    nx = math.sqrt(float(np.dot(x, x)))
+    ny = math.sqrt(float(np.dot(y, y)))
+    if nx == 0.0 or ny == 0.0:
+        raise ValueError("angle undefined for a zero vector")
+    if np.array_equal(x, y):
+        return 0.0
+    c = float(np.dot(x, y)) / (nx * ny)
+    return math.acos(min(1.0, max(-1.0, c)))
+
+
+def j_n(theta, degree):
+    """Angular factor J_n(theta) of the arc-cosine family for one angle."""
+    s, c = math.sin(theta), math.cos(theta)
+    if degree == 0:
+        return math.pi - theta
+    if degree == 1:
+        return s + (math.pi - theta) * c
+    if degree == 2:
+        return 3.0 * s * c + (math.pi - theta) * (1.0 + 2.0 * c * c)
+    raise ValueError("arc-cosine degree must be 0, 1 or 2, got %r" % (degree,))
+
+
+def _level(sq_x, sq_y, inner, degree, identical):
+    """One composition level for a single pair: ``sq_x`` and ``sq_y`` are
+    the current self-kernel values k(x,x), k(y,y), ``inner`` is k(x,y)."""
+    if sq_x <= 0.0 or sq_y <= 0.0:
+        raise ValueError("non-positive self-kernel (%r, %r)" % (sq_x, sq_y))
+    prod = sq_x * sq_y
+    if identical:
+        return J0_OVER_PI[degree] * prod ** (degree / 2.0)
+    theta = math.acos(min(1.0, max(-1.0, inner / math.sqrt(prod))))
+    return prod ** (degree / 2.0) * (j_n(theta, degree) / math.pi)
+
+
+def arc_cosine(x, y, degree, depth=1):
+    """Arc-cosine kernel of activation order ``degree`` composed ``depth``
+    times, by the recursion on self-kernels of the kernels docstring."""
+    x, y = _pair(x, y)
+    sq_x = float(np.dot(x, x))
+    sq_y = float(np.dot(y, y))
+    if sq_x == 0.0 or sq_y == 0.0:
+        raise ValueError("arc-cosine kernel undefined for a zero vector")
+    identical = np.array_equal(x, y)
+    k = float(np.dot(x, y))
+    for _ in range(depth):
+        k = _level(sq_x, sq_y, k, degree, identical)
+        sq_x = J0_OVER_PI[degree] * sq_x**degree
+        sq_y = J0_OVER_PI[degree] * sq_y**degree
+    return k
+
+
+def gaussian(x, y, gamma):
+    """exp(-gamma ||x - y||^2)."""
+    x, y = _pair(x, y)
+    d = x - y
+    return math.exp(-gamma * float(np.dot(d, d)))
+
+
+def polynomial(x, y, degree, coef0=1.0, scale=1.0):
+    """(scale <x, y> + coef0)^degree."""
+    x, y = _pair(x, y)
+    return (scale * float(np.dot(x, y)) + coef0) ** degree
+
+
+def linear(x, y):
+    """<x, y>."""
+    x, y = _pair(x, y)
+    return float(np.dot(x, y))
+
+
+def evaluate(spec, x, y):
+    """k(x, y) under a ``KernelSpec``."""
+    if spec.family is KernelFamily.ARC_COSINE:
+        return arc_cosine(x, y, spec.degree, spec.depth)
+    if spec.family is KernelFamily.GAUSSIAN:
+        return gaussian(x, y, spec.gamma)
+    if spec.family is KernelFamily.POLYNOMIAL:
+        return polynomial(x, y, spec.degree, spec.coef0, spec.scale)
+    return linear(x, y)
+
+
+def objective_scalar(problem, mu):
+    """J(mu) of an ``UmklProblem`` summed sample by sample; the reference
+    that the assembled QP must match.
+
+    Accepts any weight vector, on the simplex or off it, so finite
+    differences can probe the neighbourhood of a feasible point.
+    """
+    w = np.asarray(mu, dtype=np.float64)
+    if w.shape != (len(problem.base_grams),):
+        raise ValueError("expected %d weights, got shape %r" % (len(problem.base_grams), w.shape))
+    k = sum(wt * g.values for wt, g in zip(w, problem.base_grams))
+    p = problem.linear_gram
+    total = 0.5 * float(np.trace(p))
+    for i, b in enumerate(problem.bases.indices):
+        a = k[b, i]
+        # ||x_i - x_j||^2 = P_ii + P_jj - 2 P_ij, clipped at the round-off floor
+        dist = np.maximum(p[i, i] + p[b, b] - 2.0 * p[b, i], 0.0)
+        total += -float(a @ p[b, i]) + 0.5 * float(a @ p[np.ix_(b, b)] @ a)
+        total += problem.gamma * float(a @ dist)
+    return total

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import digits_like, direction_blobs, write_amat
-from mlmkl import cli, pipeline
-from mlmkl.errors import ModelIOError
+from mlmkl import cli, data, pipeline
+from mlmkl.config import load_config
+from mlmkl.errors import ModelIOError, RowCountError
+from mlmkl.search import error_percent
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -156,6 +158,60 @@ def test_unknown_config_key_fails_cleanly(corpus, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "probecap" in captured.err
+
+
+def test_train_rejects_negative_subsample_as_fit_does(corpus, capsys):
+    rc = cli.main(["train", "--config", str(corpus["cfg_path"]), "--train", corpus["train"],
+                   "--out", str(corpus["tmp"] / "m.bin"), "--subsample", "-5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    ds = data.load_amat(corpus["train"])
+    with pytest.raises(RowCountError) as caught:
+        pipeline.fit(ds.features, ds.labels, load_config(corpus["cfg_path"]).layers,
+                     subsample=-5)
+    assert err == "error: %s\n" % caught.value
+    assert "subsample" in err
+
+
+def test_cv_rejects_negative_subsample(corpus, capsys):
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3]})
+    rc = cli.main(["cv", "--config", cfg, "--train", corpus["train"], "--subsample", "-3"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "subsample" in err
+
+
+def test_split_larger_than_the_file_fails_cleanly(corpus, capsys):
+    cfg = write_config(corpus, split={"train": 1000, "valid": 5}, cv={"width": [3]})
+    for command in (["train", "--out", str(corpus["tmp"] / "m.bin")], ["cv"]):
+        rc = cli.main(command + ["--config", cfg, "--train", corpus["train"]])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: cannot draw 1000 + 5 rows from 40\n"
+
+
+def test_train_pushes_validation_rows_through_each_layer_once(corpus, capsys, monkeypatch):
+    pushed = []
+    transform_layer = pipeline.transform_layer
+
+    def counting(layer, features):
+        pushed.append(len(features))
+        return transform_layer(layer, features)
+
+    monkeypatch.setattr(pipeline, "transform_layer", counting)
+    model_path = str(corpus["tmp"] / "model.bin")
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, layers=[
+        {"kernels": ["rbf(gamma=0.05)", "linear"], "width": 5, "basis_size": 5},
+        {"kernels": ["arccos(n=1,L=1)", "linear"], "width": 3,
+         "kpca_components": 5, "basis_size": 5},
+    ])
+    assert cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                     "--out", model_path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert pushed == [10, 10]
+    # the same rows predicted from scratch by the saved model
+    _, valid = data.split(data.load_amat(corpus["train"]), 30, 10, seed=0)
+    predicted = pipeline.predict(pipeline.load(model_path), valid.features)
+    assert payload["validation_error_percent"] == error_percent(predicted, valid.labels)
 
 
 def test_eval_rejects_corrupt_model(corpus, capsys):

@@ -13,20 +13,28 @@ from mlmkl.errors import (
 from mlmkl.kernels import (
     KernelFamily,
     KernelSpec,
-    angle,
-    arc_cosine,
     cross_gram,
     evaluate,
-    gaussian,
     gram,
     j_n,
-    linear,
     parse_kernel,
-    polynomial,
 )
+
+import oracle
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
+
+
+def arc_cosine(x, y, degree, depth=1):
+    """The library's arc-cosine kernel value for one pair."""
+    return evaluate(KernelSpec(KernelFamily.ARC_COSINE, degree=degree, depth=depth), x, y)
+
+
+def angle(x, y):
+    """The angle the library's kernels see, read back from the degree-0
+    arc-cosine kernel k_0 = 1 - theta / pi."""
+    return math.pi * (1.0 - arc_cosine(x, y, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +94,7 @@ def test_angle_scale_free():
     for _ in range(20):
         a, b = rng.normal(size=(2, 5))
         assert angle(a, b) == pytest.approx(angle(3.0 * a, 0.25 * b), abs=1e-9)
+        assert angle(a, b) == pytest.approx(oracle.angle(a, b), abs=1e-9)
 
 
 def test_angle_rejects_zero_vector():
@@ -170,6 +179,9 @@ def test_deep_composition_finite_on_unit_norm():
 
 
 def test_gaussian_values():
+    def gaussian(x, y, gamma):
+        return evaluate(KernelSpec(KernelFamily.GAUSSIAN, gamma=gamma), x, y)
+
     assert gaussian(E1, E1, 0.7) == 1.0
     d2 = 2.0  # |e1 - e2|^2
     assert gaussian(E1, E2, 0.3) == pytest.approx(math.exp(-0.3 * d2), abs=1e-15)
@@ -178,9 +190,13 @@ def test_gaussian_values():
 
 
 def test_polynomial_and_linear_values():
+    def polynomial(x, y, degree, coef0, scale):
+        spec = KernelSpec(KernelFamily.POLYNOMIAL, degree=degree, coef0=coef0, scale=scale)
+        return evaluate(spec, x, y)
+
     x = np.array([1.0, 2.0])
     y = np.array([3.0, -1.0])
-    assert linear(x, y) == pytest.approx(1.0)
+    assert evaluate(KernelSpec(KernelFamily.LINEAR), x, y) == pytest.approx(1.0)
     assert polynomial(x, y, 3, coef0=1.0, scale=1.0) == pytest.approx((1.0 + 1.0) ** 3)
     assert polynomial(x, y, 2, coef0=0.5, scale=2.0) == pytest.approx((2.0 + 0.5) ** 2)
 
@@ -194,7 +210,24 @@ def test_evaluate_dispatch_matches_gram_entries():
         g = gram(x, spec).values
         for i in (0, 3):
             for j in (1, 4):
-                assert g[i, j] == pytest.approx(evaluate(spec, x[i], x[j]), rel=1e-10)
+                assert g[i, j] == pytest.approx(oracle.evaluate(spec, x[i], x[j]), rel=1e-10)
+                assert evaluate(spec, x[i], x[j]) == pytest.approx(g[i, j], rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["linear", "rbf(gamma=0.3)", "poly(degree=3,coef0=0.5,scale=2)",
+     "arccos(n=0,L=1)", "arccos(n=1,L=2)", "arccos(n=2,L=1)", "arccos(n=2,L=3)"],
+)
+def test_evaluate_matches_oracle(text):
+    # distinct pairs go through cross_gram, equal ones through gram: both
+    # must agree with the pointwise closed forms, equal pairs at angle zero
+    spec = parse_kernel(text)
+    rng = np.random.default_rng(14)
+    for _ in range(200):
+        x, y = rng.uniform(0.05, 1.0, size=(2, int(rng.integers(2, 12))))
+        for a, b in ((x, y), (y, x), (x, x)):
+            assert evaluate(spec, a, b) == pytest.approx(oracle.evaluate(spec, a, b), rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +276,7 @@ def test_gram_matches_pointwise():
         k = gram(x, spec).values
         for i in range(4):
             for j in range(4, 8):
-                assert k[i, j] == pytest.approx(evaluate(spec, x[i], x[j]), rel=1e-10)
+                assert k[i, j] == pytest.approx(oracle.evaluate(spec, x[i], x[j]), rel=1e-10)
 
 
 def test_cross_gram_consistent_with_gram():

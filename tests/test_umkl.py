@@ -12,11 +12,11 @@ from mlmkl.umkl import (
     build_local_bases,
     combine,
     minimize_qp,
-    objective_scalar,
     problem_from_features,
     solve_simplex_qp,
     squared_distances,
 )
+from oracle import objective_scalar
 
 SPECS = [parse_kernel("rbf(gamma=0.5)"), parse_kernel("linear"),
          parse_kernel("arccos(n=1,L=1)")]
