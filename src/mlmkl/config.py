@@ -6,6 +6,7 @@ misspelled hyperparameter is how wrong numbers end up in tables.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, ParseError
@@ -71,6 +72,8 @@ def _integer(value, key, minimum=None):
 def _number(value, key):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError("%s must be a number, got %r" % (key, value))
+    if not math.isfinite(value):  # json reads Infinity and NaN
+        raise ConfigError("%s must be finite, got %r" % (key, value))
     return float(value)
 
 

@@ -121,6 +121,10 @@ def load_idx(images_path, labels_path):
                 "label count %d does not match %d images" % (n_labels, n)
             )
         labels = np.frombuffer(_read_exact(fh, n, "label data", labels_path), dtype=np.uint8)
+    bad = np.flatnonzero(labels > 9)
+    if bad.size:
+        raise ParseError("label %d of item %d is not a digit class in %r"
+                         % (labels[bad[0]], bad[0], labels_path))
     return Dataset(
         features=features,
         labels=labels.astype(np.int64),

@@ -105,15 +105,19 @@ class KernelSpec:
             if not isinstance(self.depth, (int, np.integer)) or self.depth < 1:
                 raise ValueError("depth must be a positive integer, got %r" % (self.depth,))
         elif self.family is KernelFamily.GAUSSIAN:
-            if not self.gamma > 0:
-                raise ValueError("rbf gamma must be positive, got %r" % (self.gamma,))
+            if not 0 < self.gamma < np.inf:
+                raise ValueError("rbf gamma must be positive and finite, got %r" % (self.gamma,))
         elif self.family is KernelFamily.POLYNOMIAL:
             if not isinstance(self.degree, (int, np.integer)) or self.degree < 1:
                 raise ValueError(
                     "polynomial degree must be a positive integer, got %r" % (self.degree,)
                 )
-            if not self.scale > 0:
-                raise ValueError("polynomial scale must be positive, got %r" % (self.scale,))
+            if not 0 < self.scale < np.inf:
+                raise ValueError(
+                    "polynomial scale must be positive and finite, got %r" % (self.scale,)
+                )
+            if not np.isfinite(self.coef0):
+                raise ValueError("polynomial coef0 must be finite, got %r" % (self.coef0,))
 
     def canonical(self):
         """Unambiguous text form; ``parse_kernel`` inverts it exactly."""
@@ -175,7 +179,7 @@ def parse_kernel(text):
         if key in params:
             v = params.pop(key)
             if integer:
-                if v != int(v):
+                if not v.is_integer():  # False for inf and nan too
                     raise ParseError("%s must be an integer in %r" % (key, text))
                 return int(v)
             return v
@@ -282,29 +286,34 @@ def _row_norms(x):
     return norms
 
 
-def _arc_cosine_block(x_rows, x_cols, degree, depth, same):
-    """Arc-cosine kernel block between two sample sets.
+def _row_terms(x, spec):
+    """Row norms for arc-cosine, squared norms for rbf, zeros otherwise."""
+    if spec.family is KernelFamily.ARC_COSINE:
+        return _row_norms(x)
+    if spec.family is KernelFamily.GAUSSIAN:
+        return np.einsum("ij,ij->i", x, x)
+    return np.zeros(x.shape[0])
 
-    Each level turns the block of the level before into cosines, by the
-    row norms at level 1 and by that level's self-kernels after it.  With
-    ``same`` set, the diagonal angle is pinned to zero at every level,
-    which keeps the degree-0 diagonal at exactly 1 and the degree-1
-    diagonal at exactly the squared norms.
+
+def _arc_cosine_values(k, r, c, degree, depth, same):
+    """Arc-cosine kernel values from dot products ``k`` (overwritten) and
+    the norms ``r`` of their rows and ``c`` of their columns.  Each level
+    turns the values of the level before into cosines, by the norms at
+    level 1 and by that level's self-kernels after it.  ``same`` pins the
+    diagonal angle to zero at every level, which keeps the degree-0
+    diagonal at exactly 1 and the degree-1 one at exactly the squared norms.
     """
-    nr = _row_norms(x_rows)
-    nc = nr if same else _row_norms(x_cols)
     c0 = _J0_OVER_PI[degree]
-    s_rows, s_cols = nr * nr, nc * nc
-    k = x_rows @ x_cols.T
+    s_rows, s_cols = r * r, c * c
     for level in range(depth):
         if level == 0:
-            scale = nr[:, None] * nc[None, :]
+            scale = r * c
         else:
             if not (np.all(np.isfinite(s_rows)) and np.all(np.isfinite(s_cols))):
                 raise DegenerateRecursionError("self-kernel overflowed in arc-cosine recursion")
             if np.any(s_rows <= 0.0) or np.any(s_cols <= 0.0):
                 raise DegenerateRecursionError("non-positive self-kernel in arc-cosine recursion")
-            scale = np.sqrt(s_rows[:, None] * s_cols[None, :])
+            scale = np.sqrt(s_rows * s_cols)
         k /= scale
         np.clip(k, -1.0, 1.0, out=k)
         if same:
@@ -312,31 +321,36 @@ def _arc_cosine_block(x_rows, x_cols, degree, depth, same):
         k = j_n(np.arccos(k, out=k), degree)
         k /= np.pi
         k *= scale**degree
-        s_rows = c0 * s_rows**degree
-        s_cols = s_rows if same else c0 * s_cols**degree
+        s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
     return k
 
 
-def _kernel_block(x_rows, x_cols, spec, same):
+def _kernel_values(dots, r, c, spec, same):
+    """Kernel values, elementwise, from dot products ``dots`` (overwritten)
+    and the ``_row_terms`` ``r`` of their rows and ``c`` of their columns,
+    broadcast to them; ``same`` pins the diagonal of a same-set block."""
     if spec.family is KernelFamily.ARC_COSINE:
-        return _arc_cosine_block(x_rows, x_cols, spec.degree, spec.depth, same)
+        return _arc_cosine_values(dots, r, c, spec.degree, spec.depth, same)
     if spec.family is KernelFamily.GAUSSIAN:
-        sq_r = np.einsum("ij,ij->i", x_rows, x_rows)
-        sq_c = sq_r if same else np.einsum("ij,ij->i", x_cols, x_cols)
-        # in place, in the order of sq_r + sq_c - 2 (x_rows @ x_cols.T) and
-        # exp(-gamma * sq), so the bits are those of the plain expression
-        p = x_rows @ x_cols.T
-        p *= 2.0
-        sq = sq_r[:, None] + sq_c[None, :]
-        sq -= p
+        # in place, in the order of r + c - 2 dots and exp(-gamma * sq),
+        # so the bits are those of the plain expression
+        dots *= 2.0
+        sq = r + c
+        sq -= dots
         np.maximum(sq, 0.0, out=sq)
         if same:
             np.fill_diagonal(sq, 0.0)
         sq *= -spec.gamma
         return np.exp(sq, out=sq)
     if spec.family is KernelFamily.POLYNOMIAL:
-        return (spec.scale * (x_rows @ x_cols.T) + spec.coef0) ** spec.degree
-    return x_rows @ x_cols.T
+        return (spec.scale * dots + spec.coef0) ** spec.degree
+    return dots
+
+
+def _kernel_block(x_rows, x_cols, spec, same):
+    r = _row_terms(x_rows, spec)
+    c = r if same else _row_terms(x_cols, spec)
+    return _kernel_values(x_rows @ x_cols.T, r[:, None], c[None, :], spec, same)
 
 
 def gram(samples, spec):

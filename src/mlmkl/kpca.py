@@ -37,7 +37,9 @@ def center_gram(k):
     v = _gram_values(k)
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
-    centered = v - row_means[:, None] - row_means[None, :] + total_mean
+    centered = v - row_means[:, None]  # then in place, in the same order
+    centered -= row_means[None, :]
+    centered += total_mean
     # v - r_i - r_j + t rounds differently from v - r_j - r_i + t, so this
     # is the one kernel matrix whose upper triangle is copied onto the lower,
     # a block of rows at a time
@@ -162,5 +164,7 @@ def transform(model, cross):
     if c.shape[0] == 0:
         return np.zeros((0, model.n_components))
     row_means_new = c.mean(axis=1)
-    centered = c - row_means_new[:, None] - model.row_means[None, :] + model.total_mean
+    centered = c - row_means_new[:, None]  # then in place, in the same order
+    centered -= model.row_means[None, :]
+    centered += model.total_mean
     return centered @ model.alphas

@@ -204,7 +204,7 @@ class LayerGrams:
     fit_idx: np.ndarray | None  # positions of the fit rows; None means all
     fit_sample: np.ndarray  # the fit rows
     kernels: tuple
-    problem: UmklProblem  # base Grams, linear Gram and neighbour bases
+    problem: UmklProblem  # QP kernel entries, linear Gram and neighbour bases
 
 
 def layer_grams(features, config, fit_idx=None):
@@ -219,10 +219,10 @@ def layer_grams(features, config, fit_idx=None):
 
 def layer_weights(grams, gamma):
     """Stage 2: kernel weights at locality penalty ``gamma`` and the
-    combined Gram of the fit rows."""
+    combined Gram of the fit rows, built from the weighted kernels only."""
     problem = replace(grams.problem, gamma=float(gamma))
     weights = solve_simplex_qp(assemble_qp(problem))
-    return weights, combine(problem.base_grams, weights)
+    return weights, combine(grams.fit_sample, grams.kernels, weights)
 
 
 def training_cross(grams, weights, k_fit):

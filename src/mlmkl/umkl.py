@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernels
 from .errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from .kernels import GramMatrix, _as_matrix
+from .kernels import GramMatrix, _as_matrix, _kernel_values, _row_terms
 
 __all__ = [
     "KernelWeights",
@@ -137,29 +138,23 @@ def build_local_bases(linear_gram, basis_size):
 class UmklProblem:
     """Everything the weight QP needs about one sample set."""
 
-    base_grams: tuple
+    entries: np.ndarray  # (n, basis_size, m): K_t[bases[i, a], i] at [i, a, t]
     linear_gram: np.ndarray
     bases: LocalBases
     gamma: float
 
     def __post_init__(self):
-        grams = tuple(self.base_grams)
-        if len(grams) < 1:
-            raise ValueError("need at least one base kernel")
-        n = grams[0].n
-        for g in grams:
-            if not isinstance(g, GramMatrix):
-                raise ShapeError("base_grams must hold GramMatrix values")
-            if g.n != n:
-                raise ShapeError("base Grams disagree on sample count")
+        t = np.asarray(self.entries, dtype=np.float64)
         p = np.asarray(self.linear_gram, dtype=np.float64)
-        if p.shape != (n, n):
-            raise ShapeError("linear Gram shape %r does not match n=%d" % (p.shape, n))
-        if self.bases.n != n:
-            raise ShapeError("local bases built for a different sample count")
+        n, k = self.bases.indices.shape
+        if t.ndim != 3 or t.shape[:2] != (n, k) or p.shape != (n, n):
+            raise ShapeError("entries %r and linear Gram %r do not fit %d rows of %d bases"
+                             % (t.shape, p.shape, n, k))
+        if t.shape[2] < 1:
+            raise ValueError("need at least one base kernel")
         if not self.gamma >= 0.0:
             raise ValueError("gamma must be nonnegative, got %r" % (self.gamma,))
-        object.__setattr__(self, "base_grams", grams)
+        object.__setattr__(self, "entries", t)
         object.__setattr__(self, "linear_gram", p)
 
     @property
@@ -168,18 +163,19 @@ class UmklProblem:
 
     @property
     def m(self):
-        return len(self.base_grams)
+        return self.entries.shape[2]
 
 
 def problem_from_features(features, specs, gamma=0.1, basis_size=10):
-    """Convenience constructor: Grams, linear Gram and bases from raw features."""
-    from .kernels import gram  # local import keeps module load light
-
+    """Linear Gram P, neighbour bases and each kernel's elementwise steps on P at them."""
     x = _as_matrix(features, "features")
     p = x @ x.T  # exactly symmetric for the contiguous rows of _as_matrix
     bases = build_local_bases(p, basis_size)
-    grams = tuple(gram(x, s) for s in specs)
-    return UmklProblem(grams, p, bases, float(gamma))
+    idx, cols = bases.indices, np.arange(x.shape[0])[:, None]
+    terms = [_row_terms(x, s) for s in specs]
+    entries = [_kernel_values(p[idx, cols], r[idx], r[cols], s, same=False)
+               for r, s in zip(terms, specs)]
+    return UmklProblem(np.stack(entries, axis=2), p, bases, float(gamma))
 
 
 def _weights_array(mu, m):
@@ -223,10 +219,8 @@ class QpForm:
 def assemble_qp(problem):
     """Collapse the per-sample objective into an m x m quadratic form."""
     idx = problem.bases.indices
-    n = problem.n
-    cols = np.arange(n)[:, None]
-    # t[i, a, s] = K_s[idx[i, a], i]: basis rows of column i of each base Gram
-    t = np.stack([g.values[idx, cols] for g in problem.base_grams], axis=2)
+    cols = np.arange(problem.n)[:, None]
+    t = problem.entries
     p_sub = problem.linear_gram[idx[:, :, None], idx[:, None, :]]
     half = np.einsum("iab,ibt->iat", p_sub, t)
     w = 0.5 * np.einsum("ias,iat->st", t, half)
@@ -332,12 +326,8 @@ def weighted_sum(weights, term):
     return out
 
 
-def combine(base_grams, weights):
-    """Convex combination sum_t mu_t K_t of base Gram matrices."""
-    grams = list(base_grams)
-    if len(grams) < 1:
-        raise ValueError("need at least one base Gram")
-    w = _weights_array(weights, len(grams))
-    if any(g.n != grams[0].n for g in grams):
-        raise ShapeError("base Grams disagree on sample count")
-    return GramMatrix(weighted_sum(w, lambda t: grams[t].values))
+def combine(samples, specs, weights):
+    """Convex combination sum_t mu_t K_t of the Grams of ``specs`` over
+    ``samples``; only the Grams of nonzero weights are built."""
+    w = _weights_array(weights, len(specs))
+    return GramMatrix(weighted_sum(w, lambda t: kernels.gram(samples, specs[t]).values))

@@ -5,6 +5,18 @@ algorithms than the library (exhaustive grids, bisection projections,
 dense eigendecompositions) so agreement is evidence, not tautology.
 """
 import numpy as np
+import pytest
+
+import mlmkl.kernels
+
+
+@pytest.fixture
+def built_grams(monkeypatch):
+    """The specs that ``kernels.gram`` is called with, in call order."""
+    built = []
+    gram = mlmkl.kernels.gram
+    monkeypatch.setattr(mlmkl.kernels, "gram", lambda x, spec: built.append(spec) or gram(x, spec))
+    return built
 
 
 def direction_blobs(n_per_class, dim, hot_groups, noise=0.1, lift=0.85, seed=0):

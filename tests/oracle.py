@@ -118,13 +118,13 @@ def objective_scalar(problem, mu):
     differences can probe the neighbourhood of a feasible point.
     """
     w = np.asarray(mu, dtype=np.float64)
-    if w.shape != (len(problem.base_grams),):
-        raise ValueError("expected %d weights, got shape %r" % (len(problem.base_grams), w.shape))
-    k = sum(wt * g.values for wt, g in zip(w, problem.base_grams))
+    if w.shape != (problem.m,):
+        raise ValueError("expected %d weights, got shape %r" % (problem.m, w.shape))
     p = problem.linear_gram
     total = 0.5 * float(np.trace(p))
     for i, b in enumerate(problem.bases.indices):
-        a = k[b, i]
+        # combined kernel entries k(x_j, x_i) at the basis of sample i
+        a = sum(wt * problem.entries[i, :, t] for t, wt in enumerate(w))
         # ||x_i - x_j||^2 = P_ii + P_jj - 2 P_ij, clipped at the round-off floor
         dist = np.maximum(p[i, i] + p[b, b] - 2.0 * p[b, i], 0.0)
         total += -float(a @ p[b, i]) + 0.5 * float(a @ p[np.ix_(b, b)] @ a)

@@ -160,6 +160,21 @@ def test_unknown_config_key_fails_cleanly(corpus, capsys):
     assert "probecap" in captured.err
 
 
+@pytest.mark.parametrize("layer,message", [
+    ({"kernels": ["rbf(gamma=inf)"], "width": 2}, "rbf gamma must be positive and finite"),
+    ({"kernels": ["poly(degree=2,coef0=nan)"], "width": 2}, "coef0 must be finite"),
+    ({"kernels": ["linear"], "width": 2, "gamma": float("inf")}, "gamma must be finite"),
+], ids=["rbf_gamma_inf", "poly_coef0_nan", "layer_gamma_inf"])
+def test_train_rejects_non_finite_parameters(corpus, capsys, layer, message):
+    cfg = write_config(corpus, layers=[layer])  # json writes inf as Infinity
+    rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                   "--out", str(corpus["tmp"] / "m.bin")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+    assert not (corpus["tmp"] / "m.bin").exists()
+
+
 def test_train_rejects_negative_subsample_as_fit_does(corpus, capsys):
     rc = cli.main(["train", "--config", str(corpus["cfg_path"]), "--train", corpus["train"],
                    "--out", str(corpus["tmp"] / "m.bin"), "--subsample", "-5"])

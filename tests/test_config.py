@@ -142,6 +142,23 @@ def test_numeric_bounds():
         parse_config(layered(subsample=-1))
 
 
+def test_non_finite_numbers_are_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="rbf gamma"):
+        parse_config({"layers": [{"kernels": ["rbf(gamma=inf)"], "width": 2}]})
+    with pytest.raises(ConfigError, match="coef0"):
+        parse_config(layered(classifier={"kernel": "poly(degree=2,coef0=nan)"}))
+    # json reads the Infinity and NaN literals as floats
+    path = tmp_path / "cfg.json"
+    for text in ('"gamma": Infinity', '"gamma": NaN'):
+        path.write_text('{"layers": [{"kernels": ["linear"], "width": 2, %s}]}' % text)
+        with pytest.raises(ConfigError, match=r"layers\[0\].gamma must be finite"):
+            load_config(path)
+    for extra in ({"classifier": {"C": float("inf")}}, {"cv": {"gamma": [float("nan")]}},
+                  {"cv": {"svm_c": [1.0, float("inf")]}}):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_config(layered(**extra))
+
+
 def test_load_config_and_bad_json(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(layered(subsample=17)))

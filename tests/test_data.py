@@ -149,6 +149,14 @@ def test_idx_truncated_pixels(tmp_path):
         load_idx(ip, lp)
 
 
+def test_idx_label_outside_the_digit_classes(tmp_path):
+    images = np.zeros((3, 28, 28), dtype=np.uint8)
+    labels = np.array([0, 12, 3], dtype=np.uint8)
+    ip, lp = write_idx_pair(tmp_path, images, labels)
+    with pytest.raises(ParseError, match=r"label 12 of item 1 .*lab\.idx"):
+        load_idx(ip, lp)
+
+
 def test_idx_count_mismatch(tmp_path):
     images = np.zeros((3, 28, 28), dtype=np.uint8)
     labels = np.zeros(3, dtype=np.uint8)

@@ -365,6 +365,28 @@ def test_parse_rejects_garbage(text):
         parse_kernel(text)
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["rbf(gamma=inf)", "rbf(gamma=nan)", "poly(degree=2,coef0=nan)", "poly(coef0=-inf)",
+     "poly(scale=inf)", "poly(scale=nan)", "poly(degree=inf)", "arccos(n=inf)",
+     "arccos(n=1,L=nan)"],
+)
+def test_parse_rejects_non_finite_parameters(text):
+    # each parsed once and failed later: a misleading symmetry error in the
+    # fit, an all-inf Gram, or a bare OverflowError from canonical()
+    with pytest.raises(ParseError):
+        parse_kernel(text)
+
+
+def test_spec_rejects_non_finite_parameters():
+    for kwargs in ({"gamma": np.inf}, {"gamma": np.nan}):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(KernelFamily.GAUSSIAN, **kwargs)
+    for kwargs in ({"coef0": np.nan}, {"coef0": np.inf}, {"scale": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            KernelSpec(KernelFamily.POLYNOMIAL, degree=2, **kwargs)
+
+
 def test_spec_validation():
     with pytest.raises(UnsupportedDegreeError):
         KernelSpec(KernelFamily.ARC_COSINE, degree=5)

@@ -111,6 +111,16 @@ def test_fit_layer_is_the_composition_of_its_stages():
     np.testing.assert_array_equal(feats, reduced)
 
 
+def test_vertex_weights_build_one_base_gram(built_grams):
+    # the weight QP reads kernel entries at the bases only, so a layer
+    # whose weights are a vertex builds the full Gram of that kernel alone
+    x, y = blob_data()
+    cfg = LayerConfig(kernels=(ARC, RBF, LINEAR), width=4, basis_size=5)
+    layer, _ = fit_layer(x, y, cfg)
+    assert np.count_nonzero(layer.weights.mu) == 1
+    assert built_grams == [cfg.kernels[int(np.argmax(layer.weights.mu))]]
+
+
 def test_transform_layer_rejects_wrong_dimension():
     x, y = blob_data()
     layer, _ = fit_layer(x, y, LayerConfig(kernels=(LINEAR,), width=3, basis_size=3))

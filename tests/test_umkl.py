@@ -3,7 +3,7 @@ import pytest
 
 from mlmkl import umkl
 from mlmkl.errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from mlmkl.kernels import GramMatrix, parse_kernel
+from mlmkl.kernels import gram, parse_kernel
 from mlmkl.umkl import (
     KernelWeights,
     LocalBases,
@@ -114,8 +114,7 @@ def test_constant_term_reduces_to_half_trace():
     x = rng.normal(size=(8, 3))
     p = x @ x.T
     p = (p + p.T) / 2.0
-    grams = (GramMatrix(np.eye(8)),)
-    prob = umkl.UmklProblem(grams, p, build_local_bases(p, 3), 0.0)
+    prob = umkl.UmklProblem(np.zeros((8, 3, 1)), p, build_local_bases(p, 3), 0.0)
     val = objective_scalar(prob, np.array([1.0]))
     assert val == pytest.approx(0.5 * np.trace(p), rel=1e-12)
     qp = assemble_qp(prob)
@@ -127,12 +126,17 @@ def test_problem_validation():
     x = rng.normal(size=(6, 3))
     p = x @ x.T
     p = (p + p.T) / 2.0
-    grams = (GramMatrix(np.eye(6)),)
+    entries = np.zeros((6, 2, 1))
     bases = build_local_bases(p, 2)
     with pytest.raises(ValueError):
-        umkl.UmklProblem(grams, p, bases, -0.5)
+        umkl.UmklProblem(entries, p, bases, -0.5)
     with pytest.raises(ValueError):
-        umkl.UmklProblem((), p, bases, 0.1)
+        umkl.UmklProblem(np.zeros((6, 2, 0)), p, bases, 0.1)
+    for bad in (np.zeros((6, 3, 1)), np.zeros((5, 2, 1)), np.zeros((6, 2))):
+        with pytest.raises(ShapeError):
+            umkl.UmklProblem(bad, p, bases, 0.1)
+    with pytest.raises(ShapeError):
+        umkl.UmklProblem(entries, p[:5, :5], bases, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -203,17 +207,21 @@ def test_weights_validation():
 
 
 def test_combine_frozen_value():
-    half_identity = GramMatrix(np.eye(2))
-    ones = GramMatrix(np.ones((2, 2)))
-    out = combine([half_identity, ones], KernelWeights(np.array([0.5, 0.5])))
-    np.testing.assert_allclose(out.values, [[1.0, 0.5], [0.5, 1.0]], atol=0)
+    # orthonormal rows: the linear Gram is the identity, and the degree-0
+    # arc-cosine kernel is 1 - theta / pi = 1/2 off the diagonal
+    kernels = [parse_kernel("linear"), parse_kernel("arccos(n=0,L=1)")]
+    out = combine(np.eye(2), kernels, KernelWeights(np.array([0.5, 0.5])))
+    np.testing.assert_allclose(out.values, [[1.0, 0.25], [0.25, 1.0]], atol=0)
 
 
-def test_combine_skips_zero_weights():
-    # a zero-weight term is not computed, so 0 * inf never turns into nan
-    poisoned = GramMatrix(np.full((2, 2), np.inf))
-    out = combine([GramMatrix(np.eye(2)), poisoned], KernelWeights(np.array([1.0, 0.0])))
-    np.testing.assert_array_equal(out.values, np.eye(2))
+def test_combine_skips_zero_weights(built_grams):
+    # a zero-weight kernel is never evaluated: the arc-cosine kernel would
+    # fail on the zero row, and its Gram is not built
+    x = np.array([[0.0, 0.0], [1.0, 2.0]])
+    kernels = [parse_kernel("linear"), parse_kernel("arccos(n=1,L=1)")]
+    out = combine(x, kernels, KernelWeights(np.array([1.0, 0.0])))
+    np.testing.assert_array_equal(out.values, x @ x.T)
+    assert built_grams == kernels[:1]
 
 
 def test_problem_from_strided_rows_is_exactly_symmetric():
@@ -226,12 +234,35 @@ def test_problem_from_strided_rows_is_exactly_symmetric():
     np.testing.assert_array_equal(prob.linear_gram, prob.linear_gram.T)
 
 
+PIN_SPECS = [parse_kernel("arccos(n=%d,L=%d)" % (n, depth)) for n in (0, 1, 2)
+             for depth in (1, 2, 3)] + [parse_kernel("rbf(gamma=0.5)"),
+                                        parse_kernel("poly(degree=3,coef0=1,scale=0.5)"),
+                                        parse_kernel("linear")]
+
+
+@pytest.mark.parametrize("dim", [5, 784])
+@pytest.mark.parametrize("n", [37, 301, 1003])  # not multiples of a SIMD width
+def test_problem_entries_are_the_gram_entries_bit_for_bit(n, dim):
+    # the QP's entries come from the linear Gram gathered at the bases; the
+    # weights, hence the model files, stay those of the full Grams only if
+    # every elementwise step gives the same bits on the gathered values
+    x = np.random.default_rng(n + dim).normal(size=(n, dim)) / np.sqrt(dim)
+    prob = problem_from_features(x, PIN_SPECS, basis_size=10)
+    cols = np.arange(n)[:, None]
+    assert prob.entries.shape == (n, 10, len(PIN_SPECS))
+    assert np.all(np.isfinite(prob.entries))
+    for t, spec in enumerate(PIN_SPECS):
+        full = gram(x, spec).values[prob.bases.indices, cols]
+        np.testing.assert_array_equal(prob.entries[..., t], full, err_msg=str(spec))
+
+
 def test_combine_validates_lengths():
-    g = GramMatrix(np.eye(3))
+    x = np.eye(3)
+    k = parse_kernel("linear")
     with pytest.raises(ShapeError):
-        combine([g, g], KernelWeights(np.array([1.0])))
+        combine(x, [k, k], KernelWeights(np.array([1.0])))
     with pytest.raises(ShapeError):
-        combine([g, GramMatrix(np.eye(4))], KernelWeights(np.array([0.5, 0.5])))
+        combine(x, [k], KernelWeights(np.array([0.5, 0.5])))
 
 
 def test_end_to_end_weights_on_simplex():
