@@ -44,7 +44,6 @@ from .kpca import KpcaModel
 from .svm import SvmModel
 from .umkl import (
     KernelWeights,
-    UmklProblem,
     assemble_qp,
     combine,
     problem_from_features,
@@ -204,25 +203,26 @@ class LayerGrams:
     fit_idx: np.ndarray | None  # positions of the fit rows; None means all
     fit_sample: np.ndarray  # the fit rows
     kernels: tuple
-    problem: UmklProblem  # QP kernel entries, linear Gram and neighbour bases
 
 
 def layer_grams(features, config, fit_idx=None):
     """Stage 1 for ``config``'s kernels and basis size (its gamma is
-    replaced in stage 2) on the rows ``fit_idx`` (None means all)."""
+    replaced in stage 2) on the rows ``fit_idx`` (None means all).
+
+    Returns the rows the later stages read and the weight QP's problem
+    (kernel entries, neighbour bases and the n x n linear Gram), which a
+    caller drops once it has solved the weights it needs."""
     x = _as_matrix(features, "features")
     idx = None if fit_idx is None else np.asarray(fit_idx)
     xs = x if idx is None else x[idx]
     problem = problem_from_features(xs, config.kernels, config.gamma, config.basis_size)
-    return LayerGrams(x, idx, xs, config.kernels, problem)
+    return LayerGrams(x, idx, xs, config.kernels), problem
 
 
-def layer_weights(grams, gamma):
-    """Stage 2: kernel weights at locality penalty ``gamma`` and the
-    combined Gram of the fit rows, built from the weighted kernels only."""
-    problem = replace(grams.problem, gamma=float(gamma))
-    weights = solve_simplex_qp(assemble_qp(problem))
-    return weights, combine(grams.fit_sample, grams.kernels, weights)
+def layer_weights(problem, gamma):
+    """Stage 2: kernel weights at locality penalty ``gamma``; ``combine``
+    then builds the combined Gram of the fit rows from them."""
+    return solve_simplex_qp(assemble_qp(replace(problem, gamma=float(gamma))))
 
 
 def training_cross(grams, weights, k_fit):
@@ -248,8 +248,10 @@ def fit_layer(features, labels, config, fit_idx=None):
     ``fit_idx`` selects the rows used for the Gram matrices (None means
     all of them); every row of ``features`` is transformed regardless.
     """
-    grams = layer_grams(features, config, fit_idx)
-    weights, k_fit = layer_weights(grams, config.gamma)
+    grams, problem = layer_grams(features, config, fit_idx)
+    weights = layer_weights(problem, config.gamma)
+    del problem  # its n x n linear Gram is not read past the weights
+    k_fit = combine(grams.fit_sample, grams.kernels, weights)
     kp = kpca.fit(k_fit, config.components)
     cross = training_cross(grams, weights, k_fit)
     ranking, reduced = layer_select(kp, cross, labels, config.width)

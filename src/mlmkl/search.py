@@ -3,8 +3,10 @@
 Each layer keeps the (kernel set, gamma, width) candidate whose probe SVM
 has the lowest mean validation error over repeated splits; the next layer
 searches on the winner's features, and the SVM C is chosen last.  The
-candidates share the layer stages: one Gram set per (repeat, kernel set),
-one weight QP and kernel PCA per gamma, at the largest component count.
+candidates share the layer stages: the dot products, neighbour bases and
+QP entries once per (repeat, kernel set), one weight QP per gamma, and one
+combined Gram, kernel PCA (at the largest component count), pair of
+crosses and set of probe SVMs per distinct weight vector.
 """
 from __future__ import annotations
 
@@ -47,25 +49,49 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
     one kernel set on one repeat; ``grid`` has a row per gamma and a column
     per width.  A candidate that fails (e.g. a width beyond the usable
     spectrum) gets an infinite error and the same note as if fitted alone.
+    Gamma enters only the weight QP, so rows whose weights are equal get
+    the same cells, computed once.
     """
     failures = (MlmklError, ValueError)
     try:
-        grams = pipeline.layer_grams(split["train"], grid[0][0], fit_idx)
+        grams, problem = pipeline.layer_grams(split["train"], grid[0][0], fit_idx)
     except failures as exc:
         return [(np.inf, str(exc), None, None)] * sum(map(len, grid))
-    counts = [cand.components for cand in grid[0]]
-    top = counts.index(max(counts))
-    cells = []
+    solved = []  # per row, its weights or why the QP failed
     for row in grid:
         try:
-            weights, k_fit = pipeline.layer_weights(grams, row[0].gamma)
+            solved.append(pipeline.layer_weights(problem, row[0].gamma))
+        except failures as exc:
+            solved.append(str(exc))
+    del problem  # its n x n linear Gram is not read past the weights
+    counts = [cand.components for cand in grid[0]]
+    top = counts.index(max(counts))
+    seen = {}  # weights.mu bytes -> (kernel PCA or None, cells of a row)
+    cells = []
+    for row, weights in zip(grid, solved):
+        if isinstance(weights, str):
+            cells += [(np.inf, weights, None, None)] * len(row)
+            continue
+        key = weights.mu.tobytes()
+        if key in seen:
+            kp, row_cells = seen[key]
+            if kp is not None:
+                for cand in row:  # the kPCA warnings of each candidate fitted alone
+                    kpca.leading(kp, cand.components)
+            cells += row_cells
+            continue
+        try:
+            k_fit = pipeline.combine(grams.fit_sample, grams.kernels, weights)
             kp = kpca.fit(k_fit, counts[top])
         except failures as exc:
-            cells += [(np.inf, str(exc), None, None)] * len(row)
+            seen[key] = None, [(np.inf, str(exc), None, None)] * len(row)
+            cells += seen[key][1]
             continue
-        # the crosses are built once per gamma, where a candidate fitted on its
-        # own would build them, so a failure reaches the same candidates
+        # the crosses are built once per distinct weight vector, where a
+        # candidate fitted on its own would build them, so a failure reaches
+        # the same candidates
         train_cross = valid_cross = None
+        row_cells = []
         for i, cand in enumerate(row):
             try:
                 # fit warned for the top candidate, leading warns for the rest
@@ -83,9 +109,11 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
                 err = probe_error(
                     train, split["y_train"], valid, split["y_valid"], classifier, cap
                 )
-                cells.append((err, None, train, valid))
+                row_cells.append((err, None, train, valid))
             except failures as exc:
-                cells.append((np.inf, str(exc), None, None))
+                row_cells.append((np.inf, str(exc), None, None))
+        seen[key] = kp, row_cells
+        cells += row_cells
     return cells
 
 

@@ -129,9 +129,16 @@ def build_local_bases(linear_gram, basis_size):
             "basis size must be an integer in [1, %d], got %r" % (n - 1, basis_size)
         )
     np.fill_diagonal(m, np.inf)
-    order = np.argsort(m, axis=1, kind="stable")
-    picked = np.sort(order[:, :basis_size], axis=1)
-    return LocalBases(picked)
+    # every distance below the k-th smallest, then as many of the ties at it
+    # as slots are left, smallest index first; the copy frees the n x n partition
+    kth = np.partition(m, basis_size - 1, axis=1)[:, basis_size - 1:basis_size].copy()
+    keep = m < kth
+    tied = m == kth
+    slots = basis_size - np.count_nonzero(keep, axis=1)
+    over = np.nonzero(np.count_nonzero(tied, axis=1) > slots)[0]
+    tied[over] &= np.cumsum(tied[over], axis=1) <= slots[over, None]
+    keep |= tied
+    return LocalBases(np.nonzero(keep)[1].reshape(n, basis_size))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,14 @@ The reference solvers here are deliberately written with different
 algorithms than the library (exhaustive grids, bisection projections,
 dense eigendecompositions) so agreement is evidence, not tautology.
 """
+import weakref
+
 import numpy as np
 import pytest
 
 import mlmkl.kernels
+import mlmkl.kpca
+import mlmkl.pipeline
 
 
 @pytest.fixture
@@ -17,6 +21,28 @@ def built_grams(monkeypatch):
     gram = mlmkl.kernels.gram
     monkeypatch.setattr(mlmkl.kernels, "gram", lambda x, spec: built.append(spec) or gram(x, spec))
     return built
+
+
+@pytest.fixture
+def live_linear_grams(monkeypatch):
+    """Per ``kpca.fit`` call, how many of the n x n linear Grams that
+    ``pipeline.problem_from_features`` returned are still alive on entry."""
+    refs, live = [], []
+    problem_from_features = mlmkl.pipeline.problem_from_features
+    fit = mlmkl.kpca.fit
+
+    def problem(*args):
+        out = problem_from_features(*args)
+        refs.append(weakref.ref(out.linear_gram))
+        return out
+
+    def counted_fit(k, n_components):
+        live.append(sum(ref() is not None for ref in refs))
+        return fit(k, n_components)
+
+    monkeypatch.setattr(mlmkl.pipeline, "problem_from_features", problem)
+    monkeypatch.setattr(mlmkl.kpca, "fit", counted_fit)
+    return live
 
 
 def direction_blobs(n_per_class, dim, hot_groups, noise=0.1, lift=0.85, seed=0):

@@ -130,3 +130,15 @@ def objective_scalar(problem, mu):
         total += -float(a @ p[b, i]) + 0.5 * float(a @ p[np.ix_(b, b)] @ a)
         total += problem.gamma * float(a @ dist)
     return total
+
+
+def local_bases(linear_gram, basis_size):
+    """Neighbour bases by a stable sort of every row of squared distances:
+    the ``basis_size`` nearest samples, self excluded, ties to the smaller
+    index, each row ascending.  The reference for ``build_local_bases``."""
+    p = np.asarray(linear_gram, dtype=np.float64)
+    d = np.diag(p)
+    m = np.maximum(d[:, None] + d[None, :] - 2.0 * p, 0.0)
+    np.fill_diagonal(m, np.inf)
+    order = np.argsort(m, axis=1, kind="stable")
+    return np.sort(order[:, :basis_size], axis=1)

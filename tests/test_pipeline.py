@@ -98,8 +98,9 @@ def test_fit_layer_is_the_composition_of_its_stages():
     layer, reduced = fit_layer(x, y, cfg, fit_idx=fit_idx)
     # as a grid search runs them: Grams shared across gammas, kernel PCA
     # at a larger component count cut down to this one
-    grams = pipeline.layer_grams(x, replace(cfg, gamma=0.0), fit_idx)
-    weights, k_fit = pipeline.layer_weights(grams, cfg.gamma)
+    grams, problem = pipeline.layer_grams(x, replace(cfg, gamma=0.0), fit_idx)
+    weights = pipeline.layer_weights(problem, cfg.gamma)
+    k_fit = pipeline.combine(grams.fit_sample, grams.kernels, weights)
     kp = kpca.leading(kpca.fit(k_fit, 2 * cfg.components), cfg.components)
     cross = pipeline.training_cross(grams, weights, k_fit)
     ranking, feats = pipeline.layer_select(kp, cross, y, cfg.width)
@@ -109,6 +110,14 @@ def test_fit_layer_is_the_composition_of_its_stages():
     np.testing.assert_array_equal(kp.eigenvalues, layer.kpca.eigenvalues)
     np.testing.assert_array_equal(ranking.selected, layer.selected)
     np.testing.assert_array_equal(feats, reduced)
+
+
+def test_fit_layer_releases_the_linear_gram_before_kpca(live_linear_grams):
+    # P = x x^T is n x n and only the weight QP reads it
+    x, y = blob_data(n_per_class=30)
+    cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4)
+    fit_layer(x, y, cfg, fit_idx=np.arange(0, 60, 2))
+    assert live_linear_grams == [0]
 
 
 def test_vertex_weights_build_one_base_gram(built_grams):

@@ -16,7 +16,7 @@ from mlmkl.umkl import (
     solve_simplex_qp,
     squared_distances,
 )
-from oracle import objective_scalar
+from oracle import local_bases, objective_scalar
 
 SPECS = [parse_kernel("rbf(gamma=0.5)"), parse_kernel("linear"),
          parse_kernel("arccos(n=1,L=1)")]
@@ -46,6 +46,18 @@ def test_bases_exclude_self_and_tie_to_smaller_index():
     assert lb.indices[3, 0] == 1
     assert lb.indices[1, 0] == 2
     assert lb.indices[2, 0] == 1
+
+
+@pytest.mark.parametrize("n", [50, 300, 500])
+@pytest.mark.parametrize("k", [1, 5, 10, 40])
+def test_bases_match_stable_sort_on_ties(n, k):
+    rng = np.random.default_rng(n + k)
+    # small integer rows tie at many distances; duplicated rows tie at zero
+    integer_rows = rng.integers(0, 3, size=(n, 4)).astype(np.float64)
+    duplicated_rows = rng.uniform(size=(n // 7, 6))[rng.integers(0, n // 7, size=n)]
+    for x in (integer_rows, duplicated_rows):
+        p = x @ x.T
+        np.testing.assert_array_equal(build_local_bases(p, k).indices, local_bases(p, k))
 
 
 def test_bases_size_validation():
