@@ -43,7 +43,7 @@ print("%8s  %s" % ("radius", "  ".join("%-16s" % n for n in names)))
 problems = {}
 for radius in (0.05, 0.15, 0.4, 0.8):
     x = clusters(radius)
-    qp = assemble_qp(problem_from_features(x, kernels, gamma=0.1, basis_size=8))
+    qp = assemble_qp(problem_from_features(x, kernels, basis_size=8), gamma=0.1)
     mu = solve_simplex_qp(qp).mu
     problems[radius] = (qp, mu)
     print("%8.2f  %s" % (radius, "  ".join("%-16.3f" % w for w in mu)))

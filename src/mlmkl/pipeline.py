@@ -22,7 +22,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,14 +55,10 @@ __all__ = [
     "LayerConfig",
     "LayerModel",
     "MlmklModel",
-    "LayerGrams",
     "DEFAULT_CLASSIFIER_KERNEL",
     "combined_cross",
     "draw_fit_rows",
-    "layer_grams",
-    "layer_weights",
     "training_cross",
-    "layer_select",
     "fit_layer",
     "transform_layer",
     "fit",
@@ -192,54 +188,17 @@ def draw_fit_rows(rng, n, subsample):
     return None
 
 
-@dataclass(frozen=True)
-class LayerGrams:
-    """Stage 1 of a layer: what depends only on the rows, the kernel set
-    and the fit rows.  Stage 2 (``layer_weights``) depends on gamma, stage
-    3 (``kpca.fit``) on the component count, stage 4 (``layer_select``) on
-    the width; ``fit_layer`` composes them."""
-
-    rows: np.ndarray  # every training row of the layer input
-    fit_idx: np.ndarray | None  # positions of the fit rows; None means all
-    fit_sample: np.ndarray  # the fit rows
-    kernels: tuple
-
-
-def layer_grams(features, config, fit_idx=None):
-    """Stage 1 for ``config``'s kernels and basis size (its gamma is
-    replaced in stage 2) on the rows ``fit_idx`` (None means all).
-
-    Returns the rows the later stages read and the weight QP's problem
-    (kernel entries, neighbour bases and the n x n linear Gram), which a
-    caller drops once it has solved the weights it needs."""
-    x = _as_matrix(features, "features")
-    idx = None if fit_idx is None else np.asarray(fit_idx)
-    xs = x if idx is None else x[idx]
-    problem = problem_from_features(xs, config.kernels, config.gamma, config.basis_size)
-    return LayerGrams(x, idx, xs, config.kernels), problem
-
-
-def layer_weights(problem, gamma):
-    """Stage 2: kernel weights at locality penalty ``gamma``; ``combine``
-    then builds the combined Gram of the fit rows from them."""
-    return solve_simplex_qp(assemble_qp(replace(problem, gamma=float(gamma))))
-
-
-def training_cross(grams, weights, k_fit):
-    """Combined kernel rows of every training row against the fit rows."""
-    if grams.fit_idx is None:
+def training_cross(rows, fit_idx, kernels, weights, k_fit):
+    """Combined kernel rows of every training row against the fit rows
+    ``rows[fit_idx]`` (all rows when ``fit_idx`` is None), whose combined
+    Gram is ``k_fit``."""
+    if fit_idx is None:
         return k_fit.values
-    cross = combined_cross(grams.rows, grams.fit_sample, grams.kernels, weights)
+    cross = combined_cross(rows, rows[fit_idx], kernels, weights)
     # fit rows get their exact same-set kernel values, not the
     # round-off-limited recomputation
-    cross[grams.fit_idx] = k_fit.values
+    cross[fit_idx] = k_fit.values
     return cross
-
-
-def layer_select(kp, cross, labels, width):
-    """Stage 4: project kernel rows on the components and keep the
-    ``width`` best by the F test."""
-    return featsel.select(kpca.transform(kp, cross), labels, width)
 
 
 def fit_layer(features, labels, config, fit_idx=None):
@@ -248,20 +207,21 @@ def fit_layer(features, labels, config, fit_idx=None):
     ``fit_idx`` selects the rows used for the Gram matrices (None means
     all of them); every row of ``features`` is transformed regardless.
     """
-    grams, problem = layer_grams(features, config, fit_idx)
-    weights = layer_weights(problem, config.gamma)
-    del problem  # its n x n linear Gram is not read past the weights
-    k_fit = combine(grams.fit_sample, grams.kernels, weights)
+    x = _as_matrix(features, "features")
+    xs = x if fit_idx is None else x[fit_idx]
+    problem = problem_from_features(xs, config.kernels, config.basis_size)
+    weights = solve_simplex_qp(assemble_qp(problem, config.gamma))
+    k_fit = combine(xs, config.kernels, weights)
     kp = kpca.fit(k_fit, config.components)
-    cross = training_cross(grams, weights, k_fit)
-    ranking, reduced = layer_select(kp, cross, labels, config.width)
+    cross = training_cross(x, fit_idx, config.kernels, weights, k_fit)
+    ranking, reduced = featsel.select(kpca.transform(kp, cross), labels, config.width)
     layer = LayerModel(
         kernels=config.kernels,
         weights=weights,
         kpca=kp,
         scores=ranking.scores,
         selected=ranking.selected,
-        fit_sample=np.array(grams.fit_sample, copy=True),
+        fit_sample=np.array(xs, copy=True),
         fit_indices=None if fit_idx is None else np.asarray(fit_idx, dtype=np.int64),
     )
     return layer, reduced

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import data, kpca, pipeline
+from . import data, featsel, kpca, pipeline
 from .config import config_to_dict
 from .errors import ConfigError, MlmklError
 from .pipeline import LayerConfig
@@ -53,17 +53,18 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
     the same cells, computed once.
     """
     failures = (MlmklError, ValueError)
+    x, kernels = split["train"], grid[0][0].kernels
+    fit_sample = x if fit_idx is None else x[fit_idx]
     try:
-        grams, problem = pipeline.layer_grams(split["train"], grid[0][0], fit_idx)
+        problem = pipeline.problem_from_features(fit_sample, kernels, grid[0][0].basis_size)
     except failures as exc:
         return [(np.inf, str(exc), None, None)] * sum(map(len, grid))
     solved = []  # per row, its weights or why the QP failed
     for row in grid:
         try:
-            solved.append(pipeline.layer_weights(problem, row[0].gamma))
+            solved.append(pipeline.solve_simplex_qp(pipeline.assemble_qp(problem, row[0].gamma)))
         except failures as exc:
             solved.append(str(exc))
-    del problem  # its n x n linear Gram is not read past the weights
     counts = [cand.components for cand in grid[0]]
     top = counts.index(max(counts))
     seen = {}  # weights.mu bytes -> (kernel PCA or None, cells of a row)
@@ -81,7 +82,7 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
             cells += row_cells
             continue
         try:
-            k_fit = pipeline.combine(grams.fit_sample, grams.kernels, weights)
+            k_fit = pipeline.combine(fit_sample, kernels, weights)
             kp = kpca.fit(k_fit, counts[top])
         except failures as exc:
             seen[key] = None, [(np.inf, str(exc), None, None)] * len(row)
@@ -97,13 +98,13 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
                 # fit warned for the top candidate, leading warns for the rest
                 kc = kp if i == top else kpca.leading(kp, cand.components)
                 if train_cross is None:
-                    train_cross = pipeline.training_cross(grams, weights, k_fit)
-                ranking, train = pipeline.layer_select(
-                    kc, train_cross, split["y_train"], cand.width
+                    train_cross = pipeline.training_cross(x, fit_idx, kernels, weights, k_fit)
+                ranking, train = featsel.select(
+                    kpca.transform(kc, train_cross), split["y_train"], cand.width
                 )
                 if valid_cross is None:
                     valid_cross = pipeline.combined_cross(
-                        split["valid"], grams.fit_sample, cand.kernels, weights
+                        split["valid"], fit_sample, kernels, weights
                     )
                 valid = kpca.transform(kc, valid_cross)[:, ranking.selected]
                 err = probe_error(

@@ -60,6 +60,13 @@ class BinarySvm:
     converged: bool
 
 
+def _movable(pos, alpha, c):
+    """Masks of the indices whose alpha can move along +y_i and along -y_i."""
+    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+    down = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    return up, down
+
+
 def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     """Train one binary machine on a precomputed kernel matrix."""
     kv = _gram_values(k)
@@ -73,8 +80,7 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     violation = np.inf
     it = 0
     while it < max_iter:
-        can_up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        can_dn = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+        can_up, can_dn = _movable(pos, alpha, c)
         if not (can_up.any() and can_dn.any()):
             violation = 0.0
             break
@@ -122,8 +128,7 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     if free.any():
         bias = float(f[free].mean())
     else:
-        can_up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-        can_dn = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+        can_up, can_dn = _movable(pos, alpha, c)
         hi = float(np.max(f[can_up])) if can_up.any() else 0.0
         lo = float(np.min(f[can_dn])) if can_dn.any() else 0.0
         bias = 0.5 * (hi + lo)
@@ -136,9 +141,7 @@ def kkt_violation(k, y, alpha, c):
     y = _signed_labels(y, kv.shape[0])
     alpha = np.asarray(alpha, dtype=np.float64)
     f = y - kv @ (alpha * y)
-    pos = y > 0
-    can_up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-    can_dn = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    can_up, can_dn = _movable(y > 0, alpha, c)
     if not (can_up.any() and can_dn.any()):
         return 0.0
     return float(np.max(f[can_up]) - np.min(f[can_dn]))

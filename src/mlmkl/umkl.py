@@ -24,6 +24,12 @@ so the problem is a convex QP over the simplex, which a primal
 active-set method solves exactly: it walks from the best vertex across
 simplex faces, taking the exact minimum of each, until the KKT
 conditions hold.
+
+Sample i's terms read P only on {i} and B_i, and gamma only scales
+them.  So ``problem_from_features`` keeps, per sample, its bases, the
+kernel entries at them and its (k+1) x (k+1) local linear Gram, and
+drops the n x n P; ``assemble_qp(problem, gamma)`` builds the QP of any
+gamma from that.
 """
 from __future__ import annotations
 
@@ -102,13 +108,26 @@ class LocalBases:
         return self.indices.shape[1]
 
 
-def squared_distances(linear_gram):
-    """Pairwise squared Euclidean distances from a linear Gram matrix."""
+def _square(linear_gram):
     p = np.asarray(linear_gram, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise ShapeError("linear Gram must be square, got shape %r" % (p.shape,))
+    return p
+
+
+def _row_blocks(n):
+    """Slices of 64 rows of an n x n matrix: the temporaries of one block
+    stay small beside the matrix."""
+    return (slice(start, start + 64) for start in range(0, n, 64))
+
+
+def squared_distances(linear_gram):
+    """Pairwise squared Euclidean distances from a linear Gram matrix."""
+    p = _square(linear_gram)
     d = np.diag(p)
-    m = d[:, None] + d[None, :] - 2.0 * p
+    m = d[:, None] + d[None, :]
+    for rows in _row_blocks(p.shape[0]):
+        m[rows] -= 2.0 * p[rows]
     np.maximum(m, 0.0, out=m)
     np.fill_diagonal(m, 0.0)
     return m
@@ -121,48 +140,49 @@ def build_local_bases(linear_gram, basis_size):
     - 2 P_ij); the sample itself is excluded and ties are broken toward
     the smaller index.
     """
-    p = np.asarray(linear_gram, dtype=np.float64)
-    n = p.shape[0] if p.ndim == 2 else 0
-    m = squared_distances(p)
+    p = _square(linear_gram)
+    n = p.shape[0]
     if not (isinstance(basis_size, (int, np.integer)) and 1 <= basis_size <= n - 1):
         raise InvalidBasisSizeError(
             "basis size must be an integer in [1, %d], got %r" % (n - 1, basis_size)
         )
+    m = squared_distances(p)
     np.fill_diagonal(m, np.inf)
-    # every distance below the k-th smallest, then as many of the ties at it
-    # as slots are left, smallest index first; the copy frees the n x n partition
-    kth = np.partition(m, basis_size - 1, axis=1)[:, basis_size - 1:basis_size].copy()
-    keep = m < kth
-    tied = m == kth
-    slots = basis_size - np.count_nonzero(keep, axis=1)
-    over = np.nonzero(np.count_nonzero(tied, axis=1) > slots)[0]
-    tied[over] &= np.cumsum(tied[over], axis=1) <= slots[over, None]
-    keep |= tied
-    return LocalBases(np.nonzero(keep)[1].reshape(n, basis_size))
+    indices = np.empty((n, basis_size), dtype=np.int64)
+    for rows in _row_blocks(n):
+        # every distance below the k-th smallest, then as many of the ties at
+        # it as slots are left, smallest index first (a running count)
+        block = m[rows]
+        kth = np.partition(block, basis_size - 1, axis=1)[:, basis_size - 1:basis_size]
+        keep = block < kth
+        tied = block == kth
+        slots = basis_size - np.count_nonzero(keep, axis=1)
+        over = np.nonzero(np.count_nonzero(tied, axis=1) > slots)[0]
+        tied[over] &= np.cumsum(tied[over], axis=1) <= slots[over, None]
+        keep |= tied
+        indices[rows] = np.nonzero(keep)[1].reshape(-1, basis_size)
+    return LocalBases(indices)
 
 
 @dataclass(frozen=True)
 class UmklProblem:
-    """Everything the weight QP needs about one sample set."""
+    """Everything the weight QP reads about one sample set, for any gamma."""
 
     entries: np.ndarray  # (n, basis_size, m): K_t[bases[i, a], i] at [i, a, t]
-    linear_gram: np.ndarray
+    local_gram: np.ndarray  # (n, basis_size + 1, basis_size + 1): P on [i, bases[i]]^2
     bases: LocalBases
-    gamma: float
 
     def __post_init__(self):
         t = np.asarray(self.entries, dtype=np.float64)
-        p = np.asarray(self.linear_gram, dtype=np.float64)
+        g = np.asarray(self.local_gram, dtype=np.float64)
         n, k = self.bases.indices.shape
-        if t.ndim != 3 or t.shape[:2] != (n, k) or p.shape != (n, n):
-            raise ShapeError("entries %r and linear Gram %r do not fit %d rows of %d bases"
-                             % (t.shape, p.shape, n, k))
+        if t.ndim != 3 or t.shape[:2] != (n, k) or g.shape != (n, k + 1, k + 1):
+            raise ShapeError("entries %r and local Grams %r do not fit %d rows of %d bases"
+                             % (t.shape, g.shape, n, k))
         if t.shape[2] < 1:
             raise ValueError("need at least one base kernel")
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative, got %r" % (self.gamma,))
         object.__setattr__(self, "entries", t)
-        object.__setattr__(self, "linear_gram", p)
+        object.__setattr__(self, "local_gram", g)
 
     @property
     def n(self):
@@ -173,16 +193,19 @@ class UmklProblem:
         return self.entries.shape[2]
 
 
-def problem_from_features(features, specs, gamma=0.1, basis_size=10):
-    """Linear Gram P, neighbour bases and each kernel's elementwise steps on P at them."""
+def problem_from_features(features, specs, basis_size=10):
+    """Neighbour bases, each kernel's entries at them and each sample's
+    local linear Gram, all from P = x x^T, which is dropped on return."""
     x = _as_matrix(features, "features")
     p = x @ x.T  # exactly symmetric for the contiguous rows of _as_matrix
     bases = build_local_bases(p, basis_size)
     idx, cols = bases.indices, np.arange(x.shape[0])[:, None]
+    ext = np.concatenate([cols, idx], axis=1)  # each sample, then its bases
+    local = p[ext[:, :, None], ext[:, None, :]]
     terms = [_row_terms(x, s) for s in specs]
     entries = [_kernel_values(p[idx, cols], r[idx], r[cols], s, same=False)
                for r, s in zip(terms, specs)]
-    return UmklProblem(np.stack(entries, axis=2), p, bases, float(gamma))
+    return UmklProblem(np.stack(entries, axis=2), local, bases)
 
 
 def _weights_array(mu, m):
@@ -223,21 +246,25 @@ class QpForm:
         return 2.0 * (self.w @ mu) + self.z
 
 
-def assemble_qp(problem):
-    """Collapse the per-sample objective into an m x m quadratic form."""
-    idx = problem.bases.indices
-    cols = np.arange(problem.n)[:, None]
+def assemble_qp(problem, gamma):
+    """Collapse the per-sample objective at locality penalty ``gamma``
+    into an m x m quadratic form."""
+    if not gamma >= 0.0:
+        raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
     t = problem.entries
-    p_sub = problem.linear_gram[idx[:, :, None], idx[:, None, :]]
+    g = problem.local_gram
+    # P among each sample's bases, contiguous like the block gathered from the
+    # full P used to be, so einsum takes the same path and gives the same bits
+    p_sub = np.ascontiguousarray(g[:, 1:, 1:])
     half = np.einsum("iab,ibt->iat", p_sub, t)
     w = 0.5 * np.einsum("ias,iat->st", t, half)
     w = 0.5 * (w + w.T)
-    p_col = problem.linear_gram[idx, cols]
-    d = np.diag(problem.linear_gram)
+    p_col = g[:, 1:, 0]  # P between each sample's bases and the sample
+    d = g[:, 0, 0]  # P_ii
     # squared_distances' entries at the basis, same expression: bit-identical
-    v_col = np.maximum(d[idx] + d[cols] - 2.0 * p_col, 0.0)
-    z = np.einsum("ia,iat->t", problem.gamma * v_col - p_col, t)
-    constant = 0.5 * float(np.trace(problem.linear_gram))
+    v_col = np.maximum(np.diagonal(p_sub, axis1=1, axis2=2) + d[:, None] - 2.0 * p_col, 0.0)
+    z = np.einsum("ia,iat->t", float(gamma) * v_col - p_col, t)
+    constant = 0.5 * float(d.sum())
     return QpForm(w, z, constant)
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import mlmkl.kernels
 import mlmkl.kpca
-import mlmkl.pipeline
+import mlmkl.umkl
 
 
 @pytest.fixture
@@ -25,22 +25,21 @@ def built_grams(monkeypatch):
 
 @pytest.fixture
 def live_linear_grams(monkeypatch):
-    """Per ``kpca.fit`` call, how many of the n x n linear Grams that
-    ``pipeline.problem_from_features`` returned are still alive on entry."""
+    """Per ``kpca.fit`` call, how many of the n x n linear Grams P = x x^T
+    that ``umkl.problem_from_features`` built are still alive on entry."""
     refs, live = [], []
-    problem_from_features = mlmkl.pipeline.problem_from_features
+    build_local_bases = mlmkl.umkl.build_local_bases
     fit = mlmkl.kpca.fit
 
-    def problem(*args):
-        out = problem_from_features(*args)
-        refs.append(weakref.ref(out.linear_gram))
-        return out
+    def bases(p, basis_size):
+        refs.append(weakref.ref(p))
+        return build_local_bases(p, basis_size)
 
     def counted_fit(k, n_components):
         live.append(sum(ref() is not None for ref in refs))
         return fit(k, n_components)
 
-    monkeypatch.setattr(mlmkl.pipeline, "problem_from_features", problem)
+    monkeypatch.setattr(mlmkl.umkl, "build_local_bases", bases)
     monkeypatch.setattr(mlmkl.kpca, "fit", counted_fit)
     return live
 

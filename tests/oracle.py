@@ -7,6 +7,8 @@ pair, or one sample, at a time from the closed forms in the
 ``mlmkl.kernels`` and ``mlmkl.umkl`` docstrings, with ``math`` for the
 angular factors, so agreement with the library is evidence, not
 tautology.  Only ``KernelSpec`` (the description of a kernel) is shared.
+The weight objective and the neighbour bases are computed from the full
+n x n linear Gram, which the library does not keep.
 """
 import math
 
@@ -110,9 +112,15 @@ def evaluate(spec, x, y):
     return linear(x, y)
 
 
-def objective_scalar(problem, mu):
-    """J(mu) of an ``UmklProblem`` summed sample by sample; the reference
-    that the assembled QP must match.
+def _linear_gram(x):
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    return x @ x.T
+
+
+def objective_scalar(x, problem, gamma, mu):
+    """J(mu) of the rows ``x`` with the bases and kernel entries of their
+    ``UmklProblem``, summed sample by sample from the full linear Gram;
+    the reference that the assembled QP must match.
 
     Accepts any weight vector, on the simplex or off it, so finite
     differences can probe the neighbourhood of a feasible point.
@@ -120,7 +128,7 @@ def objective_scalar(problem, mu):
     w = np.asarray(mu, dtype=np.float64)
     if w.shape != (problem.m,):
         raise ValueError("expected %d weights, got shape %r" % (problem.m, w.shape))
-    p = problem.linear_gram
+    p = _linear_gram(x)
     total = 0.5 * float(np.trace(p))
     for i, b in enumerate(problem.bases.indices):
         # combined kernel entries k(x_j, x_i) at the basis of sample i
@@ -128,8 +136,28 @@ def objective_scalar(problem, mu):
         # ||x_i - x_j||^2 = P_ii + P_jj - 2 P_ij, clipped at the round-off floor
         dist = np.maximum(p[i, i] + p[b, b] - 2.0 * p[b, i], 0.0)
         total += -float(a @ p[b, i]) + 0.5 * float(a @ p[np.ix_(b, b)] @ a)
-        total += problem.gamma * float(a @ dist)
+        total += gamma * float(a @ dist)
     return total
+
+
+def qp_from_linear_gram(x, problem, gamma):
+    """(w, z, constant) of the weight QP assembled from the full n x n
+    linear Gram of the rows ``x``, gathered at the bases of ``problem``:
+    the assembly that ``assemble_qp`` must reproduce bit for bit from each
+    sample's local Gram alone."""
+    p = _linear_gram(x)
+    idx = problem.bases.indices
+    cols = np.arange(idx.shape[0])[:, None]
+    t = problem.entries
+    p_sub = p[idx[:, :, None], idx[:, None, :]]
+    half = np.einsum("iab,ibt->iat", p_sub, t)
+    w = 0.5 * np.einsum("ias,iat->st", t, half)
+    w = 0.5 * (w + w.T)
+    p_col = p[idx, cols]
+    d = np.diag(p)
+    v_col = np.maximum(d[idx] + d[cols] - 2.0 * p_col, 0.0)
+    z = np.einsum("ia,iat->t", gamma * v_col - p_col, t)
+    return w, z, 0.5 * float(np.trace(p))
 
 
 def local_bases(linear_gram, basis_size):

@@ -82,16 +82,15 @@ def test_criterion_2_qp_assembly_matches_brute_force():
             m = int(rng.integers(1, 6))
             basis = int(rng.integers(1, min(5, n - 1) + 1))
             x = rng.uniform(0.05, 1.0, size=(n, int(rng.integers(2, 7))))
-            prob = problem_from_features(
-                x, pool[:m], gamma=float(rng.uniform(0.0, 0.5)), basis_size=basis
-            )
-            qp = assemble_qp(prob)
+            gamma = float(rng.uniform(0.0, 0.5))
+            prob = problem_from_features(x, pool[:m], basis_size=basis)
+            qp = assemble_qp(prob, gamma)
             eig = np.linalg.eigvalsh(qp.w)
             assert eig[0] >= -1e-8 * max(eig[-1], 1e-30)
             for _ in range(100):
                 mu = rng.dirichlet(np.ones(m))
                 assert qp.value(mu) == pytest.approx(
-                    objective_scalar(prob, mu), rel=1e-8, abs=1e-12
+                    objective_scalar(x, prob, gamma, mu), rel=1e-8, abs=1e-12
                 )
             h = 1e-5
             for _ in range(2):
@@ -101,7 +100,8 @@ def test_criterion_2_qp_assembly_matches_brute_force():
                     e = np.zeros(m)
                     e[t] = h
                     fd = (
-                        objective_scalar(prob, mu + e) - objective_scalar(prob, mu - e)
+                        objective_scalar(x, prob, gamma, mu + e)
+                        - objective_scalar(x, prob, gamma, mu - e)
                     ) / (2 * h)
                     # 1e-6 absolute floor covers central-difference noise
                     assert g[t] == pytest.approx(fd, rel=1e-4, abs=1e-6)
@@ -120,11 +120,9 @@ def test_criterion_3_solver_beats_grid_oracle():
         for _ in range(50):
             n = int(rng.integers(6, 16))
             x = rng.uniform(0.05, 1.0, size=(n, 4))
-            prob = problem_from_features(
-                x, pool, gamma=float(rng.uniform(0.0, 0.3)),
-                basis_size=int(rng.integers(1, 5)),
-            )
-            qp = assemble_qp(prob)
+            gamma = float(rng.uniform(0.0, 0.3))
+            prob = problem_from_features(x, pool, basis_size=int(rng.integers(1, 5)))
+            qp = assemble_qp(prob, gamma)
             mu, objs = minimize_qp(qp)
             assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
             grid_vals = (grid @ qp.w * grid).sum(axis=1) + grid @ qp.z + qp.constant

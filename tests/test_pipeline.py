@@ -1,11 +1,9 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 import scipy.stats
 
 from conftest import direction_blobs, loo_nearest_neighbour_accuracy
-from mlmkl import kpca, pipeline
+from mlmkl import featsel, kpca, pipeline
 from mlmkl.errors import (
     ChecksumError,
     ModelIOError,
@@ -96,15 +94,15 @@ def test_fit_layer_is_the_composition_of_its_stages():
     cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, gamma=0.3, basis_size=4)
     fit_idx = np.arange(0, 60, 2)
     layer, reduced = fit_layer(x, y, cfg, fit_idx=fit_idx)
-    # as a grid search runs them: Grams shared across gammas, kernel PCA
-    # at a larger component count cut down to this one
-    grams, problem = pipeline.layer_grams(x, replace(cfg, gamma=0.0), fit_idx)
-    weights = pipeline.layer_weights(problem, cfg.gamma)
-    k_fit = pipeline.combine(grams.fit_sample, grams.kernels, weights)
+    # as a grid search runs them: one gamma-free problem for every gamma,
+    # kernel PCA at a larger component count cut down to this one
+    problem = pipeline.problem_from_features(x[fit_idx], cfg.kernels, cfg.basis_size)
+    weights = pipeline.solve_simplex_qp(pipeline.assemble_qp(problem, cfg.gamma))
+    k_fit = pipeline.combine(x[fit_idx], cfg.kernels, weights)
     kp = kpca.leading(kpca.fit(k_fit, 2 * cfg.components), cfg.components)
-    cross = pipeline.training_cross(grams, weights, k_fit)
-    ranking, feats = pipeline.layer_select(kp, cross, y, cfg.width)
-    np.testing.assert_array_equal(grams.fit_sample, layer.fit_sample)
+    cross = pipeline.training_cross(x, fit_idx, cfg.kernels, weights, k_fit)
+    ranking, feats = featsel.select(kpca.transform(kp, cross), y, cfg.width)
+    np.testing.assert_array_equal(x[fit_idx], layer.fit_sample)
     np.testing.assert_array_equal(weights.mu, layer.weights.mu)
     np.testing.assert_array_equal(kp.alphas, layer.kpca.alphas)
     np.testing.assert_array_equal(kp.eigenvalues, layer.kpca.eigenvalues)
@@ -113,7 +111,7 @@ def test_fit_layer_is_the_composition_of_its_stages():
 
 
 def test_fit_layer_releases_the_linear_gram_before_kpca(live_linear_grams):
-    # P = x x^T is n x n and only the weight QP reads it
+    # P = x x^T is n x n and only the weight problem's construction reads it
     x, y = blob_data(n_per_class=30)
     cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4)
     fit_layer(x, y, cfg, fit_idx=np.arange(0, 60, 2))

@@ -62,7 +62,8 @@ def test_gammas_with_equal_weights_share_one_layer_fit(monkeypatch, built_grams,
 def test_gammas_with_different_weights_get_their_own_cells(monkeypatch, kpca_fits):
     # each gamma its own vertex, so no two rows may share cells
     vertex = {g: KernelWeights(np.eye(2)[i]) for i, g in enumerate(GAMMAS)}
-    monkeypatch.setattr(pipeline, "layer_weights", lambda p, g: vertex[g])
+    monkeypatch.setattr(pipeline, "assemble_qp", lambda problem, gamma: gamma)
+    monkeypatch.setattr(pipeline, "solve_simplex_qp", lambda gamma: vertex[gamma])
     cfg = experiment(GAMMAS, repeats=1)
     grid = [[pipeline.LayerConfig(kernels=cfg.layers[0].kernels, width=w, gamma=g, basis_size=5)
              for w in cfg.cv.widths] for g in GAMMAS]

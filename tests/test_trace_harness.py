@@ -5,8 +5,9 @@ import sys
 from pathlib import Path
 
 import mlmkl
-from conftest import direction_blobs
-from mlmkl import pipeline
+from conftest import digits_like, direction_blobs
+from mlmkl import data, pipeline, search
+from mlmkl.config import parse_config
 from mlmkl.kernels import parse_kernel
 from mlmkl.pipeline import LayerConfig
 
@@ -34,3 +35,23 @@ def test_tracer_records_the_layer_stages_of_a_fit_and_predict():
     # uninstall put every original back
     assert not hasattr(pipeline.fit_layer, "__wrapped__")
     assert not hasattr(mlmkl.kernels.gram, "__wrapped__")
+
+
+def test_tracer_records_the_layer_stages_of_a_grid_search():
+    x, y = digits_like(20, seed=1)
+    experiment = parse_config({
+        "layers": [{"kernels": ["arccos(n=1,L=1)", "rbf(gamma=0.5)"], "width": 3,
+                    "basis_size": 4}],
+        "subsample": 20,
+        "split": {"train": 30, "valid": 10},
+        "cv": {"gamma": [0.1], "width": [3], "svm_c": [1.0], "repeats": 1},
+    })
+    tracer = spans.Tracer()
+    tracer.install(mlmkl)
+    try:
+        search.grid_search(data.Dataset(x, y), experiment, seed=0)
+    finally:
+        tracer.uninstall()
+    recorded = {s.name for s in tracer.spans}
+    for name in ("umkl.problem", "umkl.assemble", "umkl.qp", "umkl.combine", "kpca.fit"):
+        assert name in recorded, name

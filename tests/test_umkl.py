@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,15 +19,19 @@ from mlmkl.umkl import (
     solve_simplex_qp,
     squared_distances,
 )
-from oracle import local_bases, objective_scalar
+from oracle import local_bases, objective_scalar, qp_from_linear_gram
 
 SPECS = [parse_kernel("rbf(gamma=0.5)"), parse_kernel("linear"),
          parse_kernel("arccos(n=1,L=1)")]
 
 
-def random_problem(rng, n=12, m=3, basis_size=3, gamma=0.1, dim=4):
+GAMMA = 0.1
+
+
+def random_problem(rng, n=12, m=3, basis_size=3, dim=4):
+    """Rows and their gamma-free weight problem."""
     x = rng.uniform(0.05, 1.0, size=(n, dim))
-    return problem_from_features(x, SPECS[:m], gamma=gamma, basis_size=basis_size)
+    return x, problem_from_features(x, SPECS[:m], basis_size=basis_size)
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +79,23 @@ def test_local_bases_type_rejects_self():
         LocalBases(np.array([[0], [0]]))
 
 
+@pytest.mark.parametrize("rows", ["uniform", "binary"])
+def test_bases_peak_memory_is_one_distance_matrix(rows):
+    # the distances are built, partitioned and cut a block of rows at a time,
+    # so beside the n x n distances only small blocks live, ties or not
+    rng = np.random.default_rng(12)
+    x = (rng.uniform(size=(1000, 20)) if rows == "uniform"
+         else rng.integers(0, 2, size=(1000, 12)).astype(np.float64))
+    p = x @ x.T
+    tracemalloc.start()
+    try:
+        build_local_bases(p, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * p.nbytes
+
+
 def test_squared_distances_from_linear_gram():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(7, 3))
@@ -87,19 +111,20 @@ def test_squared_distances_from_linear_gram():
 def test_qp_matches_scalar_objective():
     rng = np.random.default_rng(2)
     for _ in range(20):
-        prob = random_problem(rng, n=rng.integers(6, 15), basis_size=int(rng.integers(1, 5)))
-        qp = assemble_qp(prob)
+        x, prob = random_problem(rng, n=rng.integers(6, 15),
+                                 basis_size=int(rng.integers(1, 5)))
+        qp = assemble_qp(prob, GAMMA)
         for _ in range(10):
             mu = rng.dirichlet(np.ones(prob.m))
             a = qp.value(mu)
-            b = objective_scalar(prob, mu)
+            b = objective_scalar(x, prob, GAMMA, mu)
             assert a == pytest.approx(b, rel=1e-8, abs=1e-8)
 
 
 def test_gradient_matches_central_differences():
     rng = np.random.default_rng(3)
-    prob = random_problem(rng)
-    qp = assemble_qp(prob)
+    x, prob = random_problem(rng)
+    qp = assemble_qp(prob, GAMMA)
     h = 1e-5
     for _ in range(5):
         mu = rng.dirichlet(np.ones(3))
@@ -107,14 +132,15 @@ def test_gradient_matches_central_differences():
         for t in range(3):
             e = np.zeros(3)
             e[t] = h
-            fd = (objective_scalar(prob, mu + e) - objective_scalar(prob, mu - e)) / (2 * h)
+            fd = (objective_scalar(x, prob, GAMMA, mu + e)
+                  - objective_scalar(x, prob, GAMMA, mu - e)) / (2 * h)
             assert g[t] == pytest.approx(fd, rel=1e-4, abs=1e-6)
 
 
 def test_qp_matrix_is_psd():
     rng = np.random.default_rng(4)
     for _ in range(10):
-        qp = assemble_qp(random_problem(rng, n=int(rng.integers(8, 20))))
+        qp = assemble_qp(random_problem(rng, n=int(rng.integers(8, 20)))[1], GAMMA)
         eig = np.linalg.eigvalsh(qp.w)
         assert eig[0] >= -1e-8 * max(eig[-1], 1e-30)
 
@@ -125,30 +151,30 @@ def test_constant_term_reduces_to_half_trace():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(8, 3))
     p = x @ x.T
-    p = (p + p.T) / 2.0
-    prob = umkl.UmklProblem(np.zeros((8, 3, 1)), p, build_local_bases(p, 3), 0.0)
-    val = objective_scalar(prob, np.array([1.0]))
+    linear = problem_from_features(x, [parse_kernel("linear")], basis_size=3)
+    prob = dataclasses.replace(linear, entries=np.zeros((8, 3, 1)))
+    val = objective_scalar(x, prob, 0.0, np.array([1.0]))
     assert val == pytest.approx(0.5 * np.trace(p), rel=1e-12)
-    qp = assemble_qp(prob)
+    qp = assemble_qp(prob, 0.0)
     assert qp.value(np.array([1.0])) == pytest.approx(val, rel=1e-10)
 
 
 def test_problem_validation():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(6, 3))
-    p = x @ x.T
-    p = (p + p.T) / 2.0
-    entries = np.zeros((6, 2, 1))
-    bases = build_local_bases(p, 2)
+    prob = problem_from_features(x, [parse_kernel("linear")], basis_size=2)
+    local, bases = prob.local_gram, prob.bases
+    for bad in (-0.5, np.nan):
+        with pytest.raises(ValueError):
+            assemble_qp(prob, bad)
     with pytest.raises(ValueError):
-        umkl.UmklProblem(entries, p, bases, -0.5)
-    with pytest.raises(ValueError):
-        umkl.UmklProblem(np.zeros((6, 2, 0)), p, bases, 0.1)
+        umkl.UmklProblem(np.zeros((6, 2, 0)), local, bases)
     for bad in (np.zeros((6, 3, 1)), np.zeros((5, 2, 1)), np.zeros((6, 2))):
         with pytest.raises(ShapeError):
-            umkl.UmklProblem(bad, p, bases, 0.1)
-    with pytest.raises(ShapeError):
-        umkl.UmklProblem(entries, p[:5, :5], bases, 0.1)
+            umkl.UmklProblem(bad, local, bases)
+    for bad in (local[:5], local[:, :2, :2], local[:, 0]):
+        with pytest.raises(ShapeError):
+            umkl.UmklProblem(prob.entries, bad, bases)
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +264,45 @@ def test_combine_skips_zero_weights(built_grams):
 
 def test_problem_from_strided_rows_is_exactly_symmetric():
     # numpy multiplies a column-strided matrix by its transpose with a
-    # general product whose result is not symmetric; the rows are copied
+    # general product whose result is not symmetric; the rows are copied,
+    # so strided rows give the bits of their contiguous copy
     x = np.random.default_rng(3).uniform(0.05, 1.0, size=(300, 12))[:, ::2]
     assert not (x.flags.c_contiguous or x.flags.f_contiguous)
     assert not np.array_equal(x @ x.T, (x @ x.T).T)
     prob = problem_from_features(x, SPECS, basis_size=4)
-    np.testing.assert_array_equal(prob.linear_gram, prob.linear_gram.T)
+    copy = problem_from_features(np.ascontiguousarray(x), SPECS, basis_size=4)
+    np.testing.assert_array_equal(prob.local_gram, prob.local_gram.transpose(0, 2, 1))
+    np.testing.assert_array_equal(prob.local_gram, copy.local_gram)
+    np.testing.assert_array_equal(prob.entries, copy.entries)
+    np.testing.assert_array_equal(prob.bases.indices, copy.bases.indices)
+
+
+def test_problem_holds_no_n_by_n_array():
+    # the QP reads P = x x^T at each sample and its bases only, so the
+    # problem keeps those (n, k+1, k+1) blocks and drops P
+    n = 300
+    x = np.random.default_rng(13).uniform(size=(n, 20))
+    prob = problem_from_features(x, SPECS, basis_size=10)
+    values = [getattr(prob, f.name) for f in dataclasses.fields(prob)]
+    values += [getattr(prob.bases, f.name) for f in dataclasses.fields(prob.bases)]
+    assert "gamma" not in {f.name for f in dataclasses.fields(prob)}
+    assert all(np.size(v) != n * n for v in values if isinstance(v, np.ndarray))
+    assert prob.local_gram.shape == (n, 11, 11)
+
+
+@pytest.mark.parametrize("dim", [5, 784])
+@pytest.mark.parametrize("n", [37, 301, 1003])
+def test_qp_from_local_grams_matches_full_linear_gram_bit_for_bit(n, dim):
+    # the weights, hence the model files, stay those of the QP assembled
+    # from the full linear Gram only if every coefficient has the same bits
+    x = np.random.default_rng(n * dim).normal(size=(n, dim)) / np.sqrt(dim)
+    prob = problem_from_features(x, SPECS, basis_size=10)
+    for gamma in (0.0, 0.05, 0.1, 1.0):
+        qp = assemble_qp(prob, gamma)
+        w, z, constant = qp_from_linear_gram(x, prob, gamma)
+        np.testing.assert_array_equal(qp.w, w)
+        np.testing.assert_array_equal(qp.z, z)
+        assert qp.constant == constant
 
 
 PIN_SPECS = [parse_kernel("arccos(n=%d,L=%d)" % (n, depth)) for n in (0, 1, 2)
@@ -279,8 +338,8 @@ def test_combine_validates_lengths():
 
 def test_end_to_end_weights_on_simplex():
     rng = np.random.default_rng(10)
-    prob = random_problem(rng, n=18, basis_size=4)
-    w = solve_simplex_qp(assemble_qp(prob))
+    _, prob = random_problem(rng, n=18, basis_size=4)
+    w = solve_simplex_qp(assemble_qp(prob, GAMMA))
     assert np.all(w.mu >= 0.0)
     assert w.mu.sum() == pytest.approx(1.0, abs=1e-10)
     assert len(w) == 3
