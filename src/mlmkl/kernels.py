@@ -21,6 +21,17 @@ where theta^(L) is the angle induced by the level-L kernel.  Degree 0
 produces values in [0, 1] independent of input scale; degree 1 of a
 vector with itself reproduces ||x||^2 at every level.
 
+Every block (``gram``, ``cross_gram``) is one matmul of dot products,
+``x_rows @ x_cols.T``, which becomes the output; the family's elementwise
+steps (divide, clip, arccos, J_n, scale; or the squared distance and exp)
+then run on it slab by slab, a few rows of about ``_SLAB_BYTES`` at a
+time, in place.  Each step is elementwise, so a slab gets the bits the
+whole block would get in one pass, while its operands stay in cache and
+no temporary is bigger than a slab: a block peaks at its output plus a
+few slabs.  The dot products themselves are not computed per slab: a
+product of a few rows does not always have the bits of those rows of the
+whole product.
+
 Numerical care: arccos is ill-conditioned near cos = 1, so a dot-product
 round-off of one ulp turns into an angle of ~1e-8.  Same-set Gram
 construction therefore pins theta = 0 on the diagonal at every
@@ -299,9 +310,10 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
     """Arc-cosine kernel values from dot products ``k`` (overwritten) and
     the norms ``r`` of their rows and ``c`` of their columns.  Each level
     turns the values of the level before into cosines, by the norms at
-    level 1 and by that level's self-kernels after it.  ``same`` pins the
-    diagonal angle to zero at every level, which keeps the degree-0
-    diagonal at exactly 1 and the degree-1 one at exactly the squared norms.
+    level 1 and by that level's self-kernels after it.  ``same`` (as in
+    ``_kernel_values``) pins the diagonal angle to zero at every level,
+    which keeps the degree-0 diagonal at exactly 1 and the degree-1 one at
+    exactly the squared norms.
     """
     c0 = _J0_OVER_PI[degree]
     s_rows, s_cols = r * r, c * c
@@ -309,6 +321,7 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
         if level == 0:
             scale = r * c
         else:
+            s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
             if not (np.all(np.isfinite(s_rows)) and np.all(np.isfinite(s_cols))):
                 raise DegenerateRecursionError("self-kernel overflowed in arc-cosine recursion")
             if np.any(s_rows <= 0.0) or np.any(s_cols <= 0.0):
@@ -316,19 +329,20 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
             scale = np.sqrt(s_rows * s_cols)
         k /= scale
         np.clip(k, -1.0, 1.0, out=k)
-        if same:
-            np.fill_diagonal(k, 1.0)
+        if same is not None:
+            np.fill_diagonal(k[:, same:], 1.0)
         k = j_n(np.arccos(k, out=k), degree)
         k /= np.pi
         k *= scale**degree
-        s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
     return k
 
 
 def _kernel_values(dots, r, c, spec, same):
     """Kernel values, elementwise, from dot products ``dots`` (overwritten)
     and the ``_row_terms`` ``r`` of their rows and ``c`` of their columns,
-    broadcast to them; ``same`` pins the diagonal of a same-set block."""
+    broadcast to them.  ``same`` is the column of the block's first
+    diagonal entry, whose diagonal (row i, column same + i) is pinned as a
+    same-set Gram's, or None for a block without one."""
     if spec.family is KernelFamily.ARC_COSINE:
         return _arc_cosine_values(dots, r, c, spec.degree, spec.depth, same)
     if spec.family is KernelFamily.GAUSSIAN:
@@ -338,8 +352,8 @@ def _kernel_values(dots, r, c, spec, same):
         sq = r + c
         sq -= dots
         np.maximum(sq, 0.0, out=sq)
-        if same:
-            np.fill_diagonal(sq, 0.0)
+        if same is not None:
+            np.fill_diagonal(sq[:, same:], 0.0)
         sq *= -spec.gamma
         return np.exp(sq, out=sq)
     if spec.family is KernelFamily.POLYNOMIAL:
@@ -347,10 +361,31 @@ def _kernel_values(dots, r, c, spec, same):
     return dots
 
 
+# Bytes of one slab of kernel values: each elementwise step then runs on
+# an array that stays in a core's cache, and no temporary is bigger.
+_SLAB_BYTES = 256 * 1024
+
+
+def _slab_rows(n_cols):
+    """Rows per slab of a block with ``n_cols`` columns, at least one."""
+    return max(1, _SLAB_BYTES // (8 * n_cols))
+
+
 def _kernel_block(x_rows, x_cols, spec, same):
+    """Kernel block of the rows of ``x_rows`` against those of ``x_cols``
+    (the same array when ``same``): one matmul of dot products, then the
+    elementwise steps of ``_kernel_values`` slab by slab, in place."""
     r = _row_terms(x_rows, spec)
     c = r if same else _row_terms(x_cols, spec)
-    return _kernel_values(x_rows @ x_cols.T, r[:, None], c[None, :], spec, same)
+    k = x_rows @ x_cols.T
+    step = _slab_rows(k.shape[1])
+    for start in range(0, k.shape[0], step):
+        rows = slice(start, start + step)
+        slab = k[rows]
+        values = _kernel_values(slab, r[rows, None], c[None, :], spec, start if same else None)
+        if values is not slab:
+            slab[...] = values
+    return k
 
 
 def gram(samples, spec):
@@ -362,6 +397,10 @@ def gram(samples, spec):
     function of ``x @ x.T``, which numpy computes exactly symmetric for
     the contiguous rows ``_as_matrix`` hands over, and of row terms that
     enter each (i, j) and (j, i) entry by the same commutative operation.
+    That function runs on row slabs of the one product, with each slab's
+    part of the diagonal pinned, so the bits are those of one pass over
+    the whole matrix.  Peak memory is the n x n result plus a few slabs,
+    and the n x n bool array of GramMatrix's symmetry check.
     """
     x = _as_matrix(samples, "samples")
     if x.shape[0] < 1:
@@ -376,6 +415,9 @@ def cross_gram(rows, cols, spec):
     Unlike ``gram``, coincident row/col pairs are not detected, so for
     deeply composed arc-cosine kernels a duplicated point resolves its
     zero angle only to arccos round-off (about 1e-8 at the first level).
+    The kernel's elementwise steps run on row slabs of the one product
+    ``rows @ cols.T``, with the bits of one pass over the whole block;
+    peak memory is the block plus a few slabs.
     """
     xr = _as_matrix(rows, "rows")
     xc = _as_matrix(cols, "cols")

@@ -44,6 +44,17 @@ class CvResult(NamedTuple):
     notes: dict  # (layer, candidate) index pair -> why that candidate failed
 
 
+def _kpca(source, n_components):
+    """Kernel PCA of ``n_components`` components: fitted on a Gram, or the
+    leading ones of a fitted ``KpcaModel``.  Both go through one call, so a
+    short spectrum warns from one source location whether its row of
+    candidates was computed or reused, and Python's default filter, which
+    shows a text once per location, shows a reused row's warnings no more
+    often than a fresh row's."""
+    step = kpca.leading if isinstance(source, kpca.KpcaModel) else kpca.fit
+    return step(source, n_components)
+
+
 def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
     """(error, note, train features, valid features) of each candidate of
     one kernel set on one repeat; ``grid`` has a row per gamma and a column
@@ -78,12 +89,12 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
             kp, row_cells = seen[key]
             if kp is not None:
                 for cand in row:  # the kPCA warnings of each candidate fitted alone
-                    kpca.leading(kp, cand.components)
+                    _kpca(kp, cand.components)
             cells += row_cells
             continue
         try:
             k_fit = pipeline.combine(fit_sample, kernels, weights)
-            kp = kpca.fit(k_fit, counts[top])
+            kp = _kpca(k_fit, counts[top])
         except failures as exc:
             seen[key] = None, [(np.inf, str(exc), None, None)] * len(row)
             cells += seen[key][1]
@@ -96,7 +107,7 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
         for i, cand in enumerate(row):
             try:
                 # fit warned for the top candidate, leading warns for the rest
-                kc = kp if i == top else kpca.leading(kp, cand.components)
+                kc = kp if i == top else _kpca(kp, cand.components)
                 if train_cross is None:
                     train_cross = pipeline.training_cross(x, fit_idx, kernels, weights, k_fit)
                 ranking, train = featsel.select(

@@ -203,7 +203,7 @@ def problem_from_features(features, specs, basis_size=10):
     ext = np.concatenate([cols, idx], axis=1)  # each sample, then its bases
     local = p[ext[:, :, None], ext[:, None, :]]
     terms = [_row_terms(x, s) for s in specs]
-    entries = [_kernel_values(p[idx, cols], r[idx], r[cols], s, same=False)
+    entries = [_kernel_values(p[idx, cols], r[idx], r[cols], s, same=None)
                for r, s in zip(terms, specs)]
     return UmklProblem(np.stack(entries, axis=2), local, bases)
 
@@ -350,13 +350,24 @@ def solve_simplex_qp(qp):
 
 
 def weighted_sum(weights, term):
-    """sum_t weights[t] * term(t), calling ``term`` for nonzero weights only."""
-    blocks = (wt * term(t) for t, wt in enumerate(weights) if wt != 0.0)
-    out = next(blocks, None)
+    """sum_t weights[t] * term(t), calling ``term`` for nonzero weights only.
+
+    Each ``term(t)`` is a fresh array, scaled in place (the bits of
+    ``weights[t] * term(t)``, as multiplication commutes) and added to the
+    first, so the sum holds at most two of them at once.
+    """
+    out = None
+    for t, wt in enumerate(weights):
+        if wt == 0.0:
+            continue
+        block = term(t)
+        block *= wt
+        if out is None:
+            out = block
+        else:
+            out += block
     if out is None:
         raise ValueError("kernel weights are all zero")
-    for block in blocks:
-        out += block
     return out
 
 

@@ -6,15 +6,18 @@ The library builds every kernel value as part of a block (``gram``,
 pair, or one sample, at a time from the closed forms in the
 ``mlmkl.kernels`` and ``mlmkl.umkl`` docstrings, with ``math`` for the
 angular factors, so agreement with the library is evidence, not
-tautology.  Only ``KernelSpec`` (the description of a kernel) is shared.
-The weight objective and the neighbour bases are computed from the full
-n x n linear Gram, which the library does not keep.
+tautology.  Only ``KernelSpec`` (the description of a kernel) is shared,
+except by ``kernel_block``: it applies the library's elementwise steps in
+one pass to a whole block, the reference for the slab-by-slab blocks of
+``gram`` and ``cross_gram``.  The weight objective and the neighbour bases
+are computed from the full n x n linear Gram, which the library does not
+keep.
 """
 import math
 
 import numpy as np
 
-from mlmkl.kernels import KernelFamily
+from mlmkl.kernels import KernelFamily, _kernel_values, _row_terms
 
 # J_n(0) / pi: J_0(0) = pi, J_1(0) = pi, J_2(0) = 3 pi
 J0_OVER_PI = {0: 1.0, 1: 1.0, 2: 3.0}
@@ -80,6 +83,15 @@ def arc_cosine(x, y, degree, depth=1):
         sq_x = J0_OVER_PI[degree] * sq_x**degree
         sq_y = J0_OVER_PI[degree] * sq_y**degree
     return k
+
+
+def kernel_block(x_rows, x_cols, spec, same):
+    """Kernel block of the rows of ``x_rows`` against those of ``x_cols``
+    (the same array when ``same``, whose diagonal is then pinned): the
+    elementwise steps over the whole ``x_rows @ x_cols.T`` at once."""
+    r = _row_terms(x_rows, spec)
+    c = r if same else _row_terms(x_cols, spec)
+    return _kernel_values(x_rows @ x_cols.T, r[:, None], c[None, :], spec, 0 if same else None)
 
 
 def gaussian(x, y, gamma):

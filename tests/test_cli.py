@@ -1,5 +1,8 @@
 import collections
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -368,6 +371,24 @@ def test_cv_matches_golden_report(golden_corpus, fmt, golden, capsys):
         str(w.message) for w in caught if "eigenvalues are usable" in str(w.message)
     )
     assert kpca_warnings == GOLDEN_KPCA_WARNINGS
+
+
+def test_cv_prints_each_kpca_warning_text_once(golden_corpus, tmp_path):
+    # Python's default filter shows a text once per source location; a row
+    # of candidates that reuses another row's kernel PCA warns from the
+    # location a fresh row does, so each distinct text is printed once
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONWARNINGS", None)
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from mlmkl.cli import main; sys.exit(main(sys.argv[1:]))",
+         *golden_corpus],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    printed = [line for line in result.stderr.splitlines() if "eigenvalues are usable" in line]
+    assert sorted(line.split("UserWarning: ")[1] for line in printed) == sorted(
+        GOLDEN_KPCA_WARNINGS)
 
 
 def test_cv_report_does_not_depend_on_jobs(golden_corpus, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,11 @@ def test_evaluate_matches_oracle(text):
 # Gram matrices
 
 
+def layouts(x):
+    """The rows of ``x`` in C order, in F order and column-strided."""
+    return x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]
+
+
 @pytest.mark.parametrize(
     "text",
     ["linear", "rbf(gamma=0.5)", "poly(degree=3,coef0=1,scale=1)",
@@ -243,9 +249,9 @@ def test_evaluate_matches_oracle(text):
 def test_gram_symmetric_and_psd(text):
     rng = np.random.default_rng(8)
     x = rng.uniform(0.05, 1.0, size=(300, 6))
-    # the same rows in C order, in F order and column-strided; at this size
-    # numpy's product of the strided rows with their transpose is asymmetric
-    for rows in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+    # at this size numpy's product of the strided rows with their transpose
+    # is asymmetric
+    for rows in layouts(x):
         k = gram(rows, parse_kernel(text)).values
         np.testing.assert_array_equal(k, k.T)
         eig = np.linalg.eigvalsh(k)
@@ -302,6 +308,70 @@ def test_cross_gram_deep_arccos_duplicate_rows():
     off = ~np.eye(12, dtype=bool)
     np.testing.assert_allclose(c[off], g[off], rtol=0, atol=1e-8)
     np.testing.assert_allclose(np.diag(c), np.diag(g), rtol=0, atol=1e-4)
+
+
+EVERY_FAMILY = ["arccos(n=%d,L=%d)" % (n, depth) for n in (0, 1, 2) for depth in (1, 2, 3)]
+EVERY_FAMILY += ["rbf(gamma=0.5)", "poly(degree=3,coef0=1,scale=0.5)", "linear"]
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("text", EVERY_FAMILY)
+def test_slab_blocks_match_one_pass_oracle(text):
+    # the elementwise steps run slab by slab over one product of dot
+    # products; at row counts around a slab's height, and for a block wider
+    # than a slab (one row per slab), the bits are those of one pass
+    spec = parse_kernel(text)
+    rng = np.random.default_rng(14)
+    cols = rng.uniform(0.05, 1.0, size=(257, 6))
+    height = kernels._slab_rows(cols.shape[0])
+    for n in (1, height - 1, height, height + 1, 300):
+        rows = rng.uniform(0.05, 1.0, size=(n, 6))
+        rows[n // 2] = cols[n % 257]  # one coincident pair
+        for x in layouts(rows):
+            xr = kernels._as_matrix(x, "rows")
+            assert_same_bits(cross_gram(x, cols, spec),
+                             oracle.kernel_block(xr, cols, spec, same=False))
+    # a Gram's slab height shrinks as it grows; n0 rows are one slab, one
+    # more row splits the diagonal between two
+    n0 = next(n for n in range(1, 2000) if kernels._slab_rows(n) <= n)
+    for n in (1, n0 - 1, n0, n0 + 1, 300):
+        x = rng.uniform(0.05, 1.0, size=(n, 6))
+        for rows in layouts(x):
+            xr = kernels._as_matrix(rows, "samples")
+            assert_same_bits(gram(rows, spec).values,
+                             oracle.kernel_block(xr, xr, spec, same=True))
+    wide = rng.uniform(0.05, 1.0, size=(kernels._slab_rows(1) + 5, 6))
+    assert kernels._slab_rows(wide.shape[0]) == 1
+    assert_same_bits(cross_gram(cols[:3], wide, spec),
+                     oracle.kernel_block(cols[:3], wide, spec, same=False))
+
+
+@pytest.mark.parametrize("text", ["arccos(n=1,L=2)", "rbf(gamma=0.5)"])
+def test_blocks_peak_near_their_output(text):
+    # the one product of dot products is the output; every elementwise
+    # step's temporaries are slab-sized
+    spec = parse_kernel(text)
+    rng = np.random.default_rng(15)
+    rows = rng.uniform(0.05, 1.0, size=(2000, 20))
+    cols = rng.uniform(0.05, 1.0, size=(1500, 20))
+    tracemalloc.start()
+    try:
+        cross = cross_gram(rows, cols, spec)
+        cross_peak = tracemalloc.get_traced_memory()[1]
+        del cross
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        k = gram(cols, spec)
+        gram_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert cross_peak <= 1.1 * 2000 * 1500 * 8
+    # GramMatrix's exact-symmetry check adds a bool array of n x n
+    assert gram_peak <= 1.25 * k.values.nbytes
 
 
 def test_cross_gram_shapes_and_edges():

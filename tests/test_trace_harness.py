@@ -30,7 +30,7 @@ def test_tracer_records_the_layer_stages_of_a_fit_and_predict():
     assert predicted.shape == (5,)
     recorded = {s.name for s in tracer.spans}
     for name in ("umkl.problem", "umkl.assemble", "umkl.combine", "kernels.gram_base",
-                 "pipeline.fit_layer"):
+                 "kernels.gram_classifier", "kernels.cross_gram", "pipeline.fit_layer"):
         assert name in recorded, name
     # uninstall put every original back
     assert not hasattr(pipeline.fit_layer, "__wrapped__")

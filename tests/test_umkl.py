@@ -262,6 +262,24 @@ def test_combine_skips_zero_weights(built_grams):
     assert built_grams == kernels[:1]
 
 
+def test_combine_scales_each_gram_in_place():
+    # a Gram scaled in place has the bits of weight times Gram, and at a
+    # vertex the sum holds that one Gram, not also a scaled copy of it
+    x = np.random.default_rng(16).uniform(0.05, 1.0, size=(1500, 20))
+    kernels = [parse_kernel("rbf(gamma=0.5)"), parse_kernel("arccos(n=1,L=2)")]
+    mu = np.array([0.3, 0.7])
+    expected = mu[0] * gram(x, kernels[0]).values + mu[1] * gram(x, kernels[1]).values
+    assert combine(x, kernels, KernelWeights(mu)).values.tobytes() == expected.tobytes()
+    tracemalloc.start()
+    try:
+        out = combine(x, kernels, KernelWeights(np.array([0.0, 1.0])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # GramMatrix's exact-symmetry check adds a bool array of n x n
+    assert peak <= 1.25 * out.values.nbytes
+
+
 def test_problem_from_strided_rows_is_exactly_symmetric():
     # numpy multiplies a column-strided matrix by its transpose with a
     # general product whose result is not symmetric; the rows are copied,
