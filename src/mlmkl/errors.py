@@ -38,6 +38,10 @@ class InvalidBasisSizeError(MlmklError):
     """Requested local basis size is not in [1, n-1]."""
 
 
+class InvalidWidthError(MlmklError, ValueError):
+    """A requested number of kept features is not in [1, the number of features]."""
+
+
 class NumericalFailureError(MlmklError):
     """A solver met NaN or Inf, or did not finish, and cannot continue."""
 

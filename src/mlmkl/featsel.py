@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, ShapeError
+from .errors import DegenerateLabelsError, InvalidWidthError, ShapeError
 
 __all__ = ["FeatureRanking", "anova_f_scores", "select"]
 
@@ -68,7 +68,7 @@ def select(features, labels, width):
     x, y = _check_inputs(features, labels)
     d = x.shape[1]
     if not isinstance(width, (int, np.integer)) or not 1 <= width <= d:
-        raise ValueError("width must be an integer in [1, %d], got %r" % (d, width))
+        raise InvalidWidthError("width must be an integer in [1, %d], got %r" % (d, width))
     scores = anova_f_scores(x, y)
     order = np.argsort(-scores, kind="stable")
     selected = order[:width].copy()

@@ -244,11 +244,25 @@ def j_n(theta, degree):
     return out
 
 
+# Bytes of one slab: a pass over a large matrix (a kernel block, the
+# symmetry check, neighbour distances, kPCA centring) walks it a few rows
+# of this size at a time, so each step runs on an array that stays in a
+# core's cache and no temporary is bigger.
+_SLAB_BYTES = 256 * 1024
+
+
+def _slab_rows(n_cols):
+    """Rows per slab of a matrix with ``n_cols`` columns, at least one."""
+    return max(1, _SLAB_BYTES // (8 * n_cols))
+
+
 @dataclass(frozen=True)
 class GramMatrix:
     """Square kernel matrix over one sample set, exactly symmetric.
 
-    The constructor is the one place that checks exact symmetry.
+    The constructor is the one place that checks exact symmetry, a slab
+    of rows against the same columns at a time: every pair is compared,
+    and a NaN anywhere, the diagonal included, fails.
     """
 
     values: np.ndarray
@@ -261,8 +275,11 @@ class GramMatrix:
             raise ShapeError("Gram matrix needs at least one sample")
         if v.dtype != np.float64:
             raise ShapeError("Gram matrix must be float64, got %s" % v.dtype)
-        if not np.array_equal(v, v.T):
-            raise ShapeError("Gram matrix is not exactly symmetric")
+        n = v.shape[0]
+        step = _slab_rows(n)
+        for s in range(0, n, step):
+            if not np.array_equal(v[s:s + step, s:], v[s:, s:s + step].T):
+                raise ShapeError("Gram matrix is not exactly symmetric")
 
     @property
     def n(self):
@@ -361,16 +378,6 @@ def _kernel_values(dots, r, c, spec, same):
     return dots
 
 
-# Bytes of one slab of kernel values: each elementwise step then runs on
-# an array that stays in a core's cache, and no temporary is bigger.
-_SLAB_BYTES = 256 * 1024
-
-
-def _slab_rows(n_cols):
-    """Rows per slab of a block with ``n_cols`` columns, at least one."""
-    return max(1, _SLAB_BYTES // (8 * n_cols))
-
-
 def _kernel_block(x_rows, x_cols, spec, same):
     """Kernel block of the rows of ``x_rows`` against those of ``x_cols``
     (the same array when ``same``): one matmul of dot products, then the
@@ -399,8 +406,7 @@ def gram(samples, spec):
     enter each (i, j) and (j, i) entry by the same commutative operation.
     That function runs on row slabs of the one product, with each slab's
     part of the diagonal pinned, so the bits are those of one pass over
-    the whole matrix.  Peak memory is the n x n result plus a few slabs,
-    and the n x n bool array of GramMatrix's symmetry check.
+    the whole matrix.  Peak memory is the n x n result plus a few slabs.
     """
     x = _as_matrix(samples, "samples")
     if x.shape[0] < 1:

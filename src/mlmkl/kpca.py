@@ -19,12 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGramError, ShapeError
-from .kernels import _gram_values
+from .kernels import _gram_values, _slab_rows
 
 __all__ = ["KpcaModel", "center_gram", "fit", "leading", "transform"]
 
 _EIGENVALUE_CUTOFF = 1e-10
-_MIRROR_BLOCK = 256  # rows per transpose copy in center_gram
 
 
 def center_gram(k):
@@ -37,18 +36,22 @@ def center_gram(k):
     v = _gram_values(k)
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
-    centered = v - row_means[:, None]  # then in place, in the same order
-    centered -= row_means[None, :]
-    centered += total_mean
-    # v - r_i - r_j + t rounds differently from v - r_j - r_i + t, so this
-    # is the one kernel matrix whose upper triangle is copied onto the lower,
-    # a block of rows at a time
-    n = centered.shape[0]
-    for s in range(0, n, _MIRROR_BLOCK):
-        e = min(s + _MIRROR_BLOCK, n)
-        centered[s:e, :s] = centered[:s, s:e].T
-        iu, ju = np.triu_indices(e - s, 1)
-        centered[s + ju, s + iu] = centered[s + iu, s + ju]
+    n = v.shape[0]
+    centered = np.empty((n, n))
+    # v - r_i - r_j + t rounds differently from v - r_j - r_i + t, so this is
+    # the one kernel matrix whose upper triangle is computed and copied onto
+    # the lower: a slab of rows from the diagonal on, then its transpose
+    step = _slab_rows(n)
+    for s in range(0, n, step):
+        e = min(s + step, n)
+        upper = centered[s:e, s:]
+        np.subtract(v[s:e, s:], row_means[s:e, None], out=upper)
+        upper -= row_means[None, s:]
+        upper += total_mean
+        block = centered[s:e, s:e]
+        lower = np.tril_indices(e - s, -1)
+        block[lower] = block.T[lower]
+        centered[e:, s:e] = centered[s:e, e:].T
     return centered, row_means, total_mean
 
 

@@ -144,6 +144,9 @@ def grid_search(dataset, config, seed=0, jobs=1):
     Repeat r splits ``dataset`` by ``config.split`` with seed ``seed + r``;
     ``jobs`` spawned processes share each layer's (repeat, kernel set)
     pairs, so with ``jobs > 1`` a calling script needs a ``__main__`` guard.
+    Each process starts its own BLAS pool on every usable core, so more
+    than one oversubscribes the cores unless the BLAS is held to one
+    thread (``OPENBLAS_NUM_THREADS=1`` for OpenBLAS).
     """
     cv = config.cv
     if cv is None:

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import kernels
 from .errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from .kernels import GramMatrix, _as_matrix, _kernel_values, _row_terms
+from .kernels import GramMatrix, _as_matrix, _kernel_values, _row_terms, _slab_rows
 
 __all__ = [
     "KernelWeights",
@@ -47,7 +47,6 @@ __all__ = [
     "UmklProblem",
     "QpForm",
     "build_local_bases",
-    "squared_distances",
     "problem_from_features",
     "assemble_qp",
     "minimize_qp",
@@ -108,51 +107,32 @@ class LocalBases:
         return self.indices.shape[1]
 
 
-def _square(linear_gram):
-    p = np.asarray(linear_gram, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ShapeError("linear Gram must be square, got shape %r" % (p.shape,))
-    return p
-
-
-def _row_blocks(n):
-    """Slices of 64 rows of an n x n matrix: the temporaries of one block
-    stay small beside the matrix."""
-    return (slice(start, start + 64) for start in range(0, n, 64))
-
-
-def squared_distances(linear_gram):
-    """Pairwise squared Euclidean distances from a linear Gram matrix."""
-    p = _square(linear_gram)
-    d = np.diag(p)
-    m = d[:, None] + d[None, :]
-    for rows in _row_blocks(p.shape[0]):
-        m[rows] -= 2.0 * p[rows]
-    np.maximum(m, 0.0, out=m)
-    np.fill_diagonal(m, 0.0)
-    return m
-
-
 def build_local_bases(linear_gram, basis_size):
     """Nearest neighbours of each sample in input-space distance.
 
     Distances come from the linear Gram (||x_i - x_j||^2 = P_ii + P_jj
-    - 2 P_ij); the sample itself is excluded and ties are broken toward
-    the smaller index.
+    - 2 P_ij, clipped at zero), a slab of rows at a time; the sample
+    itself is excluded and ties are broken toward the smaller index.
     """
-    p = _square(linear_gram)
+    p = np.asarray(linear_gram, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] != p.shape[1]:
+        raise ShapeError("linear Gram must be square, got shape %r" % (p.shape,))
     n = p.shape[0]
     if not (isinstance(basis_size, (int, np.integer)) and 1 <= basis_size <= n - 1):
         raise InvalidBasisSizeError(
             "basis size must be an integer in [1, %d], got %r" % (n - 1, basis_size)
         )
-    m = squared_distances(p)
-    np.fill_diagonal(m, np.inf)
+    d = np.diag(p)
     indices = np.empty((n, basis_size), dtype=np.int64)
-    for rows in _row_blocks(n):
+    step = _slab_rows(n)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block = d[rows, None] + d[None, :]
+        block -= 2.0 * p[rows]
+        np.maximum(block, 0.0, out=block)
+        np.fill_diagonal(block[:, start:], np.inf)
         # every distance below the k-th smallest, then as many of the ties at
         # it as slots are left, smallest index first (a running count)
-        block = m[rows]
         kth = np.partition(block, basis_size - 1, axis=1)[:, basis_size - 1:basis_size]
         keep = block < kth
         tied = block == kth
@@ -261,7 +241,7 @@ def assemble_qp(problem, gamma):
     w = 0.5 * (w + w.T)
     p_col = g[:, 1:, 0]  # P between each sample's bases and the sample
     d = g[:, 0, 0]  # P_ii
-    # squared_distances' entries at the basis, same expression: bit-identical
+    # build_local_bases' squared distances at the basis, same expression: bit-identical
     v_col = np.maximum(np.diagonal(p_sub, axis1=1, axis2=2) + d[:, None] - 2.0 * p_col, 0.0)
     z = np.einsum("ia,iat->t", float(gamma) * v_col - p_col, t)
     constant = 0.5 * float(d.sum())

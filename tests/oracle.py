@@ -11,7 +11,8 @@ except by ``kernel_block``: it applies the library's elementwise steps in
 one pass to a whole block, the reference for the slab-by-slab blocks of
 ``gram`` and ``cross_gram``.  The weight objective and the neighbour bases
 are computed from the full n x n linear Gram, which the library does not
-keep.
+keep, and ``center_gram`` centres a whole Gram at once, the reference for
+the slab-by-slab ``kpca.center_gram``.
 """
 import math
 
@@ -182,3 +183,18 @@ def local_bases(linear_gram, basis_size):
     np.fill_diagonal(m, np.inf)
     order = np.argsort(m, axis=1, kind="stable")
     return np.sort(order[:, :basis_size], axis=1)
+
+
+def center_gram(k):
+    """Double-centred Gram, its row means and its total mean, over the whole
+    matrix at once: k - r_i - r_j + t, then the upper triangle copied onto
+    the lower."""
+    k = np.asarray(k, dtype=np.float64)
+    row_means = k.mean(axis=1)
+    total_mean = float(k.mean())
+    centered = k - row_means[:, None]
+    centered -= row_means[None, :]
+    centered += total_mean
+    lower = np.tril_indices(k.shape[0], -1)
+    centered[lower] = centered.T[lower]
+    return centered, row_means, total_mean

@@ -207,6 +207,18 @@ def test_split_larger_than_the_file_fails_cleanly(corpus, capsys):
         assert capsys.readouterr().err == "error: cannot draw 1000 + 5 rows from 40\n"
 
 
+def test_width_beyond_the_kpca_spectrum_fails_cleanly(corpus, capsys):
+    # 30 fit rows centre to at most 29 usable components, fewer than width 40
+    cfg = write_config(corpus, layers=[{"kernels": ["rbf(gamma=0.05)", "linear"],
+                                        "width": 40, "basis_size": 5}])
+    with pytest.warns(UserWarning, match="only 29 eigenvalues are usable"):
+        rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                       "--out", str(corpus["tmp"] / "m.bin"), "--subsample", "30"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: width must be an integer in [1, 29], got 40\n"
+    assert not (corpus["tmp"] / "m.bin").exists()
+
+
 def test_train_pushes_validation_rows_through_each_layer_once(corpus, capsys, monkeypatch):
     pushed = []
     transform_layer = pipeline.transform_layer

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from mlmkl.errors import DegenerateLabelsError, ShapeError
+from mlmkl.errors import DegenerateLabelsError, InvalidWidthError, MlmklError, ShapeError
 from mlmkl.featsel import anova_f_scores, select
 
 
@@ -108,8 +108,10 @@ def test_width_bounds():
     x[2:] = 1.0
     y = np.array([0, 0, 1, 1])
     for bad in (0, 4, -2):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidWidthError) as caught:
             select(x, y, bad)
+        assert isinstance(caught.value, MlmklError) and isinstance(caught.value, ValueError)
+        assert str(caught.value) == "width must be an integer in [1, 3], got %d" % bad
 
 
 def test_degenerate_labels():

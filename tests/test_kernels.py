@@ -370,8 +370,7 @@ def test_blocks_peak_near_their_output(text):
     finally:
         tracemalloc.stop()
     assert cross_peak <= 1.1 * 2000 * 1500 * 8
-    # GramMatrix's exact-symmetry check adds a bool array of n x n
-    assert gram_peak <= 1.25 * k.values.nbytes
+    assert gram_peak <= 1.1 * k.values.nbytes
 
 
 def test_cross_gram_shapes_and_edges():
@@ -402,6 +401,45 @@ def test_gram_matrix_type_validation():
         kernels.GramMatrix(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ShapeError):
         kernels.GramMatrix(np.ones((2, 3)))
+
+
+def test_gram_matrix_check_finds_every_asymmetric_pair():
+    # the check walks slabs of rows; a pair broken one ulp on either side of
+    # a slab edge or at the far corner, and a NaN on the diagonal, all fail
+    n = 700
+    step = kernels._slab_rows(n)
+    assert 1 < step < n - step
+    a = np.random.default_rng(16).uniform(size=(n, n))
+    v = a + a.T
+    kernels.GramMatrix(v)
+    pairs = [(0, n - 1), (n - 1, 0), (n - 2, n - 1), (n - 1, n - 2)]
+    for edge in range(step, n, step):
+        pairs += [(edge - 1, edge), (edge, edge - 1), (edge - 1, n - 1), (edge, 0)]
+    for i, j in pairs:
+        bad = v.copy()
+        bad[i, j] = np.nextafter(bad[i, j], np.inf)
+        with pytest.raises(ShapeError, match="not exactly symmetric"):
+            kernels.GramMatrix(bad)
+    for i in (0, step - 1, step, n - 1):
+        bad = v.copy()
+        bad[i, i] = np.nan
+        with pytest.raises(ShapeError, match="not exactly symmetric"):
+            kernels.GramMatrix(bad)
+    kernels.GramMatrix(np.array([[2.0]]))
+    with pytest.raises(ShapeError, match="not exactly symmetric"):
+        kernels.GramMatrix(np.array([[np.nan]]))
+
+
+def test_gram_matrix_check_peaks_at_a_few_slabs():
+    v = np.random.default_rng(17).uniform(size=(3000, 3000))
+    v += v.T
+    tracemalloc.start()
+    try:
+        kernels.GramMatrix(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 # ---------------------------------------------------------------------------

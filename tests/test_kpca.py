@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mlmkl import kpca
+from mlmkl import kernels, kpca
 from mlmkl.errors import DegenerateGramError, ShapeError
 from mlmkl.kernels import GramMatrix, cross_gram, gram, parse_kernel
+
+import oracle
 
 
 def linear_gram(x):
@@ -22,6 +24,22 @@ def test_centered_gram_rows_sum_to_zero():
     np.testing.assert_array_equal(centered, centered.T)
     assert row_means.shape == (14,)
     assert total_mean == pytest.approx(row_means.mean())
+
+
+@pytest.mark.parametrize("text", ["rbf(gamma=0.5)", "arccos(n=1,L=2)", "linear"])
+def test_center_gram_matches_one_pass_oracle(text):
+    # centring walks slabs of rows; n0 rows are one slab, one more row
+    # splits the matrix between two
+    spec = parse_kernel(text)
+    rng = np.random.default_rng(9)
+    n0 = next(n for n in range(1, 2000) if kernels._slab_rows(n) <= n)
+    for n in (1, n0 - 1, n0, n0 + 1, 300, 1000):
+        k = gram(rng.uniform(0.05, 1.0, size=(n, 6)), spec)
+        centered, row_means, total_mean = kpca.center_gram(k)
+        want = oracle.center_gram(k.values)
+        assert centered.tobytes() == want[0].tobytes()
+        assert row_means.tobytes() == want[1].tobytes()
+        assert total_mean == want[2]
 
 
 def test_linear_kernel_reproduces_pca():

@@ -6,7 +6,7 @@ import pytest
 
 from mlmkl import umkl
 from mlmkl.errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from mlmkl.kernels import gram, parse_kernel
+from mlmkl.kernels import _SLAB_BYTES, gram, parse_kernel
 from mlmkl.umkl import (
     KernelWeights,
     LocalBases,
@@ -17,7 +17,6 @@ from mlmkl.umkl import (
     minimize_qp,
     problem_from_features,
     solve_simplex_qp,
-    squared_distances,
 )
 from oracle import local_bases, objective_scalar, qp_from_linear_gram
 
@@ -81,8 +80,9 @@ def test_local_bases_type_rejects_self():
 
 @pytest.mark.parametrize("rows", ["uniform", "binary"])
 def test_bases_peak_memory_is_one_distance_matrix(rows):
-    # the distances are built, partitioned and cut a block of rows at a time,
-    # so beside the n x n distances only small blocks live, ties or not
+    # the distances are built, partitioned and cut a slab of rows at a time,
+    # so beside the input only a few slabs live, ties or not: no n x n
+    # distance matrix
     rng = np.random.default_rng(12)
     x = (rng.uniform(size=(1000, 20)) if rows == "uniform"
          else rng.integers(0, 2, size=(1000, 12)).astype(np.float64))
@@ -93,15 +93,7 @@ def test_bases_peak_memory_is_one_distance_matrix(rows):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.5 * p.nbytes
-
-
-def test_squared_distances_from_linear_gram():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(7, 3))
-    m = squared_distances(x @ x.T)
-    direct = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=2)
-    np.testing.assert_allclose(m, direct, atol=1e-10)
+    assert peak < 6 * _SLAB_BYTES < p.nbytes / 5
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +268,7 @@ def test_combine_scales_each_gram_in_place():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # GramMatrix's exact-symmetry check adds a bool array of n x n
-    assert peak <= 1.25 * out.values.nbytes
+    assert peak <= 1.1 * out.values.nbytes
 
 
 def test_problem_from_strided_rows_is_exactly_symmetric():
