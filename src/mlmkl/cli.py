@@ -9,14 +9,12 @@ Subcommands:
 
 Randomness is controlled by --seed alone; two train runs with the same
 flags write byte-identical model files.  --jobs parallelizes cv over
-repeats x kernel sets and is capped by the MLMKL_THREADS environment
-variable.
+repeats x kernel sets, on no more processes than usable cores.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import replace
@@ -29,17 +27,6 @@ from .errors import MlmklError
 from .search import error_percent, probe_error
 
 __all__ = ["main"]
-
-
-def _effective_jobs(requested):
-    jobs = max(1, requested)
-    cap = os.environ.get("MLMKL_THREADS")
-    if cap:
-        try:
-            jobs = min(jobs, max(1, int(cap)))
-        except ValueError:
-            pass
-    return jobs
 
 
 def _emit(args, payload, text_lines):
@@ -215,7 +202,7 @@ def cmd_cv(args):
     if args.subsample is not None:
         cfg = replace(cfg, subsample=args.subsample)
     result = search.grid_search(
-        data.load_amat(args.train), cfg, seed=args.seed, jobs=_effective_jobs(args.jobs)
+        data.load_amat(args.train), cfg, seed=args.seed, jobs=args.jobs
     )
     report = result.report
     lines = []
@@ -292,7 +279,7 @@ def _build_parser():
     p.add_argument("--train", required=True, help="training data (amat)")
     p.add_argument("--out", default=None, help="where to write the best config JSON")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for repeats x kernel sets (capped by MLMKL_THREADS)")
+                   help="parallel workers for repeats x kernel sets (capped by the usable cores)")
     p.add_argument("--subsample", type=int, default=None,
                    help="override the config's per-layer fit subsample")
     common(p)

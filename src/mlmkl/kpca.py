@@ -164,10 +164,17 @@ def transform(model, cross):
         raise ShapeError(
             "cross matrix must be (t, %d), got shape %r" % (model.n_fit, c.shape)
         )
-    if c.shape[0] == 0:
+    return _center_and_project(model, c, np.empty_like(c))
+
+
+def _center_and_project(model, cross, out):
+    """Centre the float64 (t, n_fit) ``cross`` into ``out`` and project it:
+    cross - r_new - r_fit + t, in that order.  ``out`` may be ``cross``
+    itself when the caller built it and no longer needs it, so that no
+    second t x n array is held."""
+    if cross.shape[0] == 0:
         return np.zeros((0, model.n_components))
-    row_means_new = c.mean(axis=1)
-    centered = c - row_means_new[:, None]  # then in place, in the same order
-    centered -= model.row_means[None, :]
-    centered += model.total_mean
-    return centered @ model.alphas
+    np.subtract(cross, cross.mean(axis=1)[:, None], out=out)
+    out -= model.row_means[None, :]
+    out += model.total_mean
+    return out @ model.alphas

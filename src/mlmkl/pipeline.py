@@ -235,8 +235,7 @@ def transform_layer(layer, features):
             "expected rows of dimension %d, got shape %r" % (layer.input_dim, x.shape)
         )
     cross = combined_cross(x, layer.fit_sample, layer.kernels, layer.weights)
-    feats = kpca.transform(layer.kpca, cross)
-    return feats[:, layer.selected]
+    return kpca._center_and_project(layer.kpca, cross, cross)[:, layer.selected]
 
 
 @dataclass

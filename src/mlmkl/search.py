@@ -2,15 +2,17 @@
 
 Each layer keeps the (kernel set, gamma, width) candidate whose probe SVM
 has the lowest mean validation error over repeated splits; the next layer
-searches on the winner's features, and the SVM C is chosen last.  The
-candidates share the layer stages: the dot products, neighbour bases and
-QP entries once per (repeat, kernel set), one weight QP per gamma, and one
-combined Gram, kernel PCA (at the largest component count), pair of
-crosses and set of probe SVMs per distinct weight vector.
+searches on the winner's features, and the SVM C is chosen last, reusing
+the winner's probe errors at the classifier's own C.  The candidates share
+the layer stages: the dot products, neighbour bases and QP entries once per
+(repeat, kernel set), one weight QP per gamma, and one combined Gram,
+kernel PCA (at the largest component count), pair of crosses and set of
+probe SVMs per distinct weight vector.
 """
 from __future__ import annotations
 
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -129,24 +131,47 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
     return cells
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _run(calls, jobs):
-    """Results of picklable no-argument calls, on up to ``jobs`` processes."""
-    if jobs < 2 or len(calls) < 2:
+    """Results of picklable no-argument calls, on up to ``jobs`` processes
+    and no more than the usable cores.
+
+    A spawned worker loads its BLAS while it starts, before any initializer
+    could run, and a BLAS starts a thread per usable core, so the workers
+    are spawned with each BLAS thread variable that the caller has not set
+    at (usable cores // workers); the caller's environment is restored.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    workers = min(jobs, len(calls), cores)
+    if workers < 2:
         return [call() for call in calls]
-    context = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(max_workers=min(jobs, len(calls)), mp_context=context) as pool:
-        return [f.result() for f in [pool.submit(call) for call in calls]]
+    unset = [var for var in _BLAS_THREADS if var not in os.environ]
+    try:
+        for var in unset:
+            os.environ[var] = str(max(1, cores // workers))
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+            return [f.result() for f in [pool.submit(call) for call in calls]]
+    finally:
+        for var in unset:
+            os.environ.pop(var, None)
 
 
 def grid_search(dataset, config, seed=0, jobs=1):
     """Greedy per-layer search of ``config.cv`` on ``dataset``.
 
     Repeat r splits ``dataset`` by ``config.split`` with seed ``seed + r``;
-    ``jobs`` spawned processes share each layer's (repeat, kernel set)
-    pairs, so with ``jobs > 1`` a calling script needs a ``__main__`` guard.
-    Each process starts its own BLAS pool on every usable core, so more
-    than one oversubscribes the cores unless the BLAS is held to one
-    thread (``OPENBLAS_NUM_THREADS=1`` for OpenBLAS).
+    up to ``jobs`` spawned processes, no more than the usable cores, share
+    each layer's (repeat, kernel set) pairs and split the cores between
+    their BLAS pools, so with ``jobs > 1`` a calling script needs a
+    ``__main__`` guard.  The SVM C is chosen last; at the classifier's own
+    C each repeat's error is that of the last layer's winning probe, which
+    trained the same SVM on the same rows.
     """
     cv = config.cv
     if cv is None:
@@ -203,8 +228,12 @@ def grid_search(dataset, config, seed=0, jobs=1):
 
     c_rows = []
     for c in cv.svm_c:
-        per_rep = [probe_error(s["train"], s["y_train"], s["valid"], s["y_valid"],
-                               replace(config.classifier, c=c), config.probe_cap) for s in splits]
+        if c == config.classifier.c:  # the last layer's winning probes trained this SVM
+            per_rep = errors[best]
+        else:
+            per_rep = [probe_error(s["train"], s["y_train"], s["valid"], s["y_valid"],
+                                   replace(config.classifier, c=c), config.probe_cap)
+                       for s in splits]
         c_rows.append({"C": float(c), "mean_error_percent": float(np.mean(per_rep)),
                        "std_error_percent": float(np.std(per_rep)), "selected": False})
     best_c = int(np.argmin([row["mean_error_percent"] for row in c_rows]))

@@ -9,9 +9,13 @@ by repeatedly picking the maximal violating pair: with f = y - K(alpha o y)
 (so f_i = -E_i, the negative prediction error), select i maximizing f over
 the set of indices whose alpha can increase along +y_i and j minimizing f
 over those that can decrease, stop when f_i - f_j <= tol, and solve the
-two-variable subproblem in closed form with box clipping.  The bias is
-the mean of f over free support vectors when any exist, otherwise the
-midpoint of the final violating pair.
+two-variable subproblem in closed form with box clipping.  The two sets
+are kept from step to step as penalties, 0 on the set and -inf (up) or
++inf (down) off it, updated only at the two indices a step moves, so each
+selection is one argmax of f + penalty (f + 0.0 is f up to the sign of a
+zero, which argmax does not see) and the f update runs in two buffers.
+The bias is the mean of f over free support vectors when any exist,
+otherwise the midpoint of the final violating pair.
 
 Multiclass classification is one-vs-rest over ascending class ids with
 prediction by maximal decision value; argmax resolves ties toward the
@@ -60,10 +64,12 @@ class BinarySvm:
     converged: bool
 
 
-def _movable(pos, alpha, c):
-    """Masks of the indices whose alpha can move along +y_i and along -y_i."""
-    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
-    down = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+def _movable(y, alpha, c):
+    """Whether each alpha can move along +y_i and along -y_i, given the
+    +1/-1 labels: masks for arrays, booleans for one index."""
+    pos, neg = y > 0, y < 0
+    up = (pos & (alpha < c)) | (neg & (alpha > 0.0))
+    down = (pos & (alpha > 0.0)) | (neg & (alpha < c))
     return up, down
 
 
@@ -74,34 +80,43 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     y = _signed_labels(y, n)
     if not c > 0:
         raise ValueError("C must be positive, got %r" % (c,))
+    c = float(c)
     alpha = np.zeros(n)
     f = y.copy()  # f = y - K (alpha o y), currently alpha = 0
-    pos = y > 0
+    # the movable sets as penalties added to f before the arg-extremum:
+    # 0 on the set, -inf (up) or +inf (down) off it, and the set sizes
+    can_up, can_dn = _movable(y, alpha, c)
+    pen_up = np.where(can_up, 0.0, -np.inf)
+    pen_dn = np.where(can_dn, 0.0, np.inf)
+    n_up, n_dn = int(can_up.sum()), int(can_dn.sum())
+    buf, step = np.empty(n), np.empty(n)
     violation = np.inf
     it = 0
     while it < max_iter:
-        can_up, can_dn = _movable(pos, alpha, c)
-        if not (can_up.any() and can_dn.any()):
+        if not (n_up and n_dn):
             violation = 0.0
             break
-        i = int(np.argmax(np.where(can_up, f, -np.inf)))
-        j = int(np.argmin(np.where(can_dn, f, np.inf)))
-        violation = f[i] - f[j]
+        i = int(np.add(f, pen_up, out=buf).argmax())
+        j = int(np.add(f, pen_dn, out=buf).argmin())
+        # the pair's scalars as Python floats: numpy's IEEE arithmetic
+        # without its per-scalar overhead
+        violation = float(f[i] - f[j])
         if violation <= tol:
             break
-        ai, aj = alpha[i], alpha[j]
-        if pos[i] != pos[j]:
+        yi, yj = float(y[i]), float(y[j])
+        ai, aj = float(alpha[i]), float(alpha[j])
+        if yi != yj:
             lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
         else:
             lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
-        eta = kv[i, i] + kv[j, j] - 2.0 * kv[i, j]
+        eta = float(kv[i, i] + kv[j, j] - 2.0 * kv[i, j])
         if eta <= 0.0:
             eta = 1e-12
-        aj_new = min(hi, max(lo, aj - y[j] * violation / eta))
+        aj_new = min(hi, max(lo, aj - yj * violation / eta))
         d_j = aj_new - aj
         if d_j == 0.0:
             break  # fp-empty box (kernel scale swamps the step); stop honestly
-        d_i = -y[i] * y[j] * d_j
+        d_i = -yi * yj * d_j
         # snap to the box edge when an update lands within round-off of it,
         # otherwise a variable 1 ulp inside the bound can stall later pairs
         snap = 1e-12 * c
@@ -116,7 +131,20 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
             aj_new = c
         alpha[i] = ai_new
         alpha[j] = aj_new
-        f -= kv[i] * (y[i] * d_i) + kv[j] * (y[j] * d_j)
+        # f -= kv[i] * (y_i d_i) + kv[j] * (y_j d_j), without temporaries
+        np.multiply(kv[i], yi * d_i, out=buf)
+        np.multiply(kv[j], yj * d_j, out=step)
+        buf += step
+        f -= buf
+        for t, y_t, before, after in ((i, yi, ai, ai_new), (j, yj, aj, aj_new)):
+            was_up, was_dn = _movable(y_t, before, c)
+            up, down = _movable(y_t, after, c)
+            if up != was_up:
+                n_up += 1 if up else -1
+                pen_up[t] = 0.0 if up else -np.inf
+            if down != was_dn:
+                n_dn += 1 if down else -1
+                pen_dn[t] = 0.0 if down else np.inf
         it += 1
     converged = violation <= tol
     if not converged:
@@ -128,7 +156,7 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     if free.any():
         bias = float(f[free].mean())
     else:
-        can_up, can_dn = _movable(pos, alpha, c)
+        can_up, can_dn = _movable(y, alpha, c)
         hi = float(np.max(f[can_up])) if can_up.any() else 0.0
         lo = float(np.min(f[can_dn])) if can_dn.any() else 0.0
         bias = 0.5 * (hi + lo)
@@ -141,7 +169,7 @@ def kkt_violation(k, y, alpha, c):
     y = _signed_labels(y, kv.shape[0])
     alpha = np.asarray(alpha, dtype=np.float64)
     f = y - kv @ (alpha * y)
-    can_up, can_dn = _movable(y > 0, alpha, c)
+    can_up, can_dn = _movable(y, alpha, c)
     if not (can_up.any() and can_dn.any()):
         return 0.0
     return float(np.max(f[can_up]) - np.min(f[can_dn]))

@@ -12,7 +12,9 @@ one pass to a whole block, the reference for the slab-by-slab blocks of
 ``gram`` and ``cross_gram``.  The weight objective and the neighbour bases
 are computed from the full n x n linear Gram, which the library does not
 keep, and ``center_gram`` centres a whole Gram at once, the reference for
-the slab-by-slab ``kpca.center_gram``.
+the slab-by-slab ``kpca.center_gram``.  ``smo`` is the SVM trainer with
+its movable sets rebuilt from scratch at every step, the reference for the
+incremental bookkeeping of ``svm.train_binary``.
 """
 import math
 
@@ -198,3 +200,75 @@ def center_gram(k):
     lower = np.tril_indices(k.shape[0], -1)
     centered[lower] = centered.T[lower]
     return centered, row_means, total_mean
+
+
+def movable(y, alpha, c):
+    """Masks of the indices whose alpha can move along +y_i and along -y_i."""
+    pos = y > 0
+    up = (pos & (alpha < c)) | (~pos & (alpha > 0.0))
+    down = (pos & (alpha > 0.0)) | (~pos & (alpha < c))
+    return up, down
+
+
+def smo(kv, y, c, tol=1e-3, max_iter=1_000_000, rule=movable):
+    """Maximal-violating-pair SMO as ``svm.train_binary`` defines it, with
+    both movable masks rebuilt by ``rule`` from the whole of alpha at every
+    step: (alpha, bias, iterations, converged) for kernel values ``kv`` and
+    +1/-1 labels ``y``.  The library keeps the masks as penalty arrays
+    updated at the two moved indices, so bit-for-bit agreement pins that
+    bookkeeping."""
+    kv = np.asarray(kv, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = kv.shape[0]
+    alpha = np.zeros(n)
+    f = y.copy()
+    pos = y > 0
+    violation = np.inf
+    it = 0
+    while it < max_iter:
+        can_up, can_dn = rule(y, alpha, c)
+        if not (can_up.any() and can_dn.any()):
+            violation = 0.0
+            break
+        i = int(np.argmax(np.where(can_up, f, -np.inf)))
+        j = int(np.argmin(np.where(can_dn, f, np.inf)))
+        violation = f[i] - f[j]
+        if violation <= tol:
+            break
+        ai, aj = alpha[i], alpha[j]
+        if pos[i] != pos[j]:
+            lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
+        else:
+            lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
+        eta = kv[i, i] + kv[j, j] - 2.0 * kv[i, j]
+        if eta <= 0.0:
+            eta = 1e-12
+        aj_new = min(hi, max(lo, aj - y[j] * violation / eta))
+        d_j = aj_new - aj
+        if d_j == 0.0:
+            break
+        d_i = -y[i] * y[j] * d_j
+        snap = 1e-12 * c
+        ai_new = min(c, max(0.0, ai + d_i))
+        if ai_new < snap:
+            ai_new = 0.0
+        elif ai_new > c - snap:
+            ai_new = c
+        if aj_new < snap:
+            aj_new = 0.0
+        elif aj_new > c - snap:
+            aj_new = c
+        alpha[i] = ai_new
+        alpha[j] = aj_new
+        f -= kv[i] * (y[i] * d_i) + kv[j] * (y[j] * d_j)
+        it += 1
+    converged = violation <= tol
+    free = (alpha > 0.0) & (alpha < c)
+    if free.any():
+        bias = float(f[free].mean())
+    else:
+        can_up, can_dn = rule(y, alpha, c)
+        hi = float(np.max(f[can_up])) if can_up.any() else 0.0
+        lo = float(np.min(f[can_dn])) if can_dn.any() else 0.0
+        bias = 0.5 * (hi + lo)
+    return alpha, bias, it, converged

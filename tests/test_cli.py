@@ -307,17 +307,6 @@ def test_cv_requires_cv_section_and_split(corpus, capsys):
     assert "split" in capsys.readouterr().err
 
 
-def test_effective_jobs_honours_thread_cap(monkeypatch):
-    monkeypatch.delenv("MLMKL_THREADS", raising=False)
-    assert cli._effective_jobs(4) == 4
-    assert cli._effective_jobs(0) == 1
-    monkeypatch.setenv("MLMKL_THREADS", "2")
-    assert cli._effective_jobs(8) == 2
-    assert cli._effective_jobs(1) == 1
-    monkeypatch.setenv("MLMKL_THREADS", "junk")
-    assert cli._effective_jobs(8) == 8
-
-
 def test_eval_rejects_model_with_out_of_range_selection(corpus, capsys):
     model_path = corpus["tmp"] / "model.bin"
     assert cli.main(["train", "--config", str(corpus["cfg_path"]),

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -72,6 +74,26 @@ def test_layer_transform_matches_fit_representation():
     layer, reduced = fit_layer(x, y, cfg)
     again = transform_layer(layer, x)
     np.testing.assert_allclose(again, reduced, atol=1e-8)
+
+
+def test_transform_layer_projects_its_own_cross_in_place():
+    # a layer fitted on 400 rows, applied to 2000: the cross is 6.4 MB and
+    # the projection is centred in it, not in a copy, with the same bits
+    x, y = blob_data(n_per_class=200)
+    layer, _ = fit_layer(x, y, LayerConfig(kernels=(ARC,), width=4, basis_size=4))
+    new = blob_data(n_per_class=1000, seed=1)[0]
+    cross = pipeline.combined_cross(new, layer.fit_sample, layer.kernels, layer.weights)
+    kept = cross.copy()
+    want = kpca.transform(layer.kpca, cross)[:, layer.selected]
+    assert cross.tobytes() == kept.tobytes()  # the public transform leaves it alone
+    tracemalloc.start()
+    try:
+        got = transform_layer(layer, new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == want.tobytes()
+    assert peak <= 1.25 * cross.nbytes  # a copy would make it 2x
 
 
 def test_subsampled_layer_used_exact_rows_for_fit_points():

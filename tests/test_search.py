@@ -1,6 +1,9 @@
 """``search.grid_search`` runs the layer stages once per distinct weight
 vector: gamma enters only the weight QP, so gammas that learn equal
 weights share the combined Gram, kernel PCA, crosses and probe SVMs."""
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -22,14 +25,14 @@ def corpus():
     return data.Dataset(x, y)
 
 
-def experiment(gammas, repeats=2):
+def experiment(gammas, repeats=2, svm_c=(10,)):
     return parse_config({
         "layers": [{"kernels": KERNELS, "width": 3, "basis_size": 5}],
         "subsample": 30,
         "split": {"train": 40, "valid": 20},
         "classifier": {"kernel": "arccos(n=1,L=1)", "C": 10},
         "cv": {"kernels": [KERNELS], "gamma": gammas, "width": [3, 5],
-               "svm_c": [10], "repeats": repeats},
+               "svm_c": list(svm_c), "repeats": repeats},
     })
 
 
@@ -87,3 +90,43 @@ def test_gammas_with_different_weights_get_their_own_cells(monkeypatch, kpca_fit
 def test_search_releases_the_linear_gram_before_kpca(live_linear_grams):
     search.grid_search(corpus(), experiment(GAMMAS), seed=0)
     assert live_linear_grams == [0, 0]
+
+
+@pytest.mark.parametrize("svm_c, trained", [((10,), 0), ((1, 10), 1), ((1, 3), 2)])
+def test_c_grid_trains_no_svm_the_winning_probe_trained(monkeypatch, svm_c, trained):
+    """The C stage trains (len(svm_c) - 1) x repeats SVMs when the
+    classifier's own C (10) is in the grid, len(svm_c) x repeats if not."""
+    calls = []  # C of each train_classifier call
+    layer_calls = []  # len(calls) after each kernel set's probes
+    train_classifier = pipeline.train_classifier
+    probe_kernel_set = search._probe_kernel_set
+
+    def probes(*args):
+        cells = probe_kernel_set(*args)
+        layer_calls.append(len(calls))
+        return cells
+
+    monkeypatch.setattr(pipeline, "train_classifier",
+                        lambda *a, **kw: calls.append(kw["c"]) or train_classifier(*a, **kw))
+    monkeypatch.setattr(search, "_probe_kernel_set", probes)
+    result = search.grid_search(corpus(), experiment(GAMMAS, svm_c=svm_c), seed=0)
+    c_stage = calls[layer_calls[-1]:]
+    assert len(c_stage) == trained * 2 and 10 not in c_stage
+    assert [row["C"] for row in result.report["svm_c"]] == list(svm_c)
+
+
+def test_workers_get_their_share_of_the_cores_and_the_caller_keeps_its_environment(
+        monkeypatch):
+    for var in search._BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # set by the caller, so left alone
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    before = dict(os.environ)
+    seen = search._run([partial(os.getenv, var) for var in search._BLAS_THREADS], jobs=2)
+    assert dict(os.environ) == before
+    assert seen == ["2", "2", "3"]  # 4 cores, 2 workers
+
+
+def test_workers_are_capped_at_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert search._run([os.getpid] * 3, jobs=4) == [os.getpid()] * 3

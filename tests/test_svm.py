@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracle
 from conftest import brute_force_svm_dual, direction_blobs, svm_dual_value
 from mlmkl import svm
 from mlmkl.errors import DegenerateLabelsError, ShapeError
@@ -163,3 +164,65 @@ def test_gram_matrix_and_ndarray_agree():
     np.testing.assert_array_equal(a.biases, b.biases)
     with pytest.raises(ShapeError):
         svm.train_multiclass(k.values + np.triu(np.ones((12, 12)), 1), y)
+
+
+def _assert_same_as_oracle(kv, y, c, max_iter=1_000_000, rule=oracle.movable):
+    alpha, bias, iterations, converged = oracle.smo(kv, y, c, max_iter=max_iter, rule=rule)
+    machine = svm.train_binary(kv, y, c, max_iter=max_iter)
+    assert machine.alpha.tobytes() == alpha.tobytes()
+    assert np.float64(machine.bias).tobytes() == np.float64(bias).tobytes()
+    assert (machine.iterations, machine.converged) == (iterations, converged)
+    return machine
+
+
+def test_smo_matches_the_oracle_on_ties_and_both_bounds():
+    rng = np.random.default_rng(5)
+    x = np.round(rng.normal(size=(30, 2)))  # repeated rows, so ties in f all along
+    x = np.vstack([x, x[:10]])
+    y = np.where(x[:, 0] + rng.normal(size=40) > 0, 1.0, -1.0)
+    kv = gram(x, LINEAR).values
+    machines = {c: _assert_same_as_oracle(kv, y, c) for c in (0.05, 1.0, 100.0)}
+    assert all(machine.converged for machine in machines.values())
+    # overlapping classes at a small C put alphas at 0 and at C
+    alpha = machines[0.05].alpha
+    assert np.any(alpha == 0.0) and np.any(alpha == 0.05)
+
+
+def test_smo_matches_the_oracle_one_vs_rest():
+    x, labels = direction_blobs(25, 12, [[0, 1], [2, 3], [4, 5]], noise=0.4, lift=0.5, seed=3)
+    kv = gram(x, parse_kernel("arccos(n=1,L=1)")).values
+    for cls in range(3):
+        _assert_same_as_oracle(kv, np.where(labels == cls, 1.0, -1.0), 10.0)
+
+
+def test_smo_matches_the_oracle_when_it_stops_early():
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1e8, 5e7]])
+    y = np.array([1.0, -1.0, -1.0])
+    kv = gram(x, LINEAR).values
+    with pytest.warns(UserWarning, match="SMO stopped"):
+        machine = _assert_same_as_oracle(kv, y, 10.0)  # the kernel scale empties the box
+    assert machine.iterations == 2 and not machine.converged
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(20, 3))
+    y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    with pytest.warns(UserWarning, match="SMO stopped"):
+        machine = _assert_same_as_oracle(gram(x, LINEAR).values, y, 1.0, max_iter=3)
+    assert machine.iterations == 3 and not machine.converged
+
+
+def test_smo_stops_when_one_set_empties_as_the_oracle_does(monkeypatch):
+    # the dual's equality keeps both movable sets nonempty under the real
+    # rule, so a rule under which a negative at C cannot move up stands in
+    def stuck_at_c(rule):
+        def stuck(y, alpha, c):
+            up, down = rule(y, alpha, c)
+            return up & ((y > 0) | (alpha < c)), down
+        return stuck
+
+    x = np.array([[1.0], [3.0], [4.0]])
+    y = np.array([1.0, -1.0, -1.0])
+    kv = gram(x, LINEAR).values
+    monkeypatch.setattr(svm, "_movable", stuck_at_c(svm._movable))
+    machine = _assert_same_as_oracle(kv, y, 0.2, rule=stuck_at_c(oracle.movable))
+    can_up = svm._movable(y, machine.alpha, 0.2)[0]
+    assert machine.iterations >= 1 and not can_up.any()  # emptied by a step
