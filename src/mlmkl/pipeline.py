@@ -8,6 +8,11 @@ keeps the ``width`` most label-relevant ones.  The reduced coordinates
 feed the next layer; after the last layer a kernel SVM is trained on
 the final representation.
 
+There is one layer path, ``fit_layer_grid``: it fits a gamma x width grid
+of one kernel set's candidates and shares each stage between them.
+``fit_layer`` is its one-candidate call, and ``search.grid_search`` runs it
+for every candidate grid of ``mlmkl cv``.
+
 Layers may fit their Gram matrices on a random subsample of the rows
 (the whole training set is still pushed through the fitted layer), which
 keeps the cubic eigendecomposition affordable.  All randomness flows
@@ -23,12 +28,14 @@ import io
 import json
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import featsel, kpca, svm
 from .errors import (
     ChecksumError,
+    MlmklError,
     ModelIOError,
     NonFiniteInputError,
     ParseError,
@@ -59,6 +66,8 @@ __all__ = [
     "combined_cross",
     "draw_fit_rows",
     "training_cross",
+    "LayerFit",
+    "fit_layer_grid",
     "fit_layer",
     "transform_layer",
     "fit",
@@ -201,30 +210,114 @@ def training_cross(rows, fit_idx, kernels, weights, k_fit):
     return cross
 
 
+class LayerFit(NamedTuple):
+    """One fitted candidate of ``fit_layer_grid``."""
+
+    layer: LayerModel
+    train: np.ndarray  # every training row through the layer
+    valid: np.ndarray | None  # the validation rows through it, when given
+    score: object  # what ``score(train, valid)`` returned, when given
+
+
+def _kpca(source, n_components):
+    """Kernel PCA of ``n_components`` components: fitted on a Gram, or the
+    leading ones of a fitted ``KpcaModel``.  Both go through one call, so a
+    short spectrum warns from one source location whether a candidate's
+    components were computed or reused, and Python's default filter, which
+    shows a text once per location, shows a reused row's warnings no more
+    often than a fresh row's."""
+    step = kpca.leading if isinstance(source, KpcaModel) else kpca.fit
+    return step(source, n_components)
+
+
+def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None):
+    """Fit every candidate of one kernel set's ``grid`` of ``LayerConfig``s,
+    a row per gamma and a column per width, on the rows ``fit_idx`` of
+    ``features`` (None means all of them); every row is transformed.
+
+    Returns, row by row, each candidate's ``LayerFit``, or the exception
+    that stopped it where a candidate fitted alone would stop.  The
+    candidates share the stages: one weight problem, one QP per gamma, and
+    per distinct weight vector one combined Gram, one kernel PCA at the
+    largest component count, one training cross and, given ``valid`` rows,
+    one validation cross.  Gamma enters only the QP, so rows whose weights
+    are equal get the same cells, computed once; ``score(train, valid)``
+    runs on each freshly fitted candidate.
+    """
+    failures = (MlmklError, ValueError)
+    x, kernels = _as_matrix(features, "features"), grid[0][0].kernels
+    xs = x if fit_idx is None else x[fit_idx]
+    try:
+        problem = problem_from_features(xs, kernels, grid[0][0].basis_size)
+    except failures as exc:
+        return [exc] * sum(map(len, grid))
+    indices = None if fit_idx is None else np.asarray(fit_idx, dtype=np.int64)
+    counts = [cand.components for cand in grid[0]]
+    top = counts.index(max(counts))
+
+    def fit_row(row, weights):
+        """(kernel PCA or None, cells) of a row of candidates with ``weights``."""
+        try:
+            k_fit = combine(xs, kernels, weights)
+            kp = _kpca(k_fit, counts[top])
+        except failures as exc:
+            return None, [exc] * len(row)
+        sample = np.array(x, copy=True) if fit_idx is None else xs  # x[fit_idx] is a copy
+        # each cross is built once, where a candidate fitted on its own would
+        # build it, so a failure reaches the same candidates
+        train_cross = valid_cross = None
+        row_cells = []
+        for i, cand in enumerate(row):
+            try:
+                # fit warned for the top candidate, leading warns for the rest
+                kc = kp if i == top else _kpca(kp, cand.components)
+                if train_cross is None:
+                    train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
+                ranking, train = featsel.select(kpca.transform(kc, train_cross), labels,
+                                                cand.width)
+                layer = LayerModel(kernels=kernels, weights=weights, kpca=kc,
+                                   scores=ranking.scores, selected=ranking.selected,
+                                   fit_sample=sample, fit_indices=indices)
+                reduced = None
+                if valid is not None:
+                    if valid_cross is None:
+                        valid_cross = combined_cross(valid, xs, kernels, weights)
+                    reduced = kpca.transform(kc, valid_cross)[:, ranking.selected]
+                scored = None if score is None else score(train, reduced)
+                row_cells.append(LayerFit(layer, train, reduced, scored))
+            except failures as exc:
+                row_cells.append(exc)
+        return kp, row_cells
+
+    seen = {}  # weights.mu bytes -> fit_row's result
+    cells = []
+    for row in grid:
+        try:
+            weights = solve_simplex_qp(assemble_qp(problem, row[0].gamma))
+        except failures as exc:
+            cells += [exc] * len(row)
+            continue
+        key = weights.mu.tobytes()
+        if key not in seen:
+            seen[key] = fit_row(row, weights)
+        elif seen[key][0] is not None:
+            for cand in row:  # the kPCA warnings of each candidate fitted alone
+                _kpca(seen[key][0], cand.components)
+        cells += seen[key][1]
+    return cells
+
+
 def fit_layer(features, labels, config, fit_idx=None):
-    """Fit one layer and return it with the transformed training rows.
+    """Fit one layer and return it with the transformed training rows: the
+    one-candidate call of ``fit_layer_grid``, which raises what stopped it.
 
     ``fit_idx`` selects the rows used for the Gram matrices (None means
     all of them); every row of ``features`` is transformed regardless.
     """
-    x = _as_matrix(features, "features")
-    xs = x if fit_idx is None else x[fit_idx]
-    problem = problem_from_features(xs, config.kernels, config.basis_size)
-    weights = solve_simplex_qp(assemble_qp(problem, config.gamma))
-    k_fit = combine(xs, config.kernels, weights)
-    kp = kpca.fit(k_fit, config.components)
-    cross = training_cross(x, fit_idx, config.kernels, weights, k_fit)
-    ranking, reduced = featsel.select(kpca.transform(kp, cross), labels, config.width)
-    layer = LayerModel(
-        kernels=config.kernels,
-        weights=weights,
-        kpca=kp,
-        scores=ranking.scores,
-        selected=ranking.selected,
-        fit_sample=np.array(xs, copy=True),
-        fit_indices=None if fit_idx is None else np.asarray(fit_idx, dtype=np.int64),
-    )
-    return layer, reduced
+    (fitted,) = fit_layer_grid(features, labels, [[config]], fit_idx)
+    if isinstance(fitted, Exception):
+        raise fitted
+    return fitted.layer, fitted.train
 
 
 def transform_layer(layer, features):

@@ -3,11 +3,13 @@
 Each layer keeps the (kernel set, gamma, width) candidate whose probe SVM
 has the lowest mean validation error over repeated splits; the next layer
 searches on the winner's features, and the SVM C is chosen last, reusing
-the winner's probe errors at the classifier's own C.  The candidates share
-the layer stages: the dot products, neighbour bases and QP entries once per
-(repeat, kernel set), one weight QP per gamma, and one combined Gram,
-kernel PCA (at the largest component count), pair of crosses and set of
-probe SVMs per distinct weight vector.
+the winner's probe errors at the classifier's own C.  The search fits no
+layer itself: each (repeat, kernel set) is one ``pipeline.fit_layer_grid``
+call, the layer path that ``fit_layer`` runs for one candidate, which
+shares the stages between the candidates (one weight problem, one QP per
+gamma, and one combined Gram, kernel PCA and pair of crosses per distinct
+weight vector).  The search adds the probe SVM, trained once per freshly
+fitted candidate.
 """
 from __future__ import annotations
 
@@ -20,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import data, featsel, kpca, pipeline
+from . import data, pipeline
 from .config import config_to_dict
-from .errors import ConfigError, MlmklError
+from .errors import ConfigError
 from .pipeline import LayerConfig
 
 __all__ = ["CvResult", "grid_search", "error_percent", "probe_error"]
@@ -46,89 +48,22 @@ class CvResult(NamedTuple):
     notes: dict  # (layer, candidate) index pair -> why that candidate failed
 
 
-def _kpca(source, n_components):
-    """Kernel PCA of ``n_components`` components: fitted on a Gram, or the
-    leading ones of a fitted ``KpcaModel``.  Both go through one call, so a
-    short spectrum warns from one source location whether its row of
-    candidates was computed or reused, and Python's default filter, which
-    shows a text once per location, shows a reused row's warnings no more
-    often than a fresh row's."""
-    step = kpca.leading if isinstance(source, kpca.KpcaModel) else kpca.fit
-    return step(source, n_components)
-
-
 def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
     """(error, note, train features, valid features) of each candidate of
-    one kernel set on one repeat; ``grid`` has a row per gamma and a column
-    per width.  A candidate that fails (e.g. a width beyond the usable
-    spectrum) gets an infinite error and the same note as if fitted alone.
-    Gamma enters only the weight QP, so rows whose weights are equal get
-    the same cells, computed once.
+    one kernel set on one repeat, fitted by ``pipeline.fit_layer_grid``;
+    ``grid`` has a row per gamma and a column per width.  A candidate that
+    fails (e.g. a width beyond the usable spectrum) gets an infinite error
+    and the note that ``fit_layer`` would raise for it alone.  The probe SVM
+    runs once per freshly fitted candidate: rows whose weights are equal
+    share their cells.
     """
-    failures = (MlmklError, ValueError)
-    x, kernels = split["train"], grid[0][0].kernels
-    fit_sample = x if fit_idx is None else x[fit_idx]
-    try:
-        problem = pipeline.problem_from_features(fit_sample, kernels, grid[0][0].basis_size)
-    except failures as exc:
-        return [(np.inf, str(exc), None, None)] * sum(map(len, grid))
-    solved = []  # per row, its weights or why the QP failed
-    for row in grid:
-        try:
-            solved.append(pipeline.solve_simplex_qp(pipeline.assemble_qp(problem, row[0].gamma)))
-        except failures as exc:
-            solved.append(str(exc))
-    counts = [cand.components for cand in grid[0]]
-    top = counts.index(max(counts))
-    seen = {}  # weights.mu bytes -> (kernel PCA or None, cells of a row)
-    cells = []
-    for row, weights in zip(grid, solved):
-        if isinstance(weights, str):
-            cells += [(np.inf, weights, None, None)] * len(row)
-            continue
-        key = weights.mu.tobytes()
-        if key in seen:
-            kp, row_cells = seen[key]
-            if kp is not None:
-                for cand in row:  # the kPCA warnings of each candidate fitted alone
-                    _kpca(kp, cand.components)
-            cells += row_cells
-            continue
-        try:
-            k_fit = pipeline.combine(fit_sample, kernels, weights)
-            kp = _kpca(k_fit, counts[top])
-        except failures as exc:
-            seen[key] = None, [(np.inf, str(exc), None, None)] * len(row)
-            cells += seen[key][1]
-            continue
-        # the crosses are built once per distinct weight vector, where a
-        # candidate fitted on its own would build them, so a failure reaches
-        # the same candidates
-        train_cross = valid_cross = None
-        row_cells = []
-        for i, cand in enumerate(row):
-            try:
-                # fit warned for the top candidate, leading warns for the rest
-                kc = kp if i == top else _kpca(kp, cand.components)
-                if train_cross is None:
-                    train_cross = pipeline.training_cross(x, fit_idx, kernels, weights, k_fit)
-                ranking, train = featsel.select(
-                    kpca.transform(kc, train_cross), split["y_train"], cand.width
-                )
-                if valid_cross is None:
-                    valid_cross = pipeline.combined_cross(
-                        split["valid"], fit_sample, kernels, weights
-                    )
-                valid = kpca.transform(kc, valid_cross)[:, ranking.selected]
-                err = probe_error(
-                    train, split["y_train"], valid, split["y_valid"], classifier, cap
-                )
-                row_cells.append((err, None, train, valid))
-            except failures as exc:
-                row_cells.append((np.inf, str(exc), None, None))
-        seen[key] = kp, row_cells
-        cells += row_cells
-    return cells
+    y_train, y_valid = split["y_train"], split["y_valid"]
+    cells = pipeline.fit_layer_grid(
+        split["train"], y_train, grid, fit_idx, valid=split["valid"],
+        score=lambda train, valid: probe_error(train, y_train, valid, y_valid, classifier, cap),
+    )
+    return [(np.inf, str(c), None, None) if isinstance(c, Exception)
+            else (c.score, None, c.train, c.valid) for c in cells]
 
 
 _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -78,8 +78,8 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     kv = _gram_values(k)
     n = kv.shape[0]
     y = _signed_labels(y, n)
-    if not c > 0:
-        raise ValueError("C must be positive, got %r" % (c,))
+    if not 0 < c < np.inf:  # an infinite C snaps every alpha update to 0
+        raise ValueError("C must be positive and finite, got %r" % (c,))
     c = float(c)
     alpha = np.zeros(n)
     f = y.copy()  # f = y - K (alpha o y), currently alpha = 0

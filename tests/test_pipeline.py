@@ -253,6 +253,13 @@ def test_zero_row_fails_with_an_arc_cosine_kernel_whatever_its_weight(gamma, arc
         pipeline.fit(x, y, [cfg], subsample=60, seed=0)
 
 
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_fit_rejects_a_non_finite_svm_c(c):
+    x, y = blob_data()
+    with pytest.raises(ValueError, match="C must be positive and finite"):
+        pipeline.fit(x, y, default_configs(), subsample=0, svm_c=c)
+
+
 def test_fit_requires_a_layer():
     x, y = blob_data()
     with pytest.raises(ValueError):

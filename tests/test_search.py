@@ -10,6 +10,9 @@ import pytest
 from conftest import direction_blobs
 from mlmkl import data, kpca, pipeline, search, umkl
 from mlmkl.config import parse_config
+from mlmkl.errors import (
+    DegenerateGramError, InvalidBasisSizeError, InvalidWidthError, NumericalFailureError,
+)
 from mlmkl.umkl import KernelWeights
 
 # on the corpus below both gammas put all weight on the rbf kernel
@@ -50,7 +53,17 @@ def test_gammas_with_equal_weights_share_one_layer_fit(monkeypatch, built_grams,
     minimize_qp = umkl.minimize_qp
     monkeypatch.setattr(umkl, "minimize_qp",
                         lambda qp: solved.append(minimize_qp(qp)) or solved[-1])
+    probes, crosses = [], []  # rows of each probe SVM and of each combined cross
+    train_classifier, combined_cross = pipeline.train_classifier, pipeline.combined_cross
+    monkeypatch.setattr(pipeline, "train_classifier", lambda x, *a, **kw: probes.append(
+        len(x)) or train_classifier(x, *a, **kw))
+    monkeypatch.setattr(pipeline, "combined_cross", lambda rows, *a: crosses.append(
+        len(rows)) or combined_cross(rows, *a))
     result = search.grid_search(corpus(), experiment(GAMMAS), seed=0)
+    # per repeat: one probe SVM per width, not per (gamma, width), and one
+    # cross of the 40 training rows and one of the 20 validation rows
+    assert probes == [40] * 4
+    assert sorted(crosses) == [20, 20, 40, 40]
     # one QP per (repeat, gamma), all at the same vertex
     assert len(solved) == 4
     assert all(np.array_equal(mu, [0.0, 1.0]) for mu, _ in solved)
@@ -85,6 +98,83 @@ def test_gammas_with_different_weights_get_their_own_cells(monkeypatch, kpca_fit
         np.testing.assert_array_equal(got[2], want[2])
         np.testing.assert_array_equal(got[3], want[3])
     assert not np.array_equal(both[0][2], both[2][2])
+
+
+def fail_the_qp_at(monkeypatch, gamma):
+    assemble, solve = pipeline.assemble_qp, pipeline.solve_simplex_qp
+
+    def solve_or_fail(qp):
+        if qp[0] == gamma:
+            raise NumericalFailureError("no weights at gamma %r" % gamma)
+        return solve(qp[1])
+
+    monkeypatch.setattr(pipeline, "assemble_qp", lambda problem, g: (g, assemble(problem, g)))
+    monkeypatch.setattr(pipeline, "solve_simplex_qp", solve_or_fail)
+
+
+def fail_the_combine_of_the_first_vertex(monkeypatch, gammas):
+    # gammas alternate between the two vertices, the first of which fails
+    vertex = {g: KernelWeights(np.eye(2)[i % 2]) for i, g in enumerate(gammas)}
+    combine = pipeline.combine
+
+    def combine_or_fail(x, kernels, weights):
+        if weights.mu[0] == 1.0:
+            raise DegenerateGramError("no Gram at weights %r" % (weights.mu.tolist(),))
+        return combine(x, kernels, weights)
+
+    monkeypatch.setattr(pipeline, "assemble_qp", lambda problem, gamma: gamma)
+    monkeypatch.setattr(pipeline, "solve_simplex_qp", lambda gamma: vertex[gamma])
+    monkeypatch.setattr(pipeline, "combine", combine_or_fail)
+
+
+# stage -> (its failure, which of the 3 gammas x 2 widths it stops)
+FAILING_STAGES = {
+    "problem": (InvalidBasisSizeError, [[1, 1], [1, 1], [1, 1]]),
+    "qp": (NumericalFailureError, [[1, 1], [0, 0], [0, 0]]),
+    "combine": (DegenerateGramError, [[1, 1], [0, 0], [1, 1]]),
+    "width": (InvalidWidthError, [[0, 1], [0, 1], [0, 1]]),
+}
+
+
+@pytest.mark.filterwarnings("ignore:requested")
+@pytest.mark.parametrize("stage", sorted(FAILING_STAGES))
+def test_a_failing_stage_stops_the_candidates_it_stops_when_fitted_alone(monkeypatch, stage):
+    gammas = [0.05, 0.5, 5.0]
+    if stage == "qp":
+        fail_the_qp_at(monkeypatch, gammas[0])
+    if stage == "combine":
+        fail_the_combine_of_the_first_vertex(monkeypatch, gammas)
+    cfg = experiment(gammas, repeats=1)
+    # 20 fit rows: a basis of 20 neighbours and a width of 40 do not fit
+    grid = [[pipeline.LayerConfig(kernels=cfg.layers[0].kernels, width=w, gamma=g,
+                                  basis_size=20 if stage == "problem" else 5)
+             for w in ([3, 40] if stage == "width" else [3, 5])] for g in gammas]
+    train, valid = data.split(corpus(), 40, 20, seed=0)
+    split = {"train": train.features, "y_train": train.labels,
+             "valid": valid.features, "y_valid": valid.labels}
+    fit_idx = np.arange(0, 40, 2)
+    fitted = pipeline.fit_layer_grid(split["train"], split["y_train"], grid, fit_idx,
+                                     valid=split["valid"])
+    probed = search._probe_kernel_set(split, fit_idx, grid, cfg.classifier, cfg.probe_cap)
+    alone = [cell for row in grid
+             for cell in search._probe_kernel_set(split, fit_idx, [row], cfg.classifier,
+                                                  cfg.probe_cap)]
+    assert [cell[:2] for cell in probed] == [cell[:2] for cell in alone]
+    error, stopped = FAILING_STAGES[stage]
+    assert [isinstance(f, Exception) for f in fitted] == [bool(s) for row in stopped for s in row]
+    candidates = [cand for row in grid for cand in row]
+    for cand, f, cell in zip(candidates, fitted, probed):
+        if isinstance(f, Exception):
+            assert type(f) is error and cell[0] == np.inf and cell[1] == str(f)
+            with pytest.raises(error) as raised:
+                pipeline.fit_layer(split["train"], split["y_train"], cand, fit_idx)
+            assert type(raised.value) is error and str(raised.value) == str(f)
+        else:
+            layer, reduced = pipeline.fit_layer(split["train"], split["y_train"], cand, fit_idx)
+            assert cell[1] is None and np.isfinite(cell[0])
+            np.testing.assert_array_equal(reduced, f.train)
+            np.testing.assert_array_equal(reduced, cell[2])
+            np.testing.assert_array_equal(layer.selected, f.layer.selected)
 
 
 def test_search_releases_the_linear_gram_before_kpca(live_linear_grams):

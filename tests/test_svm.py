@@ -92,6 +92,17 @@ def test_binary_input_validation():
         svm.train_binary(k, np.array([1, -1, 1]), c=1.0)
 
 
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_a_non_finite_c_is_rejected(c):
+    # an infinite C would snap every alpha update to 0 and return an
+    # all-zero machine marked converged
+    x = np.array([[0.0], [1.0], [3.0], [4.0]])
+    with pytest.raises(ValueError, match="C must be positive and finite"):
+        svm.train_binary(gram(x, LINEAR), np.array([1, 1, -1, -1]), c=c)
+    with pytest.raises(ValueError, match="C must be positive and finite"):
+        svm.train_multiclass(gram(x, LINEAR), np.array([0, 0, 1, 2]), c=c)
+
+
 def test_multiclass_one_vs_rest_recovers_classes():
     rng = np.random.default_rng(3)
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])

@@ -55,3 +55,46 @@ def test_tracer_records_the_layer_stages_of_a_grid_search():
     recorded = {s.name for s in tracer.spans}
     for name in ("umkl.problem", "umkl.assemble", "umkl.qp", "umkl.combine", "kpca.fit"):
         assert name in recorded, name
+
+
+def traced(call):
+    """The spans that ``call()`` records under the installed tracer."""
+    tracer = spans.Tracer()
+    tracer.install(mlmkl)
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    return tracer
+
+
+def test_every_fit_layer_span_holds_the_layer_stages():
+    # the bench's per-layer breakdown reads the stages below each fit_layer
+    x, y = direction_blobs(20, 12, [(0, 3), (6, 9)], seed=0)
+    kernels = (parse_kernel("arccos(n=1,L=1)"), parse_kernel("rbf(gamma=0.5)"))
+    configs = [LayerConfig(kernels=kernels, width=4, basis_size=4),
+               LayerConfig(kernels=kernels, width=3, kpca_components=4, basis_size=4)]
+    tracer = traced(lambda: pipeline.fit(x, y, configs, subsample=30))
+    layers = [i for i, s in enumerate(tracer.spans) if s.name == "pipeline.fit_layer"]
+    assert len(layers) == 2
+    for root in layers:
+        stages = tracer.stages(root)
+        for name in ("umkl.problem", "umkl.assemble", "umkl.qp", "umkl.combine", "kpca.fit",
+                     "kpca.transform", "featsel.select"):
+            assert name in stages, (root, name)
+
+
+def test_a_grid_search_runs_the_layer_stages_but_not_fit_layer():
+    # so the bench's pipeline.fit_layer_calls counts the layers of a train only
+    x, y = digits_like(20, seed=1)
+    experiment = parse_config({
+        "layers": [{"kernels": ["arccos(n=1,L=1)", "rbf(gamma=0.5)"], "width": 3,
+                    "basis_size": 4}],
+        "subsample": 20,
+        "split": {"train": 30, "valid": 10},
+        "cv": {"gamma": [0.1, 0.2], "width": [3], "svm_c": [1.0], "repeats": 1},
+    })
+    tracer = traced(lambda: search.grid_search(data.Dataset(x, y), experiment, seed=0))
+    recorded = {s.name for s in tracer.spans}
+    assert "featsel.select" in recorded
+    assert "pipeline.fit_layer" not in recorded
