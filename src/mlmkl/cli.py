@@ -243,6 +243,14 @@ def cmd_cv(args):
 # ---------------------------------------------------------------------------
 
 
+def _seed(text):
+    """``--seed``: numpy's generators take only nonnegative integers."""
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("must be a nonnegative integer, got %d" % seed)
+    return seed
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="mlmkl",
@@ -251,7 +259,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0, help="base random seed")
+        p.add_argument("--seed", type=_seed, default=0, help="base random seed")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("train", help="fit a model on an amat training file")

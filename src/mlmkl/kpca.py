@@ -60,7 +60,7 @@ class KpcaModel:
     """Fitted components: everything needed to project new kernel rows."""
 
     alphas: np.ndarray  # (n_fit, p) eigenvectors scaled by 1/sqrt(eigenvalue)
-    eigenvalues: np.ndarray  # (p,) descending, all positive
+    eigenvalues: np.ndarray  # (p,) positive; descending from fit, in selected order in a layer
     row_means: np.ndarray  # (n_fit,) row means of the uncentered fit Gram
     total_mean: float
 

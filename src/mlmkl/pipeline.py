@@ -27,7 +27,7 @@ import hashlib
 import io
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -114,8 +114,8 @@ class LayerConfig:
                     "kpca_components must be an integer >= width, got %r"
                     % (self.kpca_components,)
                 )
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative, got %r" % (self.gamma,))
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be nonnegative and finite, got %r" % (self.gamma,))
         if not isinstance(self.basis_size, (int, np.integer)) or self.basis_size < 1:
             raise ValueError("basis_size must be a positive integer, got %r" % (self.basis_size,))
         object.__setattr__(self, "kernels", kernels)
@@ -141,22 +141,21 @@ class LayerModel:
 
     kernels: tuple
     weights: KernelWeights
-    kpca: KpcaModel
-    scores: np.ndarray  # ANOVA F per kernel principal component
-    selected: np.ndarray  # component indices kept, best first
+    kpca: KpcaModel  # the kept components only, in ``selected`` order
+    scores: np.ndarray  # ANOVA F per kernel principal component computed
+    selected: np.ndarray  # indices of the kept components among those, best first
     fit_sample: np.ndarray  # rows the Grams were built on, in layer input space
-    fit_indices: np.ndarray | None  # their positions in the training matrix
 
     def __post_init__(self):
         n_fit, n_comp = self.kpca.alphas.shape
         sel = self.selected
+        has_scores = bool(np.all(sel < self.scores.size))  # every kept index has an F score
         checks = {
             "weights": len(self.weights) == len(self.kernels),
             "fit_sample": self.fit_sample.ndim == 2 and self.fit_sample.shape[0] == n_fit,
-            "fit_indices": self.fit_indices is None or self.fit_indices.shape == (n_fit,),
-            "scores": self.scores.shape == (n_comp,),
-            "selected": sel.ndim == 1 and np.issubdtype(sel.dtype, np.integer)
-            and bool(np.all((sel >= 0) & (sel < n_comp))),
+            "scores": self.scores.ndim == 1 and has_scores,
+            "selected": sel.shape == (n_comp,) and np.issubdtype(sel.dtype, np.integer)
+            and bool(np.all(sel >= 0)) and has_scores,
         }
         bad = [name for name, ok in checks.items() if not ok]
         if bad:
@@ -251,7 +250,6 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
         problem = problem_from_features(xs, kernels, grid[0][0].basis_size)
     except failures as exc:
         return [exc] * sum(map(len, grid))
-    indices = None if fit_idx is None else np.asarray(fit_idx, dtype=np.int64)
     counts = [cand.components for cand in grid[0]]
     top = counts.index(max(counts))
 
@@ -273,16 +271,20 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
                 kc = kp if i == top else _kpca(kp, cand.components)
                 if train_cross is None:
                     train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
+                # training rows are ranked on every component; the layer
+                # keeps, and projects new rows onto, the selected ones
                 ranking, train = featsel.select(kpca.transform(kc, train_cross), labels,
                                                 cand.width)
-                layer = LayerModel(kernels=kernels, weights=weights, kpca=kc,
-                                   scores=ranking.scores, selected=ranking.selected,
-                                   fit_sample=sample, fit_indices=indices)
+                sel = ranking.selected
+                kept = replace(kc, alphas=np.ascontiguousarray(kc.alphas[:, sel]),
+                               eigenvalues=kc.eigenvalues[sel])
+                layer = LayerModel(kernels=kernels, weights=weights, kpca=kept,
+                                   scores=ranking.scores, selected=sel, fit_sample=sample)
                 reduced = None
                 if valid is not None:
                     if valid_cross is None:
                         valid_cross = combined_cross(valid, xs, kernels, weights)
-                    reduced = kpca.transform(kc, valid_cross)[:, ranking.selected]
+                    reduced = kpca.transform(kept, valid_cross)
                 scored = None if score is None else score(train, reduced)
                 row_cells.append(LayerFit(layer, train, reduced, scored))
             except failures as exc:
@@ -328,7 +330,7 @@ def transform_layer(layer, features):
             "expected rows of dimension %d, got shape %r" % (layer.input_dim, x.shape)
         )
     cross = combined_cross(x, layer.fit_sample, layer.kernels, layer.weights)
-    return kpca._center_and_project(layer.kpca, cross, cross)[:, layer.selected]
+    return kpca._center_and_project(layer.kpca, cross, cross)
 
 
 @dataclass
@@ -464,9 +466,11 @@ def predict(model, features):
 #
 # Arrays are written with numpy's own .npy encoder in the order listed in
 # the header, so the byte stream is a pure function of the model content.
+# Since version 2 a layer stores its selected kPCA components only; files of
+# another version fail to load.
 
 _MAGIC = b"MLMKLBIN"
-_VERSION = 1
+_VERSION = 2
 _PREFIX = struct.Struct("<IIQ")
 
 
@@ -484,15 +488,8 @@ def _manifest(model):
         arrays.append((prefix + "scores", layer.scores))
         arrays.append((prefix + "selected", layer.selected))
         arrays.append((prefix + "fit_sample", layer.fit_sample))
-        if layer.fit_indices is not None:
-            arrays.append((prefix + "fit_indices", layer.fit_indices))
-        layer_headers.append(
-            {
-                "kernels": [k.canonical() for k in layer.kernels],
-                "total_mean": layer.kpca.total_mean,
-                "subsampled": layer.fit_indices is not None,
-            }
-        )
+        layer_headers.append({"kernels": [k.canonical() for k in layer.kernels],
+                              "total_mean": layer.kpca.total_mean})
     clf = model.classifier
     arrays.append(("classifier/classes", clf.classes))
     arrays.append(("classifier/support", clf.support))
@@ -580,7 +577,6 @@ def load(path):
                     scores=arrays[prefix + "scores"],
                     selected=arrays[prefix + "selected"],
                     fit_sample=arrays[prefix + "fit_sample"],
-                    fit_indices=arrays.get(prefix + "fit_indices"),
                 )
             )
         ch = header["classifier"]

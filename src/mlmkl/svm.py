@@ -80,6 +80,8 @@ def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
     y = _signed_labels(y, n)
     if not 0 < c < np.inf:  # an infinite C snaps every alpha update to 0
         raise ValueError("C must be positive and finite, got %r" % (c,))
+    if not 0 < tol < np.inf:  # an infinite tol stops at once with alpha = 0
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     c = float(c)
     alpha = np.zeros(n)
     f = y.copy()  # f = y - K (alpha o y), currently alpha = 0

@@ -142,7 +142,7 @@ def test_subsample_override_lands_in_metadata(corpus, capsys):
     capsys.readouterr()
     model = pipeline.load(model_path)
     assert model.metadata["subsample"] == 25
-    assert model.layers[0].fit_indices.size == 25
+    assert model.layers[0].fit_sample.shape[0] == 25
 
 
 def test_missing_train_file_fails_cleanly(corpus, capsys):
@@ -197,6 +197,20 @@ def test_cv_rejects_negative_subsample(corpus, capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "subsample" in err
+
+
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_a_negative_seed_is_a_usage_error(corpus, capsys, command):
+    # numpy's generators would raise their own ValueError past main
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3]})
+    with pytest.raises(SystemExit) as caught:
+        cli.main([command, "--config", cfg, "--train", corpus["train"],
+                  "--out", str(corpus["tmp"] / "out"), "--seed", "-1"])
+    assert caught.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mlmkl %s" % command)
+    assert "argument --seed: must be a nonnegative integer, got -1" in err
+    assert not (corpus["tmp"] / "out").exists()
 
 
 def test_split_larger_than_the_file_fails_cleanly(corpus, capsys):

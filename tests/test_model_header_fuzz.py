@@ -1,7 +1,8 @@
 """Model files whose JSON header is mutated at random and signed again.
 
-The checksum then holds, so whatever the header says reaches the parser:
-``load`` must either return a model or fail with ``ModelIOError``.
+The checksum then holds and the version is the one ``save`` wrote, so
+whatever the header says reaches the parser: ``load`` must either return a
+model or fail with ``ModelIOError``.
 """
 import hashlib
 import json
@@ -32,16 +33,17 @@ def model_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "model.bin"
     pipeline.save(pipeline.fit(x, y, [cfg], subsample=20), path)
     blob = path.read_bytes()
-    _, header_len, total = _PREFIX.unpack(blob[8:_START])
+    version, header_len, total = _PREFIX.unpack(blob[8:_START])
     header = json.loads(blob[_START:_START + header_len])
-    return header, blob[_START + header_len:total - 32]
+    return header, blob[_START + header_len:total - 32], version
 
 
-def signed(header, payload):
-    """A model file of ``header`` and ``payload`` with a valid checksum."""
+def signed(header, payload, version):
+    """A model file of ``header`` and ``payload`` at format ``version``
+    with a valid checksum."""
     head = json.dumps(header).encode("utf-8")
     total = _START + len(head) + len(payload) + 32
-    body = b"MLMKLBIN" + _PREFIX.pack(1, len(head), total) + head + payload
+    body = b"MLMKLBIN" + _PREFIX.pack(version, len(head), total) + head + payload
     return body + hashlib.sha256(body).digest()
 
 
@@ -85,6 +87,14 @@ JSON = st.recursive(
 )
 
 
+def test_an_unmutated_header_signed_again_loads(model_file, tmp_path):
+    # else every rejection below could come from the prefix, not the parser
+    header, payload, version = model_file
+    target = tmp_path / "same.bin"
+    target.write_bytes(signed(header, payload, version))
+    assert isinstance(pipeline.load(target), pipeline.MlmklModel)
+
+
 @pytest.mark.parametrize(
     "path,value",
     [
@@ -100,9 +110,9 @@ JSON = st.recursive(
     ],
 )
 def test_load_rejects_a_header_of_the_wrong_shape(model_file, tmp_path, path, value):
-    header, payload = model_file
+    header, payload, version = model_file
     target = tmp_path / "mutated.bin"
-    target.write_bytes(signed(mutated(header, path, value), payload))
+    target.write_bytes(signed(mutated(header, path, value), payload, version))
     with pytest.raises(ModelIOError):
         pipeline.load(target)
 
@@ -111,11 +121,11 @@ def test_load_rejects_a_header_of_the_wrong_shape(model_file, tmp_path, path, va
                      suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture])
 @hypothesis.given(data=st.data())
 def test_load_returns_a_model_or_fails_as_model_io_error(model_file, tmp_path, data):
-    header, payload = model_file
+    header, payload, version = model_file
     path = data.draw(st.sampled_from(list(paths(header))))
     value = data.draw(st.just(DELETE) | JSON)
     target = tmp_path / "mutated.bin"
-    target.write_bytes(signed(mutated(header, path, value), payload))
+    target.write_bytes(signed(mutated(header, path, value), payload, version))
     try:
         model = pipeline.load(target)
     except ModelIOError:

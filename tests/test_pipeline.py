@@ -84,7 +84,7 @@ def test_transform_layer_projects_its_own_cross_in_place():
     new = blob_data(n_per_class=1000, seed=1)[0]
     cross = pipeline.combined_cross(new, layer.fit_sample, layer.kernels, layer.weights)
     kept = cross.copy()
-    want = kpca.transform(layer.kpca, cross)[:, layer.selected]
+    want = kpca.transform(layer.kpca, cross)
     assert cross.tobytes() == kept.tobytes()  # the public transform leaves it alone
     tracemalloc.start()
     try:
@@ -101,13 +101,10 @@ def test_subsampled_layer_used_exact_rows_for_fit_points():
     cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4)
     fit_idx = np.arange(0, 60, 2)
     layer, reduced = fit_layer(x, y, cfg, fit_idx=fit_idx)
-    assert layer.fit_sample.shape == (30, 30)
-    np.testing.assert_array_equal(layer.fit_indices, fit_idx)
+    np.testing.assert_array_equal(layer.fit_sample, x[fit_idx])
     # the sampled rows land exactly on their training projections
     np.testing.assert_allclose(
-        reduced[fit_idx],
-        layer.kpca.training_projections()[:, layer.selected],
-        atol=1e-9,
+        reduced[fit_idx], layer.kpca.training_projections(), atol=1e-9
     )
 
 
@@ -126,8 +123,13 @@ def test_fit_layer_is_the_composition_of_its_stages():
     ranking, feats = featsel.select(kpca.transform(kp, cross), y, cfg.width)
     np.testing.assert_array_equal(x[fit_idx], layer.fit_sample)
     np.testing.assert_array_equal(weights.mu, layer.weights.mu)
-    np.testing.assert_array_equal(kp.alphas, layer.kpca.alphas)
-    np.testing.assert_array_equal(kp.eigenvalues, layer.kpca.eigenvalues)
+    # the layer keeps the selected components only, in their order
+    np.testing.assert_array_equal(kp.alphas[:, ranking.selected], layer.kpca.alphas)
+    np.testing.assert_array_equal(kp.eigenvalues[ranking.selected], layer.kpca.eigenvalues)
+    np.testing.assert_array_equal(kp.row_means, layer.kpca.row_means)
+    assert kp.total_mean == layer.kpca.total_mean
+    assert layer.kpca.alphas.flags.c_contiguous  # as a loaded copy's, for the same bits
+    np.testing.assert_array_equal(ranking.scores, layer.scores)
     np.testing.assert_array_equal(ranking.selected, layer.selected)
     np.testing.assert_array_equal(feats, reduced)
 
@@ -202,11 +204,15 @@ def test_duplicate_rows_get_identical_outputs():
 
 def test_fit_subsample_path_records_sorted_indices():
     x, y = blob_data(n_per_class=40)
-    model = pipeline.fit(x, y, default_configs(), subsample=48, seed=11)
-    for layer in model.layers:
-        idx = layer.fit_indices
+    inputs = [x]  # each layer's input: x, then the rows through each layer
+    model = pipeline.fit(x, y, default_configs(), subsample=48, seed=11,
+                         callback=lambda index, layer, rep: inputs.append(rep))
+    rng = np.random.default_rng(11)
+    for layer, rows in zip(model.layers, inputs):
+        idx = pipeline.draw_fit_rows(rng, rows.shape[0], 48)
         assert idx is not None and idx.size == 48
         assert np.all(np.diff(idx) > 0)
+        np.testing.assert_array_equal(layer.fit_sample, rows[idx])
     assert model.metadata["subsample"] == 48
     pred = pipeline.predict(model, x)
     assert pred.shape == (80,)
@@ -260,6 +266,20 @@ def test_fit_rejects_a_non_finite_svm_c(c):
         pipeline.fit(x, y, default_configs(), subsample=0, svm_c=c)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_fit_rejects_a_bad_svm_tol(tol):
+    x, y = blob_data()
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        pipeline.fit(x, y, default_configs(), subsample=0, svm_tol=tol)
+
+
+@pytest.mark.parametrize("gamma", [-0.1, np.inf, np.nan])
+def test_layer_config_rejects_a_negative_or_non_finite_gamma(gamma):
+    # an infinite gamma used to pass here and fail in the weight QP
+    with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
+        LayerConfig(kernels=(RBF,), width=2, gamma=gamma)
+
+
 def test_fit_requires_a_layer():
     x, y = blob_data()
     with pytest.raises(ValueError):
@@ -291,6 +311,20 @@ def test_save_load_roundtrip_is_bitwise(tmp_path):
         np.testing.assert_array_equal(la.kpca.alphas, lb.kpca.alphas)
         np.testing.assert_array_equal(la.selected, lb.selected)
         assert la.kernels == lb.kernels
+
+
+def test_a_saved_layer_holds_its_kept_components_only(tmp_path):
+    _, _, model = fitted_model(subsample=40)
+    path = tmp_path / "model.bin"
+    pipeline.save(model, path)
+    blob = path.read_bytes()
+    assert b"fit_indices" not in blob and b"subsampled" not in blob
+    back = pipeline.load(path)
+    for cfg, layer in zip(default_configs(), back.layers):
+        assert layer.kpca.alphas.shape == (layer.fit_sample.shape[0], cfg.width)
+        assert layer.kpca.eigenvalues.shape == (cfg.width,)
+        assert layer.scores.shape == (cfg.components,)  # every component computed
+        assert not hasattr(layer, "fit_indices")
 
 
 def test_same_seed_refit_gives_identical_file(tmp_path):
@@ -344,12 +378,13 @@ def test_trailing_bytes_are_rejected(tmp_path):
         pipeline.load(path)
 
 
-def test_unknown_version_is_rejected(tmp_path):
+@pytest.mark.parametrize("version", [1, 9])  # 1: layers held every kPCA component
+def test_unknown_version_is_rejected(tmp_path, version):
     _, _, model = fitted_model()
     path = tmp_path / "model.bin"
     pipeline.save(model, path)
     blob = bytearray(path.read_bytes())
-    blob[8] = 9  # little-endian version field sits right after the magic
+    blob[8] = version  # little-endian version field sits right after the magic
     path.write_bytes(bytes(blob))
     with pytest.raises(UnsupportedVersionError):
         pipeline.load(path)
@@ -378,12 +413,12 @@ def _shorten(obj, name):
     [
         ("weights", lambda m: setattr(m.layers[0], "weights", KernelWeights([1.0]))),
         ("fit_sample", lambda m: _shorten(m.layers[0], "fit_sample")),
-        ("fit_indices", lambda m: _shorten(m.layers[0], "fit_indices")),
         ("row means", lambda m: _shorten(m.layers[0].kpca, "row_means")),
         ("eigenvalues", lambda m: _shorten(m.layers[0].kpca, "eigenvalues")),
-        ("scores", lambda m: _shorten(m.layers[1], "scores")),
+        ("scores", lambda m: setattr(m.layers[1], "scores",
+                                     m.layers[1].scores[:m.layers[1].selected.max()])),
         ("selected", lambda m: m.layers[1].selected.__setitem__(0, -1)),
-        ("chain", lambda m: _shorten(m.layers[0], "selected")),
+        ("chain", lambda m: setattr(m.layers[1], "fit_sample", m.layers[1].fit_sample[:, 1:])),
         ("dual_coef", lambda m: setattr(m.classifier, "dual_coef", m.classifier.dual_coef[:, 1:])),
         ("biases", lambda m: _shorten(m.classifier, "biases")),
         ("support vectors", lambda m: _shorten(m.classifier, "support_vectors")),

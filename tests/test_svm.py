@@ -103,6 +103,17 @@ def test_a_non_finite_c_is_rejected(c):
         svm.train_multiclass(gram(x, LINEAR), np.array([0, 0, 1, 2]), c=c)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_a_non_positive_or_non_finite_tol_is_rejected(tol):
+    # 0, -1 and nan ran to max_iter and only warned; inf stopped at once
+    # with an all-zero machine marked converged
+    x = np.array([[0.0], [1.0], [3.0], [4.0]])
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        svm.train_binary(gram(x, LINEAR), np.array([1, 1, -1, -1]), c=1.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        svm.train_multiclass(gram(x, LINEAR), np.array([0, 0, 1, 2]), c=1.0, tol=tol)
+
+
 def test_multiclass_one_vs_rest_recovers_classes():
     rng = np.random.default_rng(3)
     centers = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]])
