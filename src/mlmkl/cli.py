@@ -7,9 +7,12 @@ Subcommands:
   weights  per-layer kernel combination weights of a saved model
   cv       greedy per-layer grid search with repeated fits
 
-Randomness is controlled by --seed alone; two train runs with the same
-flags write byte-identical model files.  --jobs parallelizes cv over
-repeats x kernel sets, on no more processes than usable cores.
+The JSON config alone sets the experiment: layers, fit subsample, split,
+classifier and cv grid.  The flags name the files and the output format,
+and give train and cv their --seed and cv its --jobs.  Randomness is
+controlled by --seed alone; two train runs with the same config and seed
+write byte-identical model files.  --jobs parallelizes cv over repeats x
+kernel sets, on no more processes than usable cores.
 """
 from __future__ import annotations
 
@@ -17,7 +20,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -49,8 +51,6 @@ def _mu_text(layer):
 
 def cmd_train(args):
     cfg = load_config(args.config)
-    if args.subsample is not None:
-        cfg = replace(cfg, subsample=args.subsample)
     ds = data.load_amat(args.train)
     if cfg.split is not None:
         train_ds, valid_ds = data.split(ds, cfg.split[0], cfg.split[1], seed=args.seed)
@@ -198,11 +198,8 @@ def cmd_weights(args):
 
 
 def cmd_cv(args):
-    cfg = load_config(args.config)
-    if args.subsample is not None:
-        cfg = replace(cfg, subsample=args.subsample)
     result = search.grid_search(
-        data.load_amat(args.train), cfg, seed=args.seed, jobs=args.jobs
+        data.load_amat(args.train), load_config(args.config), seed=args.seed, jobs=args.jobs
     )
     report = result.report
     lines = []
@@ -251,6 +248,14 @@ def _seed(text):
     return seed
 
 
+def _jobs(text):
+    """``--jobs``: a count of worker processes."""
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer, got %d" % jobs)
+    return jobs
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="mlmkl",
@@ -258,38 +263,35 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=_seed, default=0, help="base random seed")
+    def common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=_seed, default=0, help="base random seed")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("train", help="fit a model on an amat training file")
     p.add_argument("--config", required=True, help="JSON experiment config")
     p.add_argument("--train", required=True, help="training data (amat)")
     p.add_argument("--out", default="model.mlmkl", help="model output path")
-    p.add_argument("--subsample", type=int, default=None,
-                   help="override the config's per-layer fit subsample")
     common(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a saved model")
     p.add_argument("--model", required=True, help="model file from train")
     p.add_argument("--test", required=True, help="test data (amat)")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("weights", help="print per-layer kernel weights")
     p.add_argument("--model", required=True, help="model file from train")
-    common(p)
+    common(p, seed=False)
     p.set_defaults(func=cmd_weights)
 
     p = sub.add_parser("cv", help="greedy per-layer grid search")
     p.add_argument("--config", required=True, help="JSON experiment config with a cv section")
     p.add_argument("--train", required=True, help="training data (amat)")
     p.add_argument("--out", default=None, help="where to write the best config JSON")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_jobs, default=1,
                    help="parallel workers for repeats x kernel sets (capped by the usable cores)")
-    p.add_argument("--subsample", type=int, default=None,
-                   help="override the config's per-layer fit subsample")
     common(p)
     p.set_defaults(func=cmd_cv)
     return parser

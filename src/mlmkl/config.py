@@ -156,6 +156,10 @@ def _cv(entry):
     svm_c = tuple(_number(c, "cv.svm_c") for c in svm_c)
     if not svm_c:
         raise ConfigError("cv.svm_c must not be empty")
+    if any(g < 0 for g in gammas):
+        raise ConfigError("cv.gamma must be nonnegative, got %r" % min(gammas))
+    if any(c <= 0 for c in svm_c):
+        raise ConfigError("cv.svm_c must be positive, got %r" % min(svm_c))
     repeats = _integer(entry.get("repeats", 3), "cv.repeats", 1)
     return CvConfig(
         kernel_sets=kernel_sets, gammas=gammas, widths=widths, svm_c=svm_c, repeats=repeats
@@ -185,12 +189,19 @@ def parse_config(raw):
             _integer(entry["train"], "split.train", 1),
             _integer(entry.get("valid", 0), "split.valid", 0),
         )
+    classifier = _classifier(raw.get("classifier"))
+    cv = _cv(raw.get("cv"))
+    widest = max(cv.widths, default=0) if cv is not None else 0
+    for i, layer in enumerate(layers):  # each cv candidate keeps its layer's kpca_components
+        if layer.kpca_components is not None and layer.kpca_components < widest:
+            raise ConfigError("layers[%d].kpca_components %d is below cv.width %d"
+                              % (i, layer.kpca_components, widest))
     return ExperimentConfig(
         layers=layers,
         subsample=subsample,
         split=split,
-        classifier=_classifier(raw.get("classifier")),
-        cv=_cv(raw.get("cv")),
+        classifier=classifier,
+        cv=cv,
         probe_cap=_integer(raw.get("probe_cap", DEFAULT_PROBE_CAP), "probe_cap", 1),
     )
 

@@ -132,21 +132,28 @@ class KernelSpec:
 
     def canonical(self):
         """Unambiguous text form; ``parse_kernel`` inverts it exactly."""
-        if self.family is KernelFamily.ARC_COSINE:
-            return "arccos(n=%d,L=%d)" % (self.degree, self.depth)
-        if self.family is KernelFamily.GAUSSIAN:
-            return "rbf(gamma=%s)" % _fmt_num(self.gamma)
-        if self.family is KernelFamily.POLYNOMIAL:
-            return "poly(degree=%d,coef0=%s,scale=%s)" % (
-                self.degree,
-                _fmt_num(self.coef0),
-                _fmt_num(self.scale),
-            )
-        return "linear"
+        params = ",".join(
+            "%s=%s" % (key, "%d" % getattr(self, f) if integer else _fmt_num(getattr(self, f)))
+            for key, f, integer, _ in _PARAMS[self.family]
+        )
+        return "%s(%s)" % (self.family.value, params) if params else self.family.value
 
     def __str__(self):
         return self.canonical()
 
+
+# Each family's parameters in text order: (text key, KernelSpec field,
+# integer?, default when the text leaves it out).  ``canonical`` writes
+# them and ``parse_kernel`` reads them, so each inverts the other.
+_PARAMS = {
+    KernelFamily.ARC_COSINE: (("n", "degree", True, 0), ("L", "depth", True, 1)),
+    KernelFamily.GAUSSIAN: (("gamma", "gamma", False, 1.0),),
+    KernelFamily.POLYNOMIAL: (
+        ("degree", "degree", True, 2), ("coef0", "coef0", False, 1.0),
+        ("scale", "scale", False, 1.0),
+    ),
+    KernelFamily.LINEAR: (),
+}
 
 _FAMILY_ALIASES = {
     "arccos": KernelFamily.ARC_COSINE,
@@ -186,32 +193,16 @@ def parse_kernel(text):
                 raise ParseError("bad numeric value %r in %r" % (raw, text)) from None
             params[key] = value
 
-    def take(key, default, integer=False):
-        if key in params:
-            v = params.pop(key)
-            if integer:
-                if not v.is_integer():  # False for inf and nan too
-                    raise ParseError("%s must be an integer in %r" % (key, text))
-                return int(v)
-            return v
-        return default
-
+    fields = {}
+    for key, field, integer, default in _PARAMS[family]:
+        value = params.pop(key, default)
+        if integer:
+            if not float(value).is_integer():  # False for inf and nan too
+                raise ParseError("%s must be an integer in %r" % (key, text))
+            value = int(value)
+        fields[field] = value
     try:
-        if family is KernelFamily.ARC_COSINE:
-            spec = KernelSpec(
-                family, degree=take("n", 0, integer=True), depth=take("L", 1, integer=True)
-            )
-        elif family is KernelFamily.GAUSSIAN:
-            spec = KernelSpec(family, gamma=take("gamma", 1.0))
-        elif family is KernelFamily.POLYNOMIAL:
-            spec = KernelSpec(
-                family,
-                degree=take("degree", 2, integer=True),
-                coef0=take("coef0", 1.0),
-                scale=take("scale", 1.0),
-            )
-        else:
-            spec = KernelSpec(family)
+        spec = KernelSpec(family, **fields)
     except (ValueError, UnsupportedDegreeError) as exc:
         raise ParseError("invalid kernel parameters in %r: %s" % (text, exc)) from None
     if params:

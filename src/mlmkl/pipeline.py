@@ -372,12 +372,10 @@ def _fingerprint(x, y):
     return h.hexdigest()
 
 
-def train_classifier(features, labels, kernel, c=1.0, tol=1e-3, max_iter=1_000_000):
+def train_classifier(features, labels, kernel, c=1.0, tol=1e-3):
     """Kernel SVM on a feature matrix; the support rows are kept on the model."""
     x = np.asarray(features, dtype=np.float64)
-    machine = svm.train_multiclass(
-        gram(x, kernel), labels, c=c, tol=tol, kernel=kernel, max_iter=max_iter
-    )
+    machine = svm.train_multiclass(gram(x, kernel), labels, c=c, tol=tol, kernel=kernel)
     machine.support_vectors = np.array(x[machine.support], copy=True)
     return machine
 

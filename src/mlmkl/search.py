@@ -25,7 +25,6 @@ import numpy as np
 from . import data, pipeline
 from .config import config_to_dict
 from .errors import ConfigError
-from .pipeline import LayerConfig
 
 __all__ = ["CvResult", "grid_search", "error_percent", "probe_error"]
 
@@ -100,6 +99,10 @@ def _run(calls, jobs):
 def grid_search(dataset, config, seed=0, jobs=1):
     """Greedy per-layer search of ``config.cv`` on ``dataset``.
 
+    Each candidate is its configured layer with the kernels, gamma and
+    width that ``cv`` lists in place of the layer's own; every other field
+    is the layer's.
+
     Repeat r splits ``dataset`` by ``config.split`` with seed ``seed + r``;
     up to ``jobs`` spawned processes, no more than the usable cores, share
     each layer's (repeat, kernel set) pairs and split the cores between
@@ -124,8 +127,8 @@ def grid_search(dataset, config, seed=0, jobs=1):
     chosen = []
     for li, base in enumerate(config.layers):
         grids = [
-            [[LayerConfig(kernels=ks, width=w, gamma=g, basis_size=base.basis_size)
-              for w in cv.widths or (base.width,)] for g in cv.gammas or (base.gamma,)]
+            [[replace(base, kernels=ks, width=w, gamma=g) for w in cv.widths or (base.width,)]
+             for g in cv.gammas or (base.gamma,)]
             for ks in cv.kernel_sets or (base.kernels,)
         ]
         candidates = [cand for grid in grids for row in grid for cand in row]

@@ -227,7 +227,7 @@ class SvmModel:
         return self.support.size
 
 
-def train_multiclass(k, y, c=1.0, tol=1e-3, kernel=None, max_iter=1_000_000):
+def train_multiclass(k, y, c=1.0, tol=1e-3, kernel=None):
     """One binary machine per class, sharing one support index set."""
     if not isinstance(k, GramMatrix):
         k = GramMatrix(np.asarray(k, dtype=np.float64))  # checked once for all machines
@@ -243,7 +243,7 @@ def train_multiclass(k, y, c=1.0, tol=1e-3, kernel=None, max_iter=1_000_000):
     iterations = []
     for r, cls in enumerate(classes):
         yb = np.where(y == cls, 1.0, -1.0)
-        machine = train_binary(k, yb, c, tol=tol, max_iter=max_iter)
+        machine = train_binary(k, yb, c, tol=tol)
         coef_full[r] = machine.alpha * yb
         biases[r] = machine.bias
         iterations.append(machine.iterations)

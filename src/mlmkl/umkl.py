@@ -98,14 +98,6 @@ class LocalBases:
             raise ValueError("a sample may not appear in its own basis")
         object.__setattr__(self, "indices", idx.astype(np.int64, copy=False))
 
-    @property
-    def n(self):
-        return self.indices.shape[0]
-
-    @property
-    def basis_size(self):
-        return self.indices.shape[1]
-
 
 def build_local_bases(linear_gram, basis_size):
     """Nearest neighbours of each sample in input-space distance.
@@ -163,10 +155,6 @@ class UmklProblem:
             raise ValueError("need at least one base kernel")
         object.__setattr__(self, "entries", t)
         object.__setattr__(self, "local_gram", g)
-
-    @property
-    def n(self):
-        return self.bases.n
 
     @property
     def m(self):

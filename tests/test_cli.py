@@ -1,4 +1,6 @@
+import argparse
 import collections
+import inspect
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ import pytest
 from conftest import digits_like, direction_blobs, write_amat
 from mlmkl import cli, data, pipeline
 from mlmkl.config import load_config
-from mlmkl.errors import ModelIOError, RowCountError
+from mlmkl.errors import ConfigError, ModelIOError, RowCountError
 from mlmkl.search import error_percent
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -135,9 +137,8 @@ def test_train_runs_are_byte_identical(corpus, capsys):
 
 def test_subsample_override_lands_in_metadata(corpus, capsys):
     model_path = str(corpus["tmp"] / "model.bin")
-    rc = cli.main(["train", "--config", str(corpus["cfg_path"]),
-                   "--train", corpus["train"], "--out", model_path,
-                   "--subsample", "25"])
+    rc = cli.main(["train", "--config", write_config(corpus, subsample=25),
+                   "--train", corpus["train"], "--out", model_path])
     assert rc == 0
     capsys.readouterr()
     model = pipeline.load(model_path)
@@ -179,21 +180,25 @@ def test_train_rejects_non_finite_parameters(corpus, capsys, layer, message):
 
 
 def test_train_rejects_negative_subsample_as_fit_does(corpus, capsys):
-    rc = cli.main(["train", "--config", str(corpus["cfg_path"]), "--train", corpus["train"],
-                   "--out", str(corpus["tmp"] / "m.bin"), "--subsample", "-5"])
+    layers = load_config(corpus["cfg_path"]).layers
+    cfg = write_config(corpus, subsample=-5)
+    rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                   "--out", str(corpus["tmp"] / "m.bin")])
     err = capsys.readouterr().err
     assert rc == 2
+    with pytest.raises(ConfigError):
+        load_config(cfg)
     ds = data.load_amat(corpus["train"])
     with pytest.raises(RowCountError) as caught:
-        pipeline.fit(ds.features, ds.labels, load_config(corpus["cfg_path"]).layers,
-                     subsample=-5)
+        pipeline.fit(ds.features, ds.labels, layers, subsample=-5)
     assert err == "error: %s\n" % caught.value
     assert "subsample" in err
 
 
 def test_cv_rejects_negative_subsample(corpus, capsys):
-    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3]})
-    rc = cli.main(["cv", "--config", cfg, "--train", corpus["train"], "--subsample", "-3"])
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3]},
+                       subsample=-3)
+    rc = cli.main(["cv", "--config", cfg, "--train", corpus["train"]])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error:") and "subsample" in err
@@ -213,6 +218,60 @@ def test_a_negative_seed_is_a_usage_error(corpus, capsys, command):
     assert not (corpus["tmp"] / "out").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(corpus, capsys, jobs):
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3]})
+    with pytest.raises(SystemExit) as caught:
+        cli.main(["cv", "--config", cfg, "--train", corpus["train"], "--jobs", jobs])
+    assert caught.value.code == 2
+    assert "argument --jobs: must be a positive integer, got %s" % jobs in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "c.json", "--train", "t.amat", "--subsample", "25"],
+    ["cv", "--config", "c.json", "--train", "t.amat", "--subsample", "25"],
+    ["eval", "--model", "m.bin", "--test", "t.amat", "--seed", "1"],
+    ["weights", "--model", "m.bin", "--seed", "1"],
+], ids=["train_subsample", "cv_subsample", "eval_seed", "weights_seed"])
+def test_the_config_is_the_one_way_to_set_an_experiment(capsys, argv):
+    with pytest.raises(SystemExit) as caught:
+        cli.main(argv)
+    assert caught.value.code == 2
+    assert "unrecognized arguments: %s" % " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_every_flag_is_read_by_its_command():
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    emit = inspect.getsource(cli._emit)
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("func")) + emit
+        for action in sub._actions:
+            if action.option_strings and not isinstance(action, argparse._HelpAction):
+                assert "args.%s" % action.dest in source, (name, action.option_strings)
+
+
+@pytest.mark.parametrize("updates,message", [
+    ({"cv": {"gamma": [-1]}}, "cv.gamma must be nonnegative, got -1.0"),
+    ({"cv": {"svm_c": [-1, 1]}}, "cv.svm_c must be positive, got -1.0"),
+    ({"cv": {"svm_c": [0]}}, "cv.svm_c must be positive, got 0.0"),
+    ({"cv": {"width": [3, 8]},
+      "layers": [{"kernels": ["linear"], "width": 3, "kpca_components": 6}]},
+     "layers[0].kpca_components 6 is below cv.width 8"),
+    ({"layers": [{"kernels": ["linear"], "width": 2, "gamma": -1}]},
+     "layers[0]: gamma must be nonnegative and finite, got -1.0"),
+], ids=["cv_gamma", "cv_svm_c_negative", "cv_svm_c_zero", "kpca_below_cv_width",
+        "layer_gamma"])
+def test_cv_rejects_bad_values_where_the_config_is_read(corpus, capsys, updates, message):
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, **updates)
+    with pytest.raises(ConfigError):  # before any layer is fitted
+        load_config(cfg)
+    rc = cli.main(["cv", "--config", cfg, "--train", corpus["train"]])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and message in err
+
+
 def test_split_larger_than_the_file_fails_cleanly(corpus, capsys):
     cfg = write_config(corpus, split={"train": 1000, "valid": 5}, cv={"width": [3]})
     for command in (["train", "--out", str(corpus["tmp"] / "m.bin")], ["cv"]):
@@ -224,10 +283,10 @@ def test_split_larger_than_the_file_fails_cleanly(corpus, capsys):
 def test_width_beyond_the_kpca_spectrum_fails_cleanly(corpus, capsys):
     # 30 fit rows centre to at most 29 usable components, fewer than width 40
     cfg = write_config(corpus, layers=[{"kernels": ["rbf(gamma=0.05)", "linear"],
-                                        "width": 40, "basis_size": 5}])
+                                        "width": 40, "basis_size": 5}], subsample=30)
     with pytest.warns(UserWarning, match="only 29 eigenvalues are usable"):
         rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],
-                       "--out", str(corpus["tmp"] / "m.bin"), "--subsample", "30"])
+                       "--out", str(corpus["tmp"] / "m.bin")])
     assert rc == 2
     assert capsys.readouterr().err == "error: width must be an integer in [1, 29], got 40\n"
     assert not (corpus["tmp"] / "m.bin").exists()
@@ -406,8 +465,7 @@ def test_cv_prints_each_kpca_warning_text_once(golden_corpus, tmp_path):
         GOLDEN_KPCA_WARNINGS)
 
 
-def test_cv_report_does_not_depend_on_jobs(golden_corpus, capsys, monkeypatch):
-    monkeypatch.delenv("MLMKL_THREADS", raising=False)
+def test_cv_report_does_not_depend_on_jobs(golden_corpus, capsys):
     with pytest.warns(UserWarning):
         assert cli.main(golden_corpus + ["--format", "json", "--jobs", "1"]) == 0
     serial = capsys.readouterr().out

@@ -28,9 +28,9 @@ def corpus():
     return data.Dataset(x, y)
 
 
-def experiment(gammas, repeats=2, svm_c=(10,)):
+def experiment(gammas, repeats=2, svm_c=(10,), **layer):
     return parse_config({
-        "layers": [{"kernels": KERNELS, "width": 3, "basis_size": 5}],
+        "layers": [dict({"kernels": KERNELS, "width": 3, "basis_size": 5}, **layer)],
         "subsample": 30,
         "split": {"train": 40, "valid": 20},
         "classifier": {"kernel": "arccos(n=1,L=1)", "C": 10},
@@ -73,6 +73,14 @@ def test_gammas_with_equal_weights_share_one_layer_fit(monkeypatch, built_grams,
     rows = result.report["layers"][0]
     assert [row["mean_error_percent"] for row in rows[:2]] == \
         [row["mean_error_percent"] for row in rows[2:]]
+
+
+def test_candidates_are_the_configured_layer_with_the_searched_fields_replaced(kpca_fits):
+    # every candidate, and the winner, keeps the layer's kpca_components
+    # (12) rather than the default three times each candidate's width
+    result = search.grid_search(corpus(), experiment(GAMMAS[:1], kpca_components=12), seed=0)
+    assert kpca_fits == [12, 12]
+    assert result.report["best_config"]["layers"][0]["kpca_components"] == 12
 
 
 def test_gammas_with_different_weights_get_their_own_cells(monkeypatch, kpca_fits):
