@@ -23,12 +23,12 @@ vector with itself reproduces ||x||^2 at every level.
 
 Every block (``gram``, ``cross_gram``) is one matmul of dot products,
 ``x_rows @ x_cols.T``, which becomes the output; the family's elementwise
-steps (divide, clip, arccos, J_n, scale; or the squared distance and exp)
-then run on it slab by slab, a few rows of about ``_SLAB_BYTES`` at a
-time, in place.  Each step is elementwise, so a slab gets the bits the
-whole block would get in one pass, while its operands stay in cache and
-no temporary is bigger than a slab: a block peaks at its output plus a
-few slabs.  The dot products themselves are not computed per slab: a
+steps (divide, clip, J_n from the cosine with one arccos, scale; or the
+squared distance and exp) then run on it slab by slab, a few rows of
+about ``_SLAB_BYTES`` at a time, in place.  Each step is elementwise, so
+a slab gets the bits the whole block would get in one pass, while its
+operands stay in cache and no temporary is bigger than a slab: a block
+peaks at its output plus a few slabs.  The dot products themselves are not computed per slab: a
 product of a few rows does not always have the bits of those rows of the
 whole product.
 
@@ -36,7 +36,10 @@ Numerical care: arccos is ill-conditioned near cos = 1, so a dot-product
 round-off of one ulp turns into an angle of ~1e-8.  Same-set Gram
 construction therefore pins theta = 0 on the diagonal at every
 composition level, and ``evaluate`` takes a pair of exactly equal
-inputs as a one-row Gram, so their angle is pinned too.
+inputs as a one-row Gram, so their angle is pinned too.  An unpinned
+duplicate costs degree 0 only: J_0 has slope -1 at theta = 0, so its
+value moves by ~1e-8 at the first level and ~4e-5 at the second, while
+J_1 and J_2 are flat there and their duplicates stay at round-off.
 """
 from __future__ import annotations
 
@@ -217,7 +220,9 @@ def parse_kernel(text):
 def j_n(theta, degree):
     """Angular factor J_n(theta) of the arc-cosine family, n in {0, 1, 2}.
 
-    Accepts a scalar or an ndarray of angles in [0, pi].
+    Accepts a scalar or an ndarray of angles in [0, pi].  This is the
+    closed form in theta, which the test oracle uses; kernel blocks
+    evaluate J_n from the cosine instead (``_j_n_of_cosine``).
     """
     _check_degree(degree)
     t = np.asarray(theta, dtype=np.float64)
@@ -314,6 +319,37 @@ def _row_terms(x, spec):
     return np.zeros(x.shape[0])
 
 
+def _j_n_of_cosine(c, degree):
+    """J_n(arccos c), in place, from clipped cosines ``c``: cos(theta) is c
+    itself, sin(theta) is sqrt((1 - c)(1 + c)) and one arccos gives
+    pi - theta, where ``j_n`` of arccos(c) takes three transcendental
+    passes.  (1 - c)(1 + c) rather than 1 - c*c keeps sin(theta) as
+    accurate as sin(arccos(c)) near c = -1.  At c = 1 both sin(theta) and
+    theta are exactly 0, so J_n(0) = pi, pi, 3 pi exactly; degree 0 is
+    ``j_n``'s own pi - theta, bit for bit.
+    """
+    if degree == 0:
+        return np.subtract(np.pi, np.arccos(c, out=c), out=c)
+    sin = np.subtract(1.0, c)
+    sin *= np.add(1.0, c)
+    np.sqrt(sin, out=sin)
+    pi_minus_theta = np.arccos(c)
+    np.subtract(np.pi, pi_minus_theta, out=pi_minus_theta)
+    if degree == 1:  # sin + (pi - theta) c
+        c *= pi_minus_theta
+        c += sin
+        return c
+    # 3 sin c + (pi - theta)(1 + 2 c^2)
+    sin *= 3.0
+    sin *= c
+    c *= c
+    c *= 2.0
+    c += 1.0
+    c *= pi_minus_theta
+    c += sin
+    return c
+
+
 def _arc_cosine_values(k, r, c, degree, depth, same):
     """Arc-cosine kernel values from dot products ``k`` (overwritten) and
     the norms ``r`` of their rows and ``c`` of their columns.  Each level
@@ -339,7 +375,7 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
         np.clip(k, -1.0, 1.0, out=k)
         if same is not None:
             np.fill_diagonal(k[:, same:], 1.0)
-        k = j_n(np.arccos(k, out=k), degree)
+        _j_n_of_cosine(k, degree)
         k /= np.pi
         k *= scale**degree
     return k
@@ -409,9 +445,11 @@ def cross_gram(rows, cols, spec):
     """Rectangular kernel block k(rows_i, cols_j).
 
     ``rows`` may be empty (yields a 0 x n block); ``cols`` may not.
-    Unlike ``gram``, coincident row/col pairs are not detected, so for
-    deeply composed arc-cosine kernels a duplicated point resolves its
-    zero angle only to arccos round-off (about 1e-8 at the first level).
+    Unlike ``gram``, coincident row/col pairs are not detected, so a
+    duplicated point resolves its zero angle only to arccos round-off
+    (about 1e-8 at the first level).  Only degree 0 feels it: its value
+    moves by ~1e-8 at L=1 and ~4e-5 at L=2, while degrees 1 and 2, flat at
+    theta = 0, stay at round-off.
     The kernel's elementwise steps run on row slabs of the one product
     ``rows @ cols.T``, with the bits of one pass over the whole block;
     peak memory is the block plus a few slabs.

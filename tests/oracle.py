@@ -9,7 +9,9 @@ angular factors, so agreement with the library is evidence, not
 tautology.  Only ``KernelSpec`` (the description of a kernel) is shared,
 except by ``kernel_block``: it applies the library's elementwise steps in
 one pass to a whole block, the reference for the slab-by-slab blocks of
-``gram`` and ``cross_gram``.  The weight objective and the neighbour bases
+``gram`` and ``cross_gram``.  ``arc_cosine_block`` builds an arc-cosine
+block by the angle path, J_n of theta = arccos(c) with ``kernels.j_n``, the
+reference for the library's J_n from the cosine.  The weight objective and the neighbour bases
 are computed from the full n x n linear Gram, which the library does not
 keep, and ``center_gram`` centres a whole Gram at once, the reference for
 the slab-by-slab ``kpca.center_gram``.  ``smo`` is the SVM trainer with
@@ -20,7 +22,7 @@ import math
 
 import numpy as np
 
-from mlmkl.kernels import KernelFamily, _kernel_values, _row_terms
+from mlmkl.kernels import KernelFamily, _kernel_values, _row_terms, j_n as angle_j_n
 
 # J_n(0) / pi: J_0(0) = pi, J_1(0) = pi, J_2(0) = 3 pi
 J0_OVER_PI = {0: 1.0, 1: 1.0, 2: 3.0}
@@ -95,6 +97,35 @@ def kernel_block(x_rows, x_cols, spec, same):
     r = _row_terms(x_rows, spec)
     c = r if same else _row_terms(x_cols, spec)
     return _kernel_values(x_rows @ x_cols.T, r[:, None], c[None, :], spec, 0 if same else None)
+
+
+def arc_cosine_block(x_rows, x_cols, degree, depth, same):
+    """Arc-cosine block of the rows of ``x_rows`` against those of
+    ``x_cols`` (the same array when ``same``, whose diagonal is then pinned)
+    by the angle path, over the whole block at once: each level's cosines,
+    divided and clipped (and pinned) as the library does, become
+    theta = arccos(c) and then ``kernels.j_n(theta, degree)``, which takes
+    cos and sin of theta again.  The reference for the library's J_n
+    computed from the cosine itself."""
+    r = np.linalg.norm(x_rows, axis=1)[:, None]
+    c = r.T if same else np.linalg.norm(x_cols, axis=1)[None, :]
+    c0 = J0_OVER_PI[degree]
+    s_rows, s_cols = r * r, c * c
+    k = x_rows @ x_cols.T
+    for level in range(depth):
+        if level == 0:
+            scale = r * c
+        else:
+            s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
+            scale = np.sqrt(s_rows * s_cols)
+        k /= scale
+        np.clip(k, -1.0, 1.0, out=k)
+        if same:
+            np.fill_diagonal(k, 1.0)
+        k = angle_j_n(np.arccos(k), degree)
+        k /= np.pi
+        k *= scale**degree
+    return k
 
 
 def gaussian(x, y, gamma):

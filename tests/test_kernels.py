@@ -259,14 +259,19 @@ def test_gram_symmetric_and_psd(text):
 
 
 def test_gram_exact_diagonals():
+    # the pinned zero angle gives J_n(0) exactly at every level, so the
+    # diagonals are pinned bit for bit, across slab boundaries too
     rng = np.random.default_rng(9)
-    x = rng.uniform(0.05, 1.0, size=(25, 5))
-    k0 = gram(x, parse_kernel("arccos(n=0,L=4)")).values
-    np.testing.assert_allclose(np.diag(k0), 1.0, rtol=0, atol=1e-12)
+    x = rng.uniform(0.05, 1.0, size=(300, 7))
+    r = np.linalg.norm(x, axis=1)
+    for depth in (1, 2, 3, 4):
+        k0 = gram(x, KernelSpec(KernelFamily.ARC_COSINE, degree=0, depth=depth)).values
+        assert np.all(np.diag(k0) == 1.0)
+    for depth in (1, 2, 3):
+        k1 = gram(x, KernelSpec(KernelFamily.ARC_COSINE, degree=1, depth=depth)).values
+        assert np.all(np.diag(k1) == r * r)
     kg = gram(x, parse_kernel("rbf(gamma=2)")).values
     assert np.all(np.diag(kg) == 1.0)
-    k1 = gram(x, parse_kernel("arccos(n=1,L=1)")).values
-    np.testing.assert_allclose(np.diag(k1), (x * x).sum(axis=1), rtol=1e-12)
 
 
 def test_gram_frozen_two_point_value():
@@ -308,6 +313,55 @@ def test_cross_gram_deep_arccos_duplicate_rows():
     off = ~np.eye(12, dtype=bool)
     np.testing.assert_allclose(c[off], g[off], rtol=0, atol=1e-8)
     np.testing.assert_allclose(np.diag(c), np.diag(g), rtol=0, atol=1e-4)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2])
+def test_cross_gram_duplicate_rows_stay_at_round_off_for_degrees_1_and_2(degree, depth):
+    # J_0 has slope -1 at theta = 0, so a duplicate's unpinned angle of
+    # ~1e-8 moves a degree-0 value (above); J_1 and J_2 are flat there,
+    # so a duplicate's degree-1 or -2 value stays at round-off
+    rng = np.random.default_rng(12)
+    x = rng.uniform(0.05, 1.0, size=(200, 30))
+    spec = KernelSpec(KernelFamily.ARC_COSINE, degree=degree, depth=depth)
+    c = cross_gram(x, x, spec)
+    g = gram(x, spec).values
+    np.testing.assert_allclose(np.diag(c), np.diag(g), rtol=1e-14, atol=0)
+
+
+def arc_cosine_inputs():
+    """Nonnegative rows, as pixels are, and rows of either sign, whose
+    cosines reach towards -1."""
+    rng = np.random.default_rng(16)
+    yield rng.uniform(0.05, 1.0, size=(300, 7)), rng.uniform(0.05, 1.0, size=(200, 7))
+    yield rng.normal(size=(300, 7)), rng.normal(size=(200, 7))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_j_n_from_the_cosine_matches_the_angle_oracle(degree, depth):
+    # blocks take J_n from the cosine with one arccos; the oracle takes
+    # j_n(arccos(c)), three transcendental passes, on the same cosines
+    spec = KernelSpec(KernelFamily.ARC_COSINE, degree=degree, depth=depth)
+    for x, y in arc_cosine_inputs():
+        g = gram(x, spec).values
+        g_want = oracle.arc_cosine_block(x, x, degree, depth, same=True)
+        c = cross_gram(y, x, spec)
+        c_want = oracle.arc_cosine_block(y, x, degree, depth, same=False)
+        assert_same_bits(np.diag(g), np.diag(g_want))
+        if degree == 0:
+            assert_same_bits(g, g_want)
+            assert_same_bits(c, c_want)
+        else:
+            assert np.max(np.abs(g - g_want)) <= 1e-15 * np.max(np.abs(g_want))
+            assert np.max(np.abs(c - c_want)) <= 1e-15 * np.max(np.abs(c_want))
+
+
+def test_j_n_from_the_cosine_is_exact_at_both_ends():
+    for degree, at_one in ((0, math.pi), (1, math.pi), (2, 3.0 * math.pi)):
+        got = kernels._j_n_of_cosine(np.array([1.0, -1.0]), degree)
+        assert got[0] == at_one == j_n(0.0, degree)
+        assert got[1] == 0.0
 
 
 EVERY_FAMILY = ["arccos(n=%d,L=%d)" % (n, depth) for n in (0, 1, 2) for depth in (1, 2, 3)]
