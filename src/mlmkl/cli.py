@@ -9,10 +9,10 @@ Subcommands:
 
 The JSON config alone sets the experiment: layers, fit subsample, split,
 classifier and cv grid.  The flags name the files and the output format,
-and give train and cv their --seed and cv its --jobs.  Randomness is
-controlled by --seed alone; two train runs with the same config and seed
-write byte-identical model files.  --jobs parallelizes cv over repeats x
-kernel sets, on no more processes than usable cores.
+and give train and cv their --seed.  Randomness is controlled by --seed
+alone; two train runs with the same config and seed write byte-identical
+model files.  cv runs in the calling process; its --jobs is deprecated and
+has no effect.
 """
 from __future__ import annotations
 
@@ -198,8 +198,11 @@ def cmd_weights(args):
 
 
 def cmd_cv(args):
+    if args.jobs > 1:
+        print("note: --jobs is deprecated and has no effect; cv runs in this process",
+              file=sys.stderr)
     result = search.grid_search(
-        data.load_amat(args.train), load_config(args.config), seed=args.seed, jobs=args.jobs
+        data.load_amat(args.train), load_config(args.config), seed=args.seed
     )
     report = result.report
     lines = []
@@ -249,7 +252,7 @@ def _seed(text):
 
 
 def _jobs(text):
-    """``--jobs``: a count of worker processes."""
+    """``--jobs``: deprecated, kept so that existing command lines parse."""
     jobs = int(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError("must be a positive integer, got %d" % jobs)
@@ -291,7 +294,7 @@ def _build_parser():
     p.add_argument("--train", required=True, help="training data (amat)")
     p.add_argument("--out", default=None, help="where to write the best config JSON")
     p.add_argument("--jobs", type=_jobs, default=1,
-                   help="parallel workers for repeats x kernel sets (capped by the usable cores)")
+                   help="deprecated, has no effect: cv runs in this process")
     common(p)
     p.set_defaults(func=cmd_cv)
     return parser
@@ -301,7 +304,7 @@ def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MlmklError, FileNotFoundError) as exc:
+    except (MlmklError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

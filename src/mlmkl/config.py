@@ -1,7 +1,9 @@
 """Experiment configuration: JSON in, validated dataclasses out.
 
 Unknown keys are rejected loudly at every level; silently ignoring a
-misspelled hyperparameter is how wrong numbers end up in tables.
+misspelled hyperparameter is how wrong numbers end up in tables.  The
+parsers pass on only the keys present, so each default has one copy: its
+dataclass field's.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError, ParseError
 from .kernels import parse_kernel
-from .pipeline import DEFAULT_CLASSIFIER_KERNEL, LayerConfig
+from .pipeline import DEFAULT_CLASSIFIER_KERNEL, DEFAULT_SUBSAMPLE, LayerConfig
 
 __all__ = [
     "ClassifierConfig",
@@ -24,7 +26,6 @@ __all__ = [
     "SVM_C_GRID",
 ]
 
-DEFAULT_SUBSAMPLE = 3000
 DEFAULT_PROBE_CAP = 3000
 SVM_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
@@ -97,18 +98,19 @@ def _layer(entry, index):
     _reject_unknown(entry, ("kernels", "width", "kpca_components", "gamma", "basis_size"), where)
     if "kernels" not in entry or "width" not in entry:
         raise ConfigError("%s needs 'kernels' and 'width'" % where)
+    fields = {
+        "kernels": _kernel_list(entry["kernels"], where),
+        "width": _integer(entry["width"], where + ".width", 1),
+    }
+    if "kpca_components" in entry:
+        fields["kpca_components"] = _integer(
+            entry["kpca_components"], where + ".kpca_components", 1)
+    if "gamma" in entry:
+        fields["gamma"] = _number(entry["gamma"], where + ".gamma")
+    if "basis_size" in entry:
+        fields["basis_size"] = _integer(entry["basis_size"], where + ".basis_size", 1)
     try:
-        return LayerConfig(
-            kernels=_kernel_list(entry["kernels"], where),
-            width=_integer(entry["width"], where + ".width", 1),
-            kpca_components=(
-                _integer(entry["kpca_components"], where + ".kpca_components", 1)
-                if "kpca_components" in entry
-                else None
-            ),
-            gamma=_number(entry.get("gamma", 0.1), where + ".gamma"),
-            basis_size=_integer(entry.get("basis_size", 10), where + ".basis_size", 1),
-        )
+        return LayerConfig(**fields)
     except (ValueError, TypeError) as exc:
         raise ConfigError("%s: %s" % (where, exc)) from None
 
@@ -124,11 +126,15 @@ def _classifier(entry):
         if "kernel" in entry
         else parse_kernel(DEFAULT_CLASSIFIER_KERNEL)
     )
-    c = _number(entry.get("C", 1.0), "classifier.C")
-    tol = _number(entry.get("tol", 1e-3), "classifier.tol")
-    if c <= 0 or tol <= 0:
+    fields = {}
+    if "C" in entry:
+        fields["c"] = _number(entry["C"], "classifier.C")
+    if "tol" in entry:
+        fields["tol"] = _number(entry["tol"], "classifier.tol")
+    classifier = ClassifierConfig(kernel=kernel, **fields)
+    if classifier.c <= 0 or classifier.tol <= 0:
         raise ConfigError("classifier C and tol must be positive")
-    return ClassifierConfig(kernel=kernel, c=c, tol=tol)
+    return classifier
 
 
 def _cv(entry):
@@ -148,22 +154,23 @@ def _cv(entry):
         kernel_sets = ()
     gammas = entry.get("gamma", [])
     widths = entry.get("width", [])
-    svm_c = entry.get("svm_c", list(SVM_C_GRID))
-    if not isinstance(gammas, list) or not isinstance(widths, list) or not isinstance(svm_c, list):
+    if not all(isinstance(entry.get(key, []), list) for key in ("gamma", "width", "svm_c")):
         raise ConfigError("cv.gamma, cv.width and cv.svm_c must be lists")
     gammas = tuple(_number(g, "cv.gamma") for g in gammas)
     widths = tuple(_integer(w, "cv.width", 1) for w in widths)
-    svm_c = tuple(_number(c, "cv.svm_c") for c in svm_c)
-    if not svm_c:
-        raise ConfigError("cv.svm_c must not be empty")
     if any(g < 0 for g in gammas):
         raise ConfigError("cv.gamma must be nonnegative, got %r" % min(gammas))
-    if any(c <= 0 for c in svm_c):
-        raise ConfigError("cv.svm_c must be positive, got %r" % min(svm_c))
-    repeats = _integer(entry.get("repeats", 3), "cv.repeats", 1)
-    return CvConfig(
-        kernel_sets=kernel_sets, gammas=gammas, widths=widths, svm_c=svm_c, repeats=repeats
-    )
+    fields = {}
+    if "svm_c" in entry:
+        svm_c = tuple(_number(c, "cv.svm_c") for c in entry["svm_c"])
+        if not svm_c:
+            raise ConfigError("cv.svm_c must not be empty")
+        if any(c <= 0 for c in svm_c):
+            raise ConfigError("cv.svm_c must be positive, got %r" % min(svm_c))
+        fields["svm_c"] = svm_c
+    if "repeats" in entry:
+        fields["repeats"] = _integer(entry["repeats"], "cv.repeats", 1)
+    return CvConfig(kernel_sets=kernel_sets, gammas=gammas, widths=widths, **fields)
 
 
 def parse_config(raw):
@@ -176,7 +183,9 @@ def parse_config(raw):
     if "layers" not in raw or not isinstance(raw["layers"], list) or not raw["layers"]:
         raise ConfigError("config needs a nonempty 'layers' list")
     layers = tuple(_layer(entry, i) for i, entry in enumerate(raw["layers"]))
-    subsample = _integer(raw.get("subsample", DEFAULT_SUBSAMPLE), "subsample", 0)
+    fields = {}
+    if "subsample" in raw:
+        fields["subsample"] = _integer(raw["subsample"], "subsample", 0)
     split = None
     if raw.get("split") is not None:
         entry = raw["split"]
@@ -196,14 +205,9 @@ def parse_config(raw):
         if layer.kpca_components is not None and layer.kpca_components < widest:
             raise ConfigError("layers[%d].kpca_components %d is below cv.width %d"
                               % (i, layer.kpca_components, widest))
-    return ExperimentConfig(
-        layers=layers,
-        subsample=subsample,
-        split=split,
-        classifier=classifier,
-        cv=cv,
-        probe_cap=_integer(raw.get("probe_cap", DEFAULT_PROBE_CAP), "probe_cap", 1),
-    )
+    if "probe_cap" in raw:
+        fields["probe_cap"] = _integer(raw["probe_cap"], "probe_cap", 1)
+    return ExperimentConfig(layers=layers, split=split, classifier=classifier, cv=cv, **fields)
 
 
 def load_config(path):

@@ -63,6 +63,7 @@ __all__ = [
     "LayerModel",
     "MlmklModel",
     "DEFAULT_CLASSIFIER_KERNEL",
+    "DEFAULT_SUBSAMPLE",
     "combined_cross",
     "draw_fit_rows",
     "training_cross",
@@ -80,6 +81,7 @@ __all__ = [
 ]
 
 DEFAULT_CLASSIFIER_KERNEL = "arccos(n=1,L=1)"
+DEFAULT_SUBSAMPLE = 3000
 
 
 @dataclass(frozen=True)
@@ -402,7 +404,7 @@ def fit(
     features,
     labels,
     configs,
-    subsample=3000,
+    subsample=DEFAULT_SUBSAMPLE,
     seed=0,
     classifier=None,
     svm_c=1.0,

@@ -9,15 +9,12 @@ call, the layer path that ``fit_layer`` runs for one candidate, which
 shares the stages between the candidates (one weight problem, one QP per
 gamma, and one combined Gram, kernel PCA and pair of crosses per distinct
 weight vector).  The search adds the probe SVM, trained once per freshly
-fitted candidate.
+fitted candidate.  It runs in the calling process, one (repeat, kernel
+set) after another; BLAS spreads the large stages over the cores.
 """
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -65,51 +62,17 @@ def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
             else (c.score, None, c.train, c.valid) for c in cells]
 
 
-_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _run(calls, jobs):
-    """Results of picklable no-argument calls, on up to ``jobs`` processes
-    and no more than the usable cores.
-
-    A spawned worker loads its BLAS while it starts, before any initializer
-    could run, and a BLAS starts a thread per usable core, so the workers
-    are spawned with each BLAS thread variable that the caller has not set
-    at (usable cores // workers); the caller's environment is restored.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    workers = min(jobs, len(calls), cores)
-    if workers < 2:
-        return [call() for call in calls]
-    unset = [var for var in _BLAS_THREADS if var not in os.environ]
-    try:
-        for var in unset:
-            os.environ[var] = str(max(1, cores // workers))
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            return [f.result() for f in [pool.submit(call) for call in calls]]
-    finally:
-        for var in unset:
-            os.environ.pop(var, None)
-
-
-def grid_search(dataset, config, seed=0, jobs=1):
+def grid_search(dataset, config, seed=0):
     """Greedy per-layer search of ``config.cv`` on ``dataset``.
 
     Each candidate is its configured layer with the kernels, gamma and
     width that ``cv`` lists in place of the layer's own; every other field
     is the layer's.
 
-    Repeat r splits ``dataset`` by ``config.split`` with seed ``seed + r``;
-    up to ``jobs`` spawned processes, no more than the usable cores, share
-    each layer's (repeat, kernel set) pairs and split the cores between
-    their BLAS pools, so with ``jobs > 1`` a calling script needs a
-    ``__main__`` guard.  The SVM C is chosen last; at the classifier's own
-    C each repeat's error is that of the last layer's winning probe, which
-    trained the same SVM on the same rows.
+    Repeat r splits ``dataset`` by ``config.split`` with seed ``seed + r``.
+    The SVM C is chosen last; at the classifier's own C each repeat's error
+    is that of the last layer's winning probe, which trained the same SVM
+    on the same rows.
     """
     cv = config.cv
     if cv is None:
@@ -132,14 +95,11 @@ def grid_search(dataset, config, seed=0, jobs=1):
             for ks in cv.kernel_sets or (base.kernels,)
         ]
         candidates = [cand for grid in grids for row in grid for cand in row]
-        calls = []
+        cells = []  # cells[r][ci]: candidate ci on repeat r
         for split, rng in zip(splits, rngs):
             fit_idx = pipeline.draw_fit_rows(rng, split["train"].shape[0], config.subsample)
-            calls += [partial(_probe_kernel_set, split, fit_idx, grid, config.classifier,
-                              config.probe_cap) for grid in grids]
-        done = _run(calls, jobs)
-        # cells[r][ci]: candidate ci on repeat r
-        cells = [sum(done[r * len(grids):(r + 1) * len(grids)], []) for r in range(cv.repeats)]
+            cells.append([cell for grid in grids for cell in _probe_kernel_set(
+                split, fit_idx, grid, config.classifier, config.probe_cap)])
         errors = np.array([[cell[0] for cell in row] for row in cells]).T
         for row in cells:  # the last repeat's note wins
             notes.update(((li, ci), cell[1]) for ci, cell in enumerate(row)

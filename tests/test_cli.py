@@ -155,6 +155,27 @@ def test_missing_train_file_fails_cleanly(corpus, capsys):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("train", "--out"), ("train", "--config"), ("cv", "--out"), ("eval", "--model"),
+])
+def test_a_directory_in_place_of_a_file_fails_cleanly(corpus, capsys, command, flag):
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3], "repeats": 1})
+    argv = {
+        "train": ["train", "--config", cfg, "--train", corpus["train"],
+                  "--out", str(corpus["tmp"] / "m.bin")],
+        "cv": ["cv", "--config", cfg, "--train", corpus["train"],
+               "--out", str(corpus["tmp"] / "best.json")],
+        "eval": ["eval", "--model", str(corpus["tmp"] / "m.bin"), "--test", corpus["test"]],
+    }[command]
+    argv[argv.index(flag) + 1] = str(corpus["tmp"])
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and str(corpus["tmp"]) in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_unknown_config_key_fails_cleanly(corpus, capsys):
     cfg = write_config(corpus, probecap=10)
     rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],
@@ -465,10 +486,17 @@ def test_cv_prints_each_kpca_warning_text_once(golden_corpus, tmp_path):
         GOLDEN_KPCA_WARNINGS)
 
 
-def test_cv_report_does_not_depend_on_jobs(golden_corpus, capsys):
+def test_jobs_is_deprecated_and_changes_only_a_note(golden_corpus, capsys):
+    # --jobs still parses, for command lines written when cv had a process pool
+    golden = (GOLDEN / "cv_report.json").read_text()
+    with pytest.warns(UserWarning):
+        assert cli.main(golden_corpus + ["--format", "json", "--jobs", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == golden
+    assert captured.err.splitlines() == [
+        "note: --jobs is deprecated and has no effect; cv runs in this process"]
     with pytest.warns(UserWarning):
         assert cli.main(golden_corpus + ["--format", "json", "--jobs", "1"]) == 0
-    serial = capsys.readouterr().out
-    # two worker processes share the 2 repeats x 2 kernel sets of each layer
-    assert cli.main(golden_corpus + ["--format", "json", "--jobs", "2"]) == 0
-    assert capsys.readouterr().out == serial == (GOLDEN / "cv_report.json").read_text()
+    captured = capsys.readouterr()
+    assert captured.out == golden
+    assert captured.err == ""

@@ -1,10 +1,16 @@
+import dataclasses
+import inspect
 import json
 
 import pytest
 
+from mlmkl import pipeline
 from mlmkl.config import (
     DEFAULT_SUBSAMPLE,
     SVM_C_GRID,
+    ClassifierConfig,
+    CvConfig,
+    ExperimentConfig,
     config_to_dict,
     load_config,
     parse_config,
@@ -12,6 +18,11 @@ from mlmkl.config import (
 from mlmkl.errors import ConfigError
 
 MINIMAL = {"layers": [{"kernels": ["linear"], "width": 2}]}
+
+
+def field_defaults(cls):
+    return {f.name: f.default for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING}
 
 
 def layered(**extra):
@@ -37,6 +48,18 @@ def test_minimal_defaults():
     assert cfg.cv is None
     assert cfg.classifier.kernel.canonical() == "arccos(n=1,L=1)"
     assert cfg.classifier.c == 1.0
+    # each unset key takes its dataclass field's default, the one copy
+    expected = [
+        (layer, pipeline.LayerConfig, {"kpca_components", "gamma", "basis_size"}),
+        (cfg.classifier, ClassifierConfig, {"c", "tol"}),
+        (cfg, ExperimentConfig, {"subsample", "split", "cv", "probe_cap"}),
+    ]
+    for parsed, cls, names in expected:
+        defaults = field_defaults(cls)
+        assert names <= set(defaults), cls
+        assert {n: getattr(parsed, n) for n in names} == {n: defaults[n] for n in names}, cls
+    assert DEFAULT_SUBSAMPLE is pipeline.DEFAULT_SUBSAMPLE
+    assert inspect.signature(pipeline.fit).parameters["subsample"].default == DEFAULT_SUBSAMPLE
 
 
 def test_explicit_layer_values():
@@ -88,6 +111,9 @@ def test_cv_defaults():
     assert cv.widths == ()
     assert cv.svm_c == SVM_C_GRID
     assert cv.repeats == 3
+    defaults = field_defaults(CvConfig)
+    assert set(defaults) == {"svm_c", "repeats"}
+    assert {name: getattr(cv, name) for name in defaults} == defaults
 
 
 def test_unknown_keys_rejected_everywhere():

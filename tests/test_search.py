@@ -1,9 +1,6 @@
 """``search.grid_search`` runs the layer stages once per distinct weight
 vector: gamma enters only the weight QP, so gammas that learn equal
 weights share the combined Gram, kernel PCA, crosses and probe SVMs."""
-import os
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -212,19 +209,3 @@ def test_c_grid_trains_no_svm_the_winning_probe_trained(monkeypatch, svm_c, trai
     assert len(c_stage) == trained * 2 and 10 not in c_stage
     assert [row["C"] for row in result.report["svm_c"]] == list(svm_c)
 
-
-def test_workers_get_their_share_of_the_cores_and_the_caller_keeps_its_environment(
-        monkeypatch):
-    for var in search._BLAS_THREADS:
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("MKL_NUM_THREADS", "3")  # set by the caller, so left alone
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
-    before = dict(os.environ)
-    seen = search._run([partial(os.getenv, var) for var in search._BLAS_THREADS], jobs=2)
-    assert dict(os.environ) == before
-    assert seen == ["2", "2", "3"]  # 4 cores, 2 workers
-
-
-def test_workers_are_capped_at_the_usable_cores(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert search._run([os.getpid] * 3, jobs=4) == [os.getpid()] * 3
