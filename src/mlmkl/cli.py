@@ -17,7 +17,9 @@ has no effect.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 import time
 
@@ -49,7 +51,17 @@ def _mu_text(layer):
 # train
 
 
+def _writable(path):
+    """Fail as ``open(path, "wb")`` fails when ``path`` is a directory or its
+    parent directory is missing, but before the fit and creating no file."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def cmd_train(args):
+    _writable(args.out)
     cfg = load_config(args.config)
     ds = data.load_amat(args.train)
     if cfg.split is not None:

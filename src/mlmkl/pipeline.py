@@ -13,6 +13,9 @@ of one kernel set's candidates and shares each stage between them.
 ``fit_layer`` is its one-candidate call, and ``search.grid_search`` runs it
 for every candidate grid of ``mlmkl cv``.
 
+``config`` owns the settings: ``LayerConfig`` and ``DEFAULT_SUBSAMPLE`` are
+re-exported here, and the classifier defaults are ``ClassifierConfig``'s.
+
 Layers may fit their Gram matrices on a random subsample of the rows
 (the whole training set is still pushed through the fitted layer), which
 keeps the cubic eigendecomposition affordable.  All randomness flows
@@ -33,6 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import featsel, kpca, svm
+from .config import DEFAULT_SUBSAMPLE, ClassifierConfig, LayerConfig
 from .errors import (
     ChecksumError,
     MlmklError,
@@ -62,7 +66,6 @@ __all__ = [
     "LayerConfig",
     "LayerModel",
     "MlmklModel",
-    "DEFAULT_CLASSIFIER_KERNEL",
     "DEFAULT_SUBSAMPLE",
     "combined_cross",
     "draw_fit_rows",
@@ -79,63 +82,6 @@ __all__ = [
     "save",
     "load",
 ]
-
-DEFAULT_CLASSIFIER_KERNEL = "arccos(n=1,L=1)"
-DEFAULT_SUBSAMPLE = 3000
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    """Hyperparameters of one layer.
-
-    ``kpca_components`` defaults to three times the layer width, leaving
-    the univariate test a 3x surplus of candidate directions.
-    """
-
-    kernels: tuple
-    width: int
-    kpca_components: int | None = None
-    gamma: float = 0.1
-    basis_size: int = 10
-
-    def __post_init__(self):
-        kernels = tuple(self.kernels)
-        if len(kernels) < 1:
-            raise ValueError("a layer needs at least one base kernel")
-        for k in kernels:
-            if not isinstance(k, KernelSpec):
-                raise TypeError("kernels must be KernelSpec instances, got %r" % (k,))
-        if not isinstance(self.width, (int, np.integer)) or self.width < 1:
-            raise ValueError("width must be a positive integer, got %r" % (self.width,))
-        if self.kpca_components is not None:
-            if (
-                not isinstance(self.kpca_components, (int, np.integer))
-                or self.kpca_components < self.width
-            ):
-                raise ValueError(
-                    "kpca_components must be an integer >= width, got %r"
-                    % (self.kpca_components,)
-                )
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be nonnegative and finite, got %r" % (self.gamma,))
-        if not isinstance(self.basis_size, (int, np.integer)) or self.basis_size < 1:
-            raise ValueError("basis_size must be a positive integer, got %r" % (self.basis_size,))
-        object.__setattr__(self, "kernels", kernels)
-
-    @property
-    def components(self):
-        return self.kpca_components if self.kpca_components is not None else 3 * self.width
-
-    def to_dict(self):
-        """JSON-ready form, as in model headers and configuration files."""
-        return {
-            "kernels": [k.canonical() for k in self.kernels],
-            "width": int(self.width),
-            "kpca_components": int(self.components),
-            "gamma": float(self.gamma),
-            "basis_size": int(self.basis_size),
-        }
-
 
 @dataclass
 class LayerModel:
@@ -374,7 +320,7 @@ def _fingerprint(x, y):
     return h.hexdigest()
 
 
-def train_classifier(features, labels, kernel, c=1.0, tol=1e-3):
+def train_classifier(features, labels, kernel, c=ClassifierConfig.c, tol=ClassifierConfig.tol):
     """Kernel SVM on a feature matrix; the support rows are kept on the model."""
     x = np.asarray(features, dtype=np.float64)
     machine = svm.train_multiclass(gram(x, kernel), labels, c=c, tol=tol, kernel=kernel)
@@ -406,9 +352,9 @@ def fit(
     configs,
     subsample=DEFAULT_SUBSAMPLE,
     seed=0,
-    classifier=None,
-    svm_c=1.0,
-    svm_tol=1e-3,
+    classifier=ClassifierConfig.kernel,
+    svm_c=ClassifierConfig.c,
+    svm_tol=ClassifierConfig.tol,
     callback=None,
 ):
     """Train the full stack: layers greedily, then the SVM on top.
@@ -422,8 +368,8 @@ def fit(
     configs = list(configs)
     if len(configs) < 1:
         raise ValueError("need at least one layer config")
-    if classifier is None:
-        classifier = parse_kernel(DEFAULT_CLASSIFIER_KERNEL)
+    if not isinstance(classifier, KernelSpec):  # fail before the layers, not after
+        raise TypeError("classifier must be a KernelSpec, got %r" % (classifier,))
     rng = np.random.default_rng(seed)
     rep = x
     layers = []
@@ -475,8 +421,8 @@ _PREFIX = struct.Struct("<IIQ")
 
 
 def _manifest(model):
-    if model.classifier.support_vectors is None:
-        raise ValueError("cannot save a classifier without support vectors")
+    if model.classifier.support_vectors is None or model.classifier.kernel is None:
+        raise ValueError("cannot save a classifier without support vectors and kernel")
     arrays = []
     layer_headers = []
     for index, layer in enumerate(model.layers):
@@ -500,7 +446,7 @@ def _manifest(model):
         "format": "mlmkl-model",
         "layers": layer_headers,
         "classifier": {
-            "kernel": clf.kernel.canonical() if clf.kernel is not None else None,
+            "kernel": clf.kernel.canonical(),
             "c": clf.c,
         },
         "metadata": model.metadata,
@@ -586,7 +532,7 @@ def load(path):
             dual_coef=arrays["classifier/dual_coef"],
             biases=arrays["classifier/biases"],
             c=float(ch["c"]),
-            kernel=parse_kernel(ch["kernel"]) if ch["kernel"] is not None else None,
+            kernel=parse_kernel(ch["kernel"]),
             support_vectors=arrays["classifier/support_vectors"],
         )
         return MlmklModel(layers=layers, classifier=machine, metadata=header["metadata"])

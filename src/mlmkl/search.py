@@ -1,7 +1,8 @@
 """Greedy per-layer grid search, the work behind ``mlmkl cv``.
 
 Each layer keeps the (kernel set, gamma, width) candidate whose probe SVM
-has the lowest mean validation error over repeated splits; the next layer
+has the lowest mean validation error over repeated splits (the candidates
+are ``config.candidate_grids`` of the configured layer); the next layer
 searches on the winner's features, and the SVM C is chosen last, reusing
 the winner's probe errors at the classifier's own C.  The search fits no
 layer itself: each (repeat, kernel set) is one ``pipeline.fit_layer_grid``
@@ -20,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import data, pipeline
-from .config import config_to_dict
+from .config import candidate_grids, config_to_dict
 from .errors import ConfigError
 
 __all__ = ["CvResult", "grid_search", "error_percent", "probe_error"]
@@ -89,11 +90,7 @@ def grid_search(dataset, config, seed=0):
     notes = {}
     chosen = []
     for li, base in enumerate(config.layers):
-        grids = [
-            [[replace(base, kernels=ks, width=w, gamma=g) for w in cv.widths or (base.width,)]
-             for g in cv.gammas or (base.gamma,)]
-            for ks in cv.kernel_sets or (base.kernels,)
-        ]
+        grids = candidate_grids(base, cv)
         candidates = [cand for grid in grids for row in grid for cand in row]
         cells = []  # cells[r][ci]: candidate ci on repeat r
         for split, rng in zip(splits, rngs):

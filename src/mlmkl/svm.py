@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ClassifierConfig
 from .errors import DegenerateLabelsError, ShapeError
 from .kernels import GramMatrix, _gram_values
 
@@ -73,7 +74,7 @@ def _movable(y, alpha, c):
     return up, down
 
 
-def train_binary(k, y, c, tol=1e-3, max_iter=1_000_000):
+def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
     """Train one binary machine on a precomputed kernel matrix."""
     kv = _gram_values(k)
     n = kv.shape[0]
@@ -227,7 +228,7 @@ class SvmModel:
         return self.support.size
 
 
-def train_multiclass(k, y, c=1.0, tol=1e-3, kernel=None):
+def train_multiclass(k, y, c=ClassifierConfig.c, tol=ClassifierConfig.tol, kernel=None):
     """One binary machine per class, sharing one support index set."""
     if not isinstance(k, GramMatrix):
         k = GramMatrix(np.asarray(k, dtype=np.float64))  # checked once for all machines

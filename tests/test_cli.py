@@ -1,8 +1,11 @@
 import argparse
 import collections
+import dataclasses
+import hashlib
 import inspect
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -158,7 +161,10 @@ def test_missing_train_file_fails_cleanly(corpus, capsys):
 @pytest.mark.parametrize("command,flag", [
     ("train", "--out"), ("train", "--config"), ("cv", "--out"), ("eval", "--model"),
 ])
-def test_a_directory_in_place_of_a_file_fails_cleanly(corpus, capsys, command, flag):
+def test_a_directory_in_place_of_a_file_fails_cleanly(corpus, capsys, monkeypatch,
+                                                     command, flag):
+    # a bad --out fails before the fit, not after it
+    monkeypatch.setattr(pipeline, "fit", lambda *a, **kw: pytest.fail("fit was called"))
     cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3], "repeats": 1})
     argv = {
         "train": ["train", "--config", cfg, "--train", corpus["train"],
@@ -174,6 +180,18 @@ def test_a_directory_in_place_of_a_file_fails_cleanly(corpus, capsys, command, f
     assert captured.out == ""
     assert captured.err.startswith("error: ") and str(corpus["tmp"]) in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_train_out_in_a_missing_directory_fails_before_the_fit(corpus, capsys, monkeypatch):
+    monkeypatch.setattr(pipeline, "fit", lambda *a, **kw: pytest.fail("fit was called"))
+    out = corpus["tmp"] / "absent" / "m.bin"
+    rc = cli.main(["train", "--config", str(corpus["cfg_path"]), "--train", corpus["train"],
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: '%s'\n" % out
+    assert not out.parent.exists()
 
 
 def test_unknown_config_key_fails_cleanly(corpus, capsys):
@@ -273,12 +291,13 @@ def test_every_flag_is_read_by_its_command():
 
 
 @pytest.mark.parametrize("updates,message", [
-    ({"cv": {"gamma": [-1]}}, "cv.gamma must be nonnegative, got -1.0"),
+    ({"cv": {"gamma": [-1]}}, "layers[0] cv candidate: gamma must be nonnegative and finite, "
+                              "got -1.0"),
     ({"cv": {"svm_c": [-1, 1]}}, "cv.svm_c must be positive, got -1.0"),
     ({"cv": {"svm_c": [0]}}, "cv.svm_c must be positive, got 0.0"),
     ({"cv": {"width": [3, 8]},
       "layers": [{"kernels": ["linear"], "width": 3, "kpca_components": 6}]},
-     "layers[0].kpca_components 6 is below cv.width 8"),
+     "layers[0] cv candidate: kpca_components must be an integer >= width 8, got 6"),
     ({"layers": [{"kernels": ["linear"], "width": 2, "gamma": -1}]},
      "layers[0]: gamma must be nonnegative and finite, got -1.0"),
 ], ids=["cv_gamma", "cv_svm_c_negative", "cv_svm_c_zero", "kpca_below_cv_width",
@@ -350,6 +369,38 @@ def test_eval_rejects_corrupt_model(corpus, capsys):
     captured = capsys.readouterr()
     assert rc == 2
     assert "error:" in captured.err
+
+
+def test_a_model_without_a_classifier_kernel_fails_to_load(corpus, capsys):
+    model_path = corpus["tmp"] / "model.bin"
+    assert cli.main(["train", "--config", str(corpus["cfg_path"]),
+                     "--train", corpus["train"], "--out", str(model_path)]) == 0
+    capsys.readouterr()
+    model = pipeline.load(model_path)
+    unsaved = corpus["tmp"] / "unsaved.bin"
+    with pytest.raises(ValueError, match="without support vectors and kernel"):
+        pipeline.save(dataclasses.replace(model, classifier=dataclasses.replace(
+            model.classifier, kernel=None)), unsaved)
+    assert not unsaved.exists()
+    # the header re-signed with a null kernel, so the checksum holds
+    blob = model_path.read_bytes()
+    prefix = struct.Struct("<IIQ")
+    start = 8 + prefix.size
+    version, header_len, total = prefix.unpack(blob[8:start])
+    header = json.loads(blob[start:start + header_len])
+    header["classifier"]["kernel"] = None
+    head = json.dumps(header).encode("utf-8")
+    payload = blob[start + header_len:total - 32]
+    body = (blob[:8] + prefix.pack(version, len(head), start + len(head) + len(payload) + 32)
+            + head + payload)
+    model_path.write_bytes(body + hashlib.sha256(body).digest())
+    with pytest.raises(ModelIOError, match="kernel spec must be a string, got None"):
+        pipeline.load(model_path)
+    rc = cli.main(["eval", "--model", str(model_path), "--test", corpus["test"]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_cv_smoke_and_best_config(corpus, capsys):

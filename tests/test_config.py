@@ -4,13 +4,14 @@ import json
 
 import pytest
 
-from mlmkl import pipeline
+from mlmkl import pipeline, svm
 from mlmkl.config import (
     DEFAULT_SUBSAMPLE,
     SVM_C_GRID,
     ClassifierConfig,
     CvConfig,
     ExperimentConfig,
+    LayerConfig,
     config_to_dict,
     load_config,
     parse_config,
@@ -50,16 +51,30 @@ def test_minimal_defaults():
     assert cfg.classifier.c == 1.0
     # each unset key takes its dataclass field's default, the one copy
     expected = [
-        (layer, pipeline.LayerConfig, {"kpca_components", "gamma", "basis_size"}),
-        (cfg.classifier, ClassifierConfig, {"c", "tol"}),
-        (cfg, ExperimentConfig, {"subsample", "split", "cv", "probe_cap"}),
+        (layer, LayerConfig, {"kpca_components", "gamma", "basis_size"}),
+        (cfg.classifier, ClassifierConfig, {"kernel", "c", "tol"}),
+        (cfg, ExperimentConfig, {"subsample", "split", "classifier", "cv", "probe_cap"}),
     ]
     for parsed, cls, names in expected:
         defaults = field_defaults(cls)
         assert names <= set(defaults), cls
         assert {n: getattr(parsed, n) for n in names} == {n: defaults[n] for n in names}, cls
     assert DEFAULT_SUBSAMPLE is pipeline.DEFAULT_SUBSAMPLE
-    assert inspect.signature(pipeline.fit).parameters["subsample"].default == DEFAULT_SUBSAMPLE
+    assert LayerConfig is pipeline.LayerConfig
+    # the library's own defaults are those fields too
+    classifier = field_defaults(ClassifierConfig)
+    assert classifier["kernel"].canonical() == "arccos(n=1,L=1)"
+    tied = [
+        (pipeline.fit, {"subsample": DEFAULT_SUBSAMPLE, "classifier": classifier["kernel"],
+                        "svm_c": classifier["c"], "svm_tol": classifier["tol"]}),
+        (pipeline.train_classifier, {"c": classifier["c"], "tol": classifier["tol"]}),
+        (svm.train_multiclass, {"c": classifier["c"], "tol": classifier["tol"]}),
+        (svm.train_binary, {"tol": classifier["tol"]}),
+    ]
+    for fn, want in tied:
+        params = inspect.signature(fn).parameters
+        assert {name: params[name].default for name in want} == want, fn.__name__
+    assert inspect.signature(svm.train_binary).parameters["c"].default is inspect.Parameter.empty
 
 
 def test_explicit_layer_values():

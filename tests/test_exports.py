@@ -34,3 +34,18 @@ def test_the_package_imports_only_the_standard_library_and_numpy():
                 continue
             outside += [(path.name, n) for n in names if n.split(".")[0] not in allowed]
     assert outside == []
+
+
+def test_config_imports_no_package_module_but_kernels_and_errors():
+    # config owns the settings that pipeline, search and svm read, so it
+    # must not import them back
+    path = Path(mlmkl.__file__).parent / "config.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # an absolute mlmkl import
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                alias.name for alias in node.names]
+            imported |= {n for n in names if n.split(".")[0] == "mlmkl"}
+    assert imported == {"kernels", "errors"}

@@ -266,6 +266,14 @@ def test_fit_rejects_a_non_finite_svm_c(c):
         pipeline.fit(x, y, default_configs(), subsample=0, svm_c=c)
 
 
+@pytest.mark.parametrize("classifier", [None, "arccos(n=1,L=1)"])
+def test_fit_rejects_a_classifier_that_is_not_a_kernel_before_the_layers(monkeypatch, classifier):
+    monkeypatch.setattr(pipeline, "fit_layer", lambda *a, **kw: pytest.fail("a layer was fitted"))
+    x, y = blob_data()
+    with pytest.raises(TypeError, match="classifier must be a KernelSpec, got"):
+        pipeline.fit(x, y, default_configs(), subsample=0, classifier=classifier)
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
 def test_fit_rejects_a_bad_svm_tol(tol):
     x, y = blob_data()
