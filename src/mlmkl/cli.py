@@ -210,6 +210,8 @@ def cmd_weights(args):
 
 
 def cmd_cv(args):
+    if args.out:
+        _writable(args.out)
     if args.jobs > 1:
         print("note: --jobs is deprecated and has no effect; cv runs in this process",
               file=sys.stderr)

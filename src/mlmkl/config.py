@@ -1,23 +1,25 @@
-"""Experiment configuration: JSON in, validated dataclasses out.
+"""Experiment configuration: JSON in, checked dataclasses out.
 
 Each setting has one owner here: ``LayerConfig``, ``ClassifierConfig`` (its
-fields are the library's classifier defaults) and ``candidate_grids``, a
-layer's cv candidates.  It imports no package module but kernels and errors.
-
-Unknown keys are rejected loudly at every level; silently ignoring a
-misspelled hyperparameter is how wrong numbers end up in tables.  The
-parsers pass on only the keys present, so each default has one copy: its
-dataclass field's.
+fields are the library's classifier defaults), ``CvConfig``,
+``ExperimentConfig`` and ``candidate_grids``, a layer's cv candidates.  It
+imports no package module but kernels and errors.  Each dataclass checks
+every value it holds in ``__post_init__``, so a config built in code fails
+as one read from JSON, with the text that the reader puts after the
+value's section path (``layers[0].gamma must be finite, got inf``).  The
+reader only maps JSON: it rejects unknown, missing and repeated keys
+(silently ignoring a misspelled hyperparameter is how wrong numbers end up
+in tables) and passes on only the keys present, so each default has one
+copy, its field's.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
-import numpy as np
-
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, RowCountError
 from .kernels import KernelSpec, parse_kernel
 
 __all__ = [
@@ -37,6 +39,43 @@ DEFAULT_SUBSAMPLE = 3000
 SVM_C_GRID = (0.1, 1.0, 10.0, 100.0)
 
 
+def _count(name, value, minimum, error=ValueError):
+    """``value``, which must be an integer, not a bool, of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError("%s must be an integer, got %r" % (name, value))
+    if value < minimum:
+        raise error("%s must be >= %d, got %d" % (name, minimum, value))
+    return value
+
+
+def _real(name, value, positive=False):
+    """``value`` as a float: a finite number, not a bool, at least 0 or,
+    when ``positive``, above 0."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError("%s must be a number, got %r" % (name, value))
+    value = float(value)
+    if not math.isfinite(value):  # json reads Infinity and NaN
+        raise ValueError("%s must be finite, got %r" % (name, value))
+    if value < 0 or positive and value == 0:
+        raise ValueError("%s must be %s, got %r"
+                         % (name, "positive" if positive else "nonnegative and finite", value))
+    return value
+
+
+def _kernels(name, kernels):
+    kernels = tuple(kernels)
+    if not kernels:
+        raise ValueError("%s must hold at least one kernel" % name)
+    if not all(isinstance(k, KernelSpec) for k in kernels):
+        raise TypeError("%s must be KernelSpec instances, got %r" % (name, kernels))
+    return kernels
+
+
+def _store(instance, **values):  # on a frozen dataclass
+    for name, value in values.items():
+        object.__setattr__(instance, name, value)
+
+
 @dataclass(frozen=True)
 class LayerConfig:
     """Hyperparameters of one layer.
@@ -52,24 +91,14 @@ class LayerConfig:
     basis_size: int = 10
 
     def __post_init__(self):
-        kernels = tuple(self.kernels)
-        if len(kernels) < 1:
-            raise ValueError("a layer needs at least one base kernel")
-        for k in kernels:
-            if not isinstance(k, KernelSpec):
-                raise TypeError("kernels must be KernelSpec instances, got %r" % (k,))
-        if not isinstance(self.width, (int, np.integer)) or self.width < 1:
-            raise ValueError("width must be a positive integer, got %r" % (self.width,))
-        if self.kpca_components is not None and (
-                not isinstance(self.kpca_components, (int, np.integer))
-                or self.kpca_components < self.width):
-            raise ValueError("kpca_components must be an integer >= width %d, got %r"
-                             % (self.width, self.kpca_components))
-        if not 0.0 <= self.gamma < np.inf:
-            raise ValueError("gamma must be nonnegative and finite, got %r" % (self.gamma,))
-        if not isinstance(self.basis_size, (int, np.integer)) or self.basis_size < 1:
-            raise ValueError("basis_size must be a positive integer, got %r" % (self.basis_size,))
-        object.__setattr__(self, "kernels", kernels)
+        _store(self, kernels=_kernels("kernels", self.kernels))
+        width = _count("width", self.width, 1)
+        components = self.kpca_components
+        if components is not None and _count("kpca_components", components, 1) < width:
+            raise ValueError("kpca_components must be an integer >= width %d, got %d"
+                             % (width, components))
+        _store(self, gamma=_real("gamma", self.gamma))
+        _count("basis_size", self.basis_size, 1)
 
     @property
     def components(self):
@@ -92,14 +121,33 @@ class ClassifierConfig:
     c: float = 1.0
     tol: float = 1e-3
 
+    def __post_init__(self):
+        if not isinstance(self.kernel, KernelSpec):  # ``classifier`` in ``pipeline.fit``
+            raise TypeError("classifier must be a KernelSpec, got %r" % (self.kernel,))
+        _store(self, c=_real("C", self.c, positive=True),
+               tol=_real("tol", self.tol, positive=True))
+
 
 @dataclass(frozen=True)
 class CvConfig:
+    """A cv grid; an empty ``kernel_sets``, ``gammas`` or ``widths`` keeps
+    the layer's value.  ``ExperimentConfig`` checks each gamma and width as
+    a field of a candidate layer."""
+
     kernel_sets: tuple  # tuple of tuples of KernelSpec
     gammas: tuple
     widths: tuple
     svm_c: tuple = SVM_C_GRID
     repeats: int = 3
+
+    def __post_init__(self):
+        kernel_sets = tuple(_kernels("kernel_sets[%d]" % i, ks)
+                            for i, ks in enumerate(self.kernel_sets))
+        svm_c = tuple(_real("svm_c", c, positive=True) for c in self.svm_c)
+        if not svm_c:
+            raise ValueError("svm_c must not be empty")
+        _count("repeats", self.repeats, 1)
+        _store(self, kernel_sets=kernel_sets, svm_c=svm_c)
 
 
 @dataclass(frozen=True)
@@ -110,6 +158,24 @@ class ExperimentConfig:
     classifier: ClassifierConfig = ClassifierConfig()
     cv: CvConfig | None = None
     probe_cap: int = 3000
+
+    def __post_init__(self):
+        _store(self, layers=tuple(self.layers))
+        if not self.layers:
+            raise ValueError("layers must hold at least one LayerConfig")
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer, LayerConfig):
+                raise TypeError("layers[%d] must be a LayerConfig, got %r" % (i, layer))
+        _count("subsample", self.subsample, 0, RowCountError)
+        if self.split is not None:
+            _count("split.train", self.split[0], 1)
+            _count("split.valid", self.split[1], 0)
+        _count("probe_cap", self.probe_cap, 1)
+        for i, layer in enumerate(self.layers if self.cv is not None else ()):
+            try:
+                candidate_grids(layer, self.cv)  # LayerConfig checks each candidate
+            except (ValueError, TypeError) as exc:
+                raise type(exc)("layers[%d] cv candidate: %s" % (i, exc)) from None
 
 
 def candidate_grids(layer, cv):
@@ -123,26 +189,26 @@ def candidate_grids(layer, cv):
     ]
 
 
-def _reject_unknown(mapping, allowed, where):
-    unknown = sorted(set(mapping) - set(allowed))
+# ---------------------------------------------------------------------------
+# the JSON reader
+
+
+def _object(entry, where, keys, required=()):
+    """``entry``, a JSON object with only ``keys`` and every ``required`` one."""
+    if not isinstance(entry, dict):
+        raise ConfigError("%s must be an object" % where)
+    unknown = sorted(set(entry) - set(keys))
     if unknown:
         raise ConfigError("unknown key %r in %s" % (unknown[0], where))
+    if not all(key in entry for key in required):
+        raise ConfigError("%s needs %s" % (where, " and ".join(map(repr, required))))
+    return entry
 
 
-def _integer(value, key, minimum=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError("%s must be an integer, got %r" % (key, value))
-    if minimum is not None and value < minimum:
-        raise ConfigError("%s must be >= %d, got %d" % (key, minimum, value))
-    return value
-
-
-def _number(value, key):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError("%s must be a number, got %r" % (key, value))
-    if not math.isfinite(value):  # json reads Infinity and NaN
-        raise ConfigError("%s must be finite, got %r" % (key, value))
-    return float(value)
+def _list(value, where, item=None):
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list" % where)
+    return tuple(value if item is None else map(item, value))
 
 
 def _kernel(text, where):
@@ -153,121 +219,85 @@ def _kernel(text, where):
 
 
 def _kernel_list(value, where):
-    if not isinstance(value, list) or not value:
-        raise ConfigError("%s must be a nonempty list of kernel strings" % where)
-    return tuple(_kernel(item, where) for item in value)
+    return _list(value, where, lambda text: _kernel(text, where))
 
 
-def _layer(entry, index):
-    where = "layers[%d]" % index
-    if not isinstance(entry, dict):
-        raise ConfigError("%s must be an object" % where)
-    _reject_unknown(entry, ("kernels", "width", "kpca_components", "gamma", "basis_size"), where)
-    if "kernels" not in entry or "width" not in entry:
-        raise ConfigError("%s needs 'kernels' and 'width'" % where)
-    fields = {
-        "kernels": _kernel_list(entry["kernels"], where),
-        "width": _integer(entry["width"], where + ".width"),
-    }
-    if "kpca_components" in entry:
-        fields["kpca_components"] = _integer(entry["kpca_components"], where + ".kpca_components")
-    if "gamma" in entry:
-        fields["gamma"] = _number(entry["gamma"], where + ".gamma")
-    if "basis_size" in entry:
-        fields["basis_size"] = _integer(entry["basis_size"], where + ".basis_size")
+def _build(cls, where, values):
+    """``cls(**values)``; its ``ValueError`` or ``TypeError`` is a ``ConfigError``
+    naming the section ``where`` (None: the root).  A null is no value: in a
+    file a key is left out to take its default."""
+    prefix = "" if where is None else where + "."
+    null = [key for key, value in values.items() if value is None]
+    if null:
+        raise ConfigError("%s%s must not be null" % (prefix, null[0]))
     try:
-        return LayerConfig(**fields)
+        return cls(**values)
     except (ValueError, TypeError) as exc:
-        raise ConfigError("%s: %s" % (where, exc)) from None
+        raise ConfigError(prefix + str(exc)) from None
+
+
+def _layer(entry, where):
+    values = dict(_object(entry, where, [f.name for f in fields(LayerConfig)],
+                          ("kernels", "width")))
+    values["kernels"] = _kernel_list(values["kernels"], where + ".kernels")
+    return _build(LayerConfig, where, values)
 
 
 def _classifier(entry):
-    if not isinstance(entry, dict):
-        raise ConfigError("classifier must be an object")
-    _reject_unknown(entry, ("kernel", "C", "tol"), "classifier")
-    fields = {}
-    if "kernel" in entry:
-        fields["kernel"] = _kernel(entry["kernel"], "classifier")
-    if "C" in entry:
-        fields["c"] = _number(entry["C"], "classifier.C")
-    if "tol" in entry:
-        fields["tol"] = _number(entry["tol"], "classifier.tol")
-    classifier = ClassifierConfig(**fields)
-    if classifier.c <= 0 or classifier.tol <= 0:
-        raise ConfigError("classifier C and tol must be positive")
-    return classifier
+    values = {"c" if key == "C" else key: value
+              for key, value in _object(entry, "classifier", ("kernel", "C", "tol")).items()}
+    if "kernel" in values:
+        values["kernel"] = _kernel(values["kernel"], "classifier")
+    return _build(ClassifierConfig, "classifier", values)
 
 
 def _cv(entry):
-    if entry is None:
-        return None
-    if not isinstance(entry, dict):
-        raise ConfigError("cv must be an object")
-    _reject_unknown(entry, ("kernels", "gamma", "width", "svm_c", "repeats"), "cv")
-    raw_sets = entry.get("kernels")
-    if raw_sets is not None and (not isinstance(raw_sets, list) or not raw_sets):
+    _object(entry, "cv", ("kernels", "gamma", "width", "svm_c", "repeats"))
+    groups = entry.get("kernels")
+    if groups is not None and (not isinstance(groups, list) or not groups):
         raise ConfigError("cv.kernels must be a nonempty list of kernel lists")
-    kernel_sets = tuple(_kernel_list(group, "cv.kernels[%d]" % i)
-                        for i, group in enumerate(raw_sets or ()))
-    if not all(isinstance(entry.get(key, []), list) for key in ("gamma", "width", "svm_c")):
-        raise ConfigError("cv.gamma, cv.width and cv.svm_c must be lists")
-    gammas = tuple(_number(g, "cv.gamma") for g in entry.get("gamma", []))
-    widths = tuple(_integer(w, "cv.width") for w in entry.get("width", []))
-    fields = {}
+    values = {
+        "kernel_sets": tuple(_kernel_list(group, "cv.kernels[%d]" % i)
+                             for i, group in enumerate(groups or ())),
+        "gammas": _list(entry.get("gamma", []), "cv.gamma"),
+        "widths": _list(entry.get("width", []), "cv.width"),
+    }
     if "svm_c" in entry:
-        svm_c = tuple(_number(c, "cv.svm_c") for c in entry["svm_c"])
-        if not svm_c:
-            raise ConfigError("cv.svm_c must not be empty")
-        if any(c <= 0 for c in svm_c):
-            raise ConfigError("cv.svm_c must be positive, got %r" % min(svm_c))
-        fields["svm_c"] = svm_c
+        values["svm_c"] = _list(entry["svm_c"], "cv.svm_c")
     if "repeats" in entry:
-        fields["repeats"] = _integer(entry["repeats"], "cv.repeats", 1)
-    return CvConfig(kernel_sets=kernel_sets, gammas=gammas, widths=widths, **fields)
+        values["repeats"] = entry["repeats"]
+    return _build(CvConfig, "cv", values)
 
 
 def parse_config(raw):
-    """Validate a configuration dictionary."""
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration root must be an object")
-    _reject_unknown(
-        raw, ("layers", "subsample", "split", "classifier", "cv", "probe_cap"), "config"
-    )
-    if "layers" not in raw or not isinstance(raw["layers"], list) or not raw["layers"]:
-        raise ConfigError("config needs a nonempty 'layers' list")
-    layers = tuple(_layer(entry, i) for i, entry in enumerate(raw["layers"]))
-    fields = {}
-    if "subsample" in raw:
-        fields["subsample"] = _integer(raw["subsample"], "subsample", 0)
-    split = None
+    """The ``ExperimentConfig`` of a decoded JSON configuration."""
+    _object(raw, "config", [f.name for f in fields(ExperimentConfig)], ("layers",))
+    values = {key: raw[key] for key in ("subsample", "probe_cap") if key in raw}
+    values["layers"] = tuple(_layer(entry, "layers[%d]" % i)
+                             for i, entry in enumerate(_list(raw["layers"], "layers")))
     if raw.get("split") is not None:
-        entry = raw["split"]
-        if not isinstance(entry, dict):
-            raise ConfigError("split must be an object")
-        _reject_unknown(entry, ("train", "valid"), "split")
-        if "train" not in entry:
-            raise ConfigError("split needs 'train'")
-        split = (
-            _integer(entry["train"], "split.train", 1),
-            _integer(entry.get("valid", 0), "split.valid", 0),
-        )
+        split = _object(raw["split"], "split", ("train", "valid"), ("train",))
+        values["split"] = (split["train"], split.get("valid", 0))
     if raw.get("classifier") is not None:
-        fields["classifier"] = _classifier(raw["classifier"])
-    cv = _cv(raw.get("cv"))
-    for i, layer in enumerate(layers if cv is not None else ()):
-        try:
-            candidate_grids(layer, cv)
-        except ValueError as exc:
-            raise ConfigError("layers[%d] cv candidate: %s" % (i, exc)) from None
-    if "probe_cap" in raw:
-        fields["probe_cap"] = _integer(raw["probe_cap"], "probe_cap", 1)
-    return ExperimentConfig(layers=layers, split=split, cv=cv, **fields)
+        values["classifier"] = _classifier(raw["classifier"])
+    if raw.get("cv") is not None:
+        values["cv"] = _cv(raw["cv"])
+    return _build(ExperimentConfig, None, values)
+
+
+def _unique_keys(pairs):  # json.load would keep a repeated key's last value
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError("repeated key %r in a JSON object" % key)
+        obj[key] = value
+    return obj
 
 
 def load_config(path):
     try:
         with open(path, "r") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError("%s is not valid JSON: %s" % (path, exc)) from None
     return parse_config(raw)

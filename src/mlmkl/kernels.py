@@ -194,6 +194,8 @@ def parse_kernel(text):
                 value = float(raw)
             except ValueError:
                 raise ParseError("bad numeric value %r in %r" % (raw, text)) from None
+            if key in params:
+                raise ParseError("repeated parameter %r in %r" % (key, text))
             params[key] = value
 
     fields = {}

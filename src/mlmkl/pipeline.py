@@ -14,7 +14,8 @@ of one kernel set's candidates and shares each stage between them.
 for every candidate grid of ``mlmkl cv``.
 
 ``config`` owns the settings: ``LayerConfig`` and ``DEFAULT_SUBSAMPLE`` are
-re-exported here, and the classifier defaults are ``ClassifierConfig``'s.
+re-exported here, the classifier defaults are ``ClassifierConfig``'s, and
+``fit`` checks its settings as an ``ExperimentConfig`` before any layer.
 
 Layers may fit their Gram matrices on a random subsample of the rows
 (the whole training set is still pushed through the fitted layer), which
@@ -36,20 +37,19 @@ from typing import NamedTuple
 import numpy as np
 
 from . import featsel, kpca, svm
-from .config import DEFAULT_SUBSAMPLE, ClassifierConfig, LayerConfig
+from .config import DEFAULT_SUBSAMPLE, ClassifierConfig, ExperimentConfig, LayerConfig
 from .errors import (
     ChecksumError,
     MlmklError,
     ModelIOError,
     NonFiniteInputError,
     ParseError,
-    RowCountError,
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
 )
 from .kernels import (
-    KernelFamily, KernelSpec, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
+    KernelFamily, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
 )
 from .kpca import KpcaModel
 from .svm import SvmModel
@@ -135,10 +135,8 @@ def combined_cross(rows, cols, kernels, weights):
 def draw_fit_rows(rng, n, subsample):
     """Sorted positions of ``subsample`` of ``n`` rows drawn by ``rng``
     without replacement, or None (every row) when ``subsample`` is 0 or
-    not below ``n``.  A negative ``subsample`` fails here, for ``fit``
-    and ``search.grid_search`` alike."""
-    if subsample and subsample < 0:
-        raise RowCountError("subsample must be >= 0, got %d" % subsample)
+    not below ``n``; ``subsample`` is an ``ExperimentConfig``'s, so it is
+    not negative."""
     if subsample and subsample < n:
         return np.sort(rng.choice(n, size=subsample, replace=False))
     return None
@@ -361,15 +359,13 @@ def fit(
 
     ``callback(index, layer, representation)`` runs after each layer is
     fitted, with the training rows already pushed through it; useful for
-    per-layer diagnostics without a second pass.
+    per-layer diagnostics without a second pass.  Every setting is
+    checked, as an ``ExperimentConfig``, before the first layer.
     """
+    clf = ClassifierConfig(classifier, svm_c, svm_tol)
+    configs = ExperimentConfig(layers=configs, subsample=subsample, classifier=clf).layers
     x = _finite(features)
     y = np.asarray(labels)
-    configs = list(configs)
-    if len(configs) < 1:
-        raise ValueError("need at least one layer config")
-    if not isinstance(classifier, KernelSpec):  # fail before the layers, not after
-        raise TypeError("classifier must be a KernelSpec, got %r" % (classifier,))
     rng = np.random.default_rng(seed)
     rep = x
     layers = []
@@ -378,13 +374,13 @@ def fit(
         layers.append(layer)
         if callback is not None:
             callback(index, layer, rep)
-    machine = train_classifier(rep, y, classifier, c=svm_c, tol=svm_tol)
+    machine = train_classifier(rep, y, clf.kernel, c=clf.c, tol=clf.tol)
     metadata = {
         "seed": int(seed),
-        "subsample": int(subsample) if subsample else 0,
-        "classifier": classifier.canonical(),
-        "svm_c": float(svm_c),
-        "svm_tol": float(svm_tol),
+        "subsample": int(subsample),
+        "classifier": clf.kernel.canonical(),
+        "svm_c": clf.c,
+        "svm_tol": clf.tol,
         "data_sha256": _fingerprint(x, y),
         "layer_configs": [cfg.to_dict() for cfg in configs],
     }

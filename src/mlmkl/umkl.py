@@ -161,7 +161,7 @@ class UmklProblem:
         return self.entries.shape[2]
 
 
-def problem_from_features(features, specs, basis_size=10):
+def problem_from_features(features, specs, basis_size):
     """Neighbour bases, each kernel's entries at them and each sample's
     local linear Gram, all from P = x x^T, which is dropped on return."""
     x = _as_matrix(features, "features")

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import digits_like, direction_blobs, write_amat
-from mlmkl import cli, data, pipeline
+from mlmkl import cli, data, pipeline, search
 from mlmkl.config import load_config
 from mlmkl.errors import ConfigError, ModelIOError, RowCountError
 from mlmkl.search import error_percent
@@ -194,6 +194,20 @@ def test_train_out_in_a_missing_directory_fails_before_the_fit(corpus, capsys, m
     assert not out.parent.exists()
 
 
+def test_cv_out_in_a_missing_directory_fails_before_the_search(corpus, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(search, "grid_search", lambda *a, **kw: calls.append(a))
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3], "repeats": 1})
+    out = corpus["tmp"] / "absent" / "best.json"
+    rc = cli.main(["cv", "--config", cfg, "--train", corpus["train"], "--out", str(out)])
+    captured = capsys.readouterr()
+    assert calls == []
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: '%s'\n" % out
+    assert not out.parent.exists()
+
+
 def test_unknown_config_key_fails_cleanly(corpus, capsys):
     cfg = write_config(corpus, probecap=10)
     rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],
@@ -299,7 +313,7 @@ def test_every_flag_is_read_by_its_command():
       "layers": [{"kernels": ["linear"], "width": 3, "kpca_components": 6}]},
      "layers[0] cv candidate: kpca_components must be an integer >= width 8, got 6"),
     ({"layers": [{"kernels": ["linear"], "width": 2, "gamma": -1}]},
-     "layers[0]: gamma must be nonnegative and finite, got -1.0"),
+     "layers[0].gamma must be nonnegative and finite, got -1.0"),
 ], ids=["cv_gamma", "cv_svm_c_negative", "cv_svm_c_zero", "kpca_below_cv_width",
         "layer_gamma"])
 def test_cv_rejects_bad_values_where_the_config_is_read(corpus, capsys, updates, message):

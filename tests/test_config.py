@@ -2,6 +2,7 @@ import dataclasses
 import inspect
 import json
 
+import numpy as np
 import pytest
 
 from mlmkl import pipeline, svm
@@ -17,6 +18,7 @@ from mlmkl.config import (
     parse_config,
 )
 from mlmkl.errors import ConfigError
+from mlmkl.kernels import parse_kernel
 
 MINIMAL = {"layers": [{"kernels": ["linear"], "width": 2}]}
 
@@ -153,6 +155,8 @@ def test_structural_errors():
         {"layers": [{"kernels": ["linear"]}]},
         {"layers": [{"kernels": [], "width": 2}]},
         {"layers": [{"kernels": ["linear"], "width": 2}], "split": {"valid": 3}},
+        # a null is no value; in code None is kpca_components' default
+        {"layers": [{"kernels": ["linear"], "width": 2, "kpca_components": None}]},
     ):
         with pytest.raises(ConfigError):
             parse_config(raw)
@@ -219,3 +223,132 @@ def test_snapshot_reparses_to_same_config():
     assert config_to_dict(again) == snap
     assert again.split == cfg.split
     assert again.classifier.kernel == cfg.classifier.kernel
+
+
+def test_a_repeated_key_is_an_error(tmp_path):
+    # json keeps the last value, which would have set width 7 here
+    path = tmp_path / "cfg.json"
+    path.write_text('{"layers": [{"kernels": ["linear"], "width": 2, "width": 7}]}')
+    with pytest.raises(ConfigError, match="^repeated key 'width' in a JSON object$"):
+        load_config(path)
+    path.write_text('{"layers": [{"kernels": ["rbf(gamma=1,gamma=2)"], "width": 2}]}')
+    with pytest.raises(ConfigError) as caught:
+        load_config(path)
+    assert str(caught.value) == ("bad kernel in layers[0].kernels: "
+                                 "repeated parameter 'gamma' in 'rbf(gamma=1,gamma=2)'")
+
+
+def test_float_fields_hold_floats():
+    cfg = parse_config(layered(classifier={"C": 10, "tol": 1}, cv={"svm_c": [1, 10]}))
+    code = LayerConfig(kernels=cfg.layers[0].kernels, width=2, gamma=np.float32(0.5))
+    values = [cfg.layers[1].gamma, cfg.classifier.c, cfg.classifier.tol, *cfg.cv.svm_c,
+              code.gamma, ClassifierConfig(c=10).c]
+    assert [type(v) for v in values] == [float] * len(values)
+    assert values == [0.3, 10.0, 1.0, 1.0, 10.0, 0.5, 10.0]
+
+
+LINEAR = parse_kernel("linear")
+LAYER = LayerConfig(kernels=(LINEAR,), width=2)
+
+
+def layer_json(**values):
+    return [dict({"kernels": ["linear"], "width": 2}, **values)]
+
+
+def cv_config(**values):
+    return CvConfig(**dict({"kernel_sets": (), "gammas": (), "widths": ()}, **values))
+
+
+# A bad value for each field of each dataclass: the JSON update that holds
+# it, the same value built in code, the section path that the reader puts
+# in front, and the text.  The reader rejects the JSON with a ConfigError
+# of that path and text; the dataclass rejects the code with the text.
+SAME_TEXT = [
+    (LayerConfig, "kernels", {"layers": layer_json(kernels=[])},
+     lambda: LayerConfig(kernels=(), width=2), "layers[0].",
+     "kernels must hold at least one kernel"),
+    (LayerConfig, "width", {"layers": layer_json(width=True)},
+     lambda: LayerConfig(kernels=(LINEAR,), width=True), "layers[0].",
+     "width must be an integer, got True"),
+    (LayerConfig, "kpca_components", {"layers": layer_json(kpca_components=1)},
+     lambda: LayerConfig(kernels=(LINEAR,), width=2, kpca_components=1), "layers[0].",
+     "kpca_components must be an integer >= width 2, got 1"),
+    (LayerConfig, "gamma", {"layers": layer_json(gamma="0.1")},
+     lambda: LayerConfig(kernels=(LINEAR,), width=2, gamma="0.1"), "layers[0].",
+     "gamma must be a number, got '0.1'"),
+    (LayerConfig, "basis_size", {"layers": layer_json(basis_size=0)},
+     lambda: LayerConfig(kernels=(LINEAR,), width=2, basis_size=0), "layers[0].",
+     "basis_size must be >= 1, got 0"),
+    (ClassifierConfig, "c", {"classifier": {"C": 0}},
+     lambda: ClassifierConfig(c=0), "classifier.", "C must be positive, got 0.0"),
+    (ClassifierConfig, "tol", {"classifier": {"tol": float("nan")}},
+     lambda: ClassifierConfig(tol=float("nan")), "classifier.", "tol must be finite, got nan"),
+    (CvConfig, "kernel_sets", {"cv": {"kernels": [["linear"], []]}},
+     lambda: cv_config(kernel_sets=((LINEAR,), ())), "cv.",
+     "kernel_sets[1] must hold at least one kernel"),
+    (CvConfig, "gammas", {"cv": {"gamma": [0.1, -1]}},
+     lambda: ExperimentConfig(layers=(LAYER,), cv=cv_config(gammas=(0.1, -1))), "",
+     "layers[0] cv candidate: gamma must be nonnegative and finite, got -1.0"),
+    (CvConfig, "widths", {"cv": {"width": [2, 0]}},
+     lambda: ExperimentConfig(layers=(LAYER,), cv=cv_config(widths=(2, 0))), "",
+     "layers[0] cv candidate: width must be >= 1, got 0"),
+    (CvConfig, "svm_c", {"cv": {"svm_c": []}},
+     lambda: cv_config(svm_c=()), "cv.", "svm_c must not be empty"),
+    (CvConfig, "repeats", {"cv": {"repeats": 0}},
+     lambda: cv_config(repeats=0), "cv.", "repeats must be >= 1, got 0"),
+    (ExperimentConfig, "layers", {"layers": []},
+     lambda: ExperimentConfig(layers=()), "", "layers must hold at least one LayerConfig"),
+    (ExperimentConfig, "subsample", {"subsample": -1},
+     lambda: ExperimentConfig(layers=(LAYER,), subsample=-1), "",
+     "subsample must be >= 0, got -1"),
+    (ExperimentConfig, "split", {"split": {"train": 0}},
+     lambda: ExperimentConfig(layers=(LAYER,), split=(0, 0)), "",
+     "split.train must be >= 1, got 0"),
+    (ExperimentConfig, "classifier", {"classifier": {"tol": -1}},
+     lambda: ExperimentConfig(layers=(LAYER,), classifier=ClassifierConfig(tol=-1)),
+     "classifier.", "tol must be positive, got -1.0"),
+    (ExperimentConfig, "cv", {"cv": {"svm_c": [1, -2]}},
+     lambda: ExperimentConfig(layers=(LAYER,), cv=cv_config(svm_c=(1, -2))), "cv.",
+     "svm_c must be positive, got -2.0"),
+    (ExperimentConfig, "probe_cap", {"probe_cap": 0},
+     lambda: ExperimentConfig(layers=(LAYER,), probe_cap=0), "",
+     "probe_cap must be >= 1, got 0"),
+]
+
+# The classifier kernel is a string that the reader parses: the reader
+# rejects a bad one with its own text, the dataclass a kernel built in code
+# that is not a KernelSpec with another.
+READER_READ = [
+    (ClassifierConfig, "kernel", {"classifier": {"kernel": 5}},
+     "bad kernel in classifier: kernel spec must be a string, got 5",
+     lambda: ClassifierConfig(kernel=5), "classifier must be a KernelSpec, got 5"),
+]
+
+
+def test_every_field_has_a_bad_value_case():
+    every = {(cls, f.name) for cls in (LayerConfig, ClassifierConfig, CvConfig, ExperimentConfig)
+             for f in dataclasses.fields(cls)}
+    assert {row[:2] for row in SAME_TEXT + READER_READ} == every
+
+
+def rejected(raw, build):
+    """(the reader's text for ``raw``, the dataclass's text for ``build()``)."""
+    with pytest.raises(ConfigError) as from_json:
+        parse_config(json.loads(json.dumps(raw)))
+    with pytest.raises((ValueError, TypeError)) as from_code:
+        build()
+    return str(from_json.value), str(from_code.value)
+
+
+@pytest.mark.parametrize("cls,field,updates,build,where,text", SAME_TEXT,
+                         ids=["%s.%s" % (row[0].__name__, row[1]) for row in SAME_TEXT])
+def test_each_bad_value_fails_in_its_dataclass_with_one_text(cls, field, updates, build,
+                                                            where, text):
+    assert rejected(dict({"layers": layer_json()}, **updates), build) == (where + text, text)
+
+
+@pytest.mark.parametrize("cls,field,updates,json_text,build,text", READER_READ,
+                         ids=["%s.%s" % (row[0].__name__, row[1]) for row in READER_READ])
+def test_values_the_reader_reads_fail_in_the_reader(cls, field, updates, json_text, build, text):
+    assert rejected(dict({"layers": layer_json()}, **updates), build) == (json_text, text)
+

@@ -540,6 +540,16 @@ def test_parse_rejects_non_finite_parameters(text):
         parse_kernel(text)
 
 
+@pytest.mark.parametrize("text,key", [
+    ("rbf(gamma=1,gamma=2)", "gamma"), ("arccos(n=1,n=2)", "n"),
+    ("arccos(n=1,L=2,L=2)", "L"), ("poly(degree=2, scale=1 ,scale=3)", "scale"),
+])
+def test_parse_rejects_a_repeated_parameter(text, key):
+    # the last value used to win silently
+    with pytest.raises(ParseError, match="^repeated parameter '%s' in " % key):
+        parse_kernel(text)
+
+
 def test_spec_rejects_non_finite_parameters():
     for kwargs in ({"gamma": np.inf}, {"gamma": np.nan}):
         with pytest.raises(ValueError, match="finite"):

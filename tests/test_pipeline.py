@@ -10,6 +10,7 @@ from mlmkl.errors import (
     ChecksumError,
     ModelIOError,
     NonFiniteInputError,
+    RowCountError,
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
@@ -259,39 +260,62 @@ def test_zero_row_fails_with_an_arc_cosine_kernel_whatever_its_weight(gamma, arc
         pipeline.fit(x, y, [cfg], subsample=60, seed=0)
 
 
+@pytest.fixture
+def no_layer(monkeypatch):
+    """Fails the test if ``pipeline.fit`` reaches its first layer."""
+    monkeypatch.setattr(pipeline, "fit_layer", lambda *a, **kw: pytest.fail("a layer was fitted"))
+
+
 @pytest.mark.parametrize("c", [np.inf, np.nan])
-def test_fit_rejects_a_non_finite_svm_c(c):
+def test_fit_rejects_a_non_finite_svm_c(no_layer, c):
     x, y = blob_data()
-    with pytest.raises(ValueError, match="C must be positive and finite"):
+    with pytest.raises(ValueError, match="^C must be finite, got %s$" % c):
         pipeline.fit(x, y, default_configs(), subsample=0, svm_c=c)
 
 
 @pytest.mark.parametrize("classifier", [None, "arccos(n=1,L=1)"])
-def test_fit_rejects_a_classifier_that_is_not_a_kernel_before_the_layers(monkeypatch, classifier):
-    monkeypatch.setattr(pipeline, "fit_layer", lambda *a, **kw: pytest.fail("a layer was fitted"))
+def test_fit_rejects_a_classifier_that_is_not_a_kernel_before_the_layers(no_layer, classifier):
     x, y = blob_data()
     with pytest.raises(TypeError, match="classifier must be a KernelSpec, got"):
         pipeline.fit(x, y, default_configs(), subsample=0, classifier=classifier)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
-def test_fit_rejects_a_bad_svm_tol(tol):
+def test_fit_rejects_a_bad_svm_tol(no_layer, tol):
     x, y = blob_data()
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
+    rule = "positive" if np.isfinite(tol) else "finite"
+    with pytest.raises(ValueError, match=r"^tol must be %s, got %s$" % (rule, tol)):
         pipeline.fit(x, y, default_configs(), subsample=0, svm_tol=tol)
 
 
 @pytest.mark.parametrize("gamma", [-0.1, np.inf, np.nan])
 def test_layer_config_rejects_a_negative_or_non_finite_gamma(gamma):
     # an infinite gamma used to pass here and fail in the weight QP
-    with pytest.raises(ValueError, match="gamma must be nonnegative and finite"):
+    rule = "nonnegative and finite" if np.isfinite(gamma) else "finite"
+    with pytest.raises(ValueError, match=r"^gamma must be %s, got %s$" % (rule, gamma)):
         LayerConfig(kernels=(RBF,), width=2, gamma=gamma)
 
 
-def test_fit_requires_a_layer():
+def test_fit_requires_a_layer(no_layer):
     x, y = blob_data()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^layers must hold at least one LayerConfig$"):
         pipeline.fit(x, y, [], subsample=0)
+
+
+@pytest.mark.parametrize("settings,error,message", [
+    ({"svm_c": -1.0}, ValueError, "C must be positive, got -1.0"),
+    ({"svm_c": 0}, ValueError, "C must be positive, got 0.0"),
+    ({"configs": [LayerConfig(kernels=(RBF,), width=2), "linear"]}, TypeError,
+     "layers[1] must be a LayerConfig, got 'linear'"),
+    ({"subsample": -1}, RowCountError, "subsample must be >= 0, got -1"),
+], ids=["svm_c_negative", "svm_c_zero", "layer_not_a_layer_config", "subsample_negative"])
+def test_fit_checks_every_setting_before_the_first_layer(no_layer, settings, error, message):
+    # a bad C or a stray layer used to fail only after every layer was fitted
+    x, y = blob_data()
+    kwargs = dict({"configs": default_configs(), "subsample": 0}, **settings)
+    with pytest.raises(error) as caught:
+        pipeline.fit(x, y, **kwargs)
+    assert str(caught.value) == message
 
 
 # ---------------------------------------------------------------------------

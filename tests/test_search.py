@@ -1,6 +1,8 @@
 """``search.grid_search`` runs the layer stages once per distinct weight
 vector: gamma enters only the weight QP, so gammas that learn equal
 weights share the combined Gram, kernel PCA, crosses and probe SVMs."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,19 @@ def test_gammas_with_equal_weights_share_one_layer_fit(monkeypatch, built_grams,
     rows = result.report["layers"][0]
     assert [row["mean_error_percent"] for row in rows[:2]] == \
         [row["mean_error_percent"] for row in rows[2:]]
+
+
+@pytest.mark.parametrize("change,message", [
+    (lambda cfg: replace(cfg, cv=replace(cfg.cv, svm_c=())), "svm_c must not be empty"),
+    (lambda cfg: replace(cfg, cv=replace(cfg.cv, repeats=0)), "repeats must be >= 1, got 0"),
+    (lambda cfg: replace(cfg, probe_cap=0), "probe_cap must be >= 1, got 0"),
+], ids=["svm_c_empty", "repeats_zero", "probe_cap_zero"])
+def test_a_bad_setting_built_in_code_fails_before_any_layer_fit(monkeypatch, change, message):
+    # an empty svm_c used to run the whole layer search, then fail in argmin
+    monkeypatch.setattr(pipeline, "fit_layer_grid",
+                        lambda *a, **kw: pytest.fail("a layer was fitted"))
+    with pytest.raises(ValueError, match="^%s$" % message):
+        search.grid_search(corpus(), change(experiment(GAMMAS)), seed=0)
 
 
 def test_candidates_are_the_configured_layer_with_the_searched_fields_replaced(kpca_fits):
