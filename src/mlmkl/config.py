@@ -222,16 +222,19 @@ def _kernel_list(value, where):
     return _list(value, where, lambda text: _kernel(text, where))
 
 
-def _build(cls, where, values):
-    """``cls(**values)``; its ``ValueError`` or ``TypeError`` is a ``ConfigError``
-    naming the section ``where`` (None: the root).  A null is no value: in a
-    file a key is left out to take its default."""
+def _build(cls, where, values, fields_of=None):
+    """``cls(**values)``, each JSON key of ``values`` passed as the field
+    ``fields_of`` maps it to (itself when unmapped); its ``ValueError`` or
+    ``TypeError`` is a ``ConfigError`` naming the section ``where`` (None:
+    the root).  A null is no value: in a file a key is left out to take its
+    default."""
     prefix = "" if where is None else where + "."
     null = [key for key, value in values.items() if value is None]
     if null:
         raise ConfigError("%s%s must not be null" % (prefix, null[0]))
+    fields_of = fields_of or {}
     try:
-        return cls(**values)
+        return cls(**{fields_of.get(key, key): value for key, value in values.items()})
     except (ValueError, TypeError) as exc:
         raise ConfigError(prefix + str(exc)) from None
 
@@ -244,11 +247,10 @@ def _layer(entry, where):
 
 
 def _classifier(entry):
-    values = {"c" if key == "C" else key: value
-              for key, value in _object(entry, "classifier", ("kernel", "C", "tol")).items()}
+    values = dict(_object(entry, "classifier", ("kernel", "C", "tol")))
     if "kernel" in values:
         values["kernel"] = _kernel(values["kernel"], "classifier")
-    return _build(ClassifierConfig, "classifier", values)
+    return _build(ClassifierConfig, "classifier", values, {"C": "c"})
 
 
 def _cv(entry):

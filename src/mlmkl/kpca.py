@@ -4,26 +4,88 @@ The Gram matrix is double-centered in feature space,
 
     K' = K - 1_n K - K 1_n + 1_n K 1_n,
 
-eigendecomposed, and the eigenvectors are rescaled by 1/sqrt(lambda) so
-that projecting a centered kernel row onto them yields unit-variance
-principal directions in feature space.  Components whose eigenvalue
-falls below 1e-10 times the largest are dropped as numerically
-rank-deficient.  With a linear kernel the result coincides with
-ordinary PCA scores up to per-component sign.
+its leading eigenpairs are computed, and the eigenvectors are rescaled by
+1/sqrt(lambda) so that projecting a centered kernel row onto them yields
+unit-variance principal directions in feature space.  Components whose
+eigenvalue falls below 1e-10 times the largest are dropped as numerically
+rank-deficient.  With a linear kernel the result coincides with ordinary
+PCA scores up to per-component sign.
+
+The eigensolver is LAPACK's ``dsyevr`` with RANGE='I', asked for only the
+top min(n_components, n) pairs: an exact method (tridiagonal reduction,
+then bisection and inverse iteration for the chosen pairs), which skips
+the other n - k eigenvectors and the n x n matrix that would hold them.
+It is looked up once, at import, as ``scipy_LAPACKE_dsyevr64_`` (64-bit
+ints) in the OpenBLAS that numpy's own linear algebra links, so the
+package needs nothing beyond numpy.  Where numpy links a LAPACK without
+that symbol (numpy 1.x wheels, conda/MKL, a system LAPACK), ``fit`` calls
+``np.linalg.eigh`` and keeps the top pairs.  ``SOLVER`` says which one
+runs ("dsyevr" or "eigh").  The two agree to round-off, a few 1e-15 of
+the largest eigenvalue, not bit for bit; so do a fit at one component count
+and the leading components of a fit at a larger one (``leading``), which
+is why a ``cv`` candidate equals the same layer fitted alone to round-off.
 """
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGramError, ShapeError
+from .errors import DegenerateGramError, NumericalFailureError, ShapeError
 from .kernels import _gram_values, _slab_rows
 
-__all__ = ["KpcaModel", "center_gram", "fit", "leading", "transform"]
+__all__ = ["SOLVER", "KpcaModel", "center_gram", "fit", "leading", "transform"]
 
 _EIGENVALUE_CUTOFF = 1e-10
+_COL_MAJOR = 102  # LAPACK_COL_MAJOR
+
+
+def _find_dsyevr():
+    """LAPACKE's ``dsyevr`` with 64-bit ints from the LAPACK that numpy's
+    linear algebra links, or None where that library does not export it."""
+    try:
+        # dlsym on the extension module also searches the libraries it links
+        routine = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+    except (AttributeError, OSError):
+        return None
+    i64, real = ctypes.c_int64, ctypes.c_double
+    routine.restype = i64
+    routine.argtypes = [
+        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64,  # layout jobz range uplo n
+        np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS"), i64,  # a lda
+        real, real, i64, i64, real,  # vl vu il iu abstol
+        ctypes.POINTER(i64), np.ctypeslib.ndpointer(np.float64, 1),  # m w
+        np.ctypeslib.ndpointer(np.float64, 2, flags="F_CONTIGUOUS"), i64,  # z ldz
+        np.ctypeslib.ndpointer(np.int64, 1),  # isuppz
+    ]
+    return routine
+
+
+_DSYEVR = _find_dsyevr()
+SOLVER = "eigh" if _DSYEVR is None else "dsyevr"
+
+
+def _top_eigenpairs(a, k):
+    """The ``k`` largest eigenvalues of the symmetric C-contiguous float64
+    ``a``, descending, and their unit eigenvectors as columns.  ``a`` is
+    overwritten."""
+    if _DSYEVR is None:
+        lams, vecs = np.linalg.eigh(a)
+        return lams[::-1][:k], vecs[:, ::-1][:, :k]
+    n = a.shape[0]
+    lams = np.empty(n)
+    vecs = np.empty((n, k), order="F")
+    found = ctypes.c_int64()
+    # a symmetric C-ordered array read column-major is the same matrix
+    info = _DSYEVR(_COL_MAJOR, b"V", b"I", b"L", n, a, n, 0.0, 0.0, n - k + 1, n, 0.0,
+                   ctypes.byref(found), lams, vecs, n, np.empty(2 * k, dtype=np.int64))
+    if info != 0 or found.value != k:
+        raise NumericalFailureError(
+            "dsyevr failed with info %d, %d of %d eigenpairs" % (info, found.value, k)
+        )
+    return lams[:k][::-1], vecs[:, ::-1]
 
 
 def center_gram(k):
@@ -109,9 +171,9 @@ def fit(k, n_components):
     """
     _check_count(n_components)
     centered, row_means, total_mean = center_gram(k)
-    lams, vecs = np.linalg.eigh(centered)
-    lams = lams[::-1]
-    vecs = vecs[:, ::-1]
+    # only the top pairs are computed: when fewer of them than asked for are
+    # above the cutoff, they are all the usable ones there are
+    lams, vecs = _top_eigenpairs(centered, min(n_components, centered.shape[0]))
     lam_max = float(lams[0])
     if not lam_max > 0.0:
         raise DegenerateGramError(
@@ -136,9 +198,12 @@ def leading(model, n_components):
     """The first ``n_components`` components of a model that ``fit``
     returned for at least that many.
 
-    Bit for bit what ``fit`` returns for ``n_components`` on the same
-    Gram, with the same warning when fewer are usable, so one
-    eigendecomposition serves every smaller count.
+    What ``fit`` returns for ``n_components`` on the same Gram, with the
+    same warning when fewer are usable, so one eigendecomposition serves
+    every smaller count.  The values agree to round-off (within 1e-12 of
+    the largest entry), not bit for bit, since a subset solve for fewer
+    pairs rounds differently; at ``model.n_components`` they are the
+    model's own bits.
     """
     _check_count(n_components)
     keep = min(n_components, model.n_components)

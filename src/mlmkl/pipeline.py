@@ -187,7 +187,10 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     largest component count, one training cross and, given ``valid`` rows,
     one validation cross.  Gamma enters only the QP, so rows whose weights
     are equal get the same cells, computed once; ``score(train, valid)``
-    runs on each freshly fitted candidate.
+    runs on each freshly fitted candidate.  A candidate at the largest
+    count has the bits of the same layer fitted alone; one at a smaller
+    count gets the leading components of that kernel PCA, which equal its
+    own to round-off (``kpca.leading``), not bit for bit.
     """
     failures = (MlmklError, ValueError)
     x, kernels = _as_matrix(features, "features"), grid[0][0].kernels

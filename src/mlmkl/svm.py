@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import ClassifierConfig
+from .config import ClassifierConfig, _real
 from .errors import DegenerateLabelsError, ShapeError
 from .kernels import GramMatrix, _gram_values
 
@@ -79,11 +79,9 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
     kv = _gram_values(k)
     n = kv.shape[0]
     y = _signed_labels(y, n)
-    if not 0 < c < np.inf:  # an infinite C snaps every alpha update to 0
-        raise ValueError("C must be positive and finite, got %r" % (c,))
-    if not 0 < tol < np.inf:  # an infinite tol stops at once with alpha = 0
-        raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    c = float(c)
+    # ClassifierConfig's checks: an infinite C snaps every alpha update to 0,
+    # an infinite tol stops at once with alpha = 0
+    c, tol = _real("C", c, positive=True), _real("tol", tol, positive=True)
     alpha = np.zeros(n)
     f = y.copy()  # f = y - K (alpha o y), currently alpha = 0
     # the movable sets as penalties added to f before the arg-extremum:

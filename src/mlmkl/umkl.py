@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from .config import _real
 from .errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
 from .kernels import GramMatrix, _as_matrix, _kernel_values, _row_terms, _slab_rows
 
@@ -217,8 +218,7 @@ class QpForm:
 def assemble_qp(problem, gamma):
     """Collapse the per-sample objective at locality penalty ``gamma``
     into an m x m quadratic form."""
-    if not gamma >= 0.0:
-        raise ValueError("gamma must be nonnegative, got %r" % (gamma,))
+    gamma = _real("gamma", gamma)  # LayerConfig's check
     t = problem.entries
     g = problem.local_gram
     # P among each sample's bases, contiguous like the block gathered from the
@@ -231,7 +231,7 @@ def assemble_qp(problem, gamma):
     d = g[:, 0, 0]  # P_ii
     # build_local_bases' squared distances at the basis, same expression: bit-identical
     v_col = np.maximum(np.diagonal(p_sub, axis1=1, axis2=2) + d[:, None] - 2.0 * p_col, 0.0)
-    z = np.einsum("ia,iat->t", float(gamma) * v_col - p_col, t)
+    z = np.einsum("ia,iat->t", gamma * v_col - p_col, t)
     constant = 0.5 * float(d.sum())
     return QpForm(w, z, constant)
 

@@ -162,3 +162,15 @@ def loo_nearest_neighbour_accuracy(x, y):
     np.fill_diagonal(d, np.inf)
     nearest = np.argmin(d, axis=1)
     return float(np.mean(y[nearest] == y))
+
+
+
+def assert_equal_to_round_off(got, want):
+    """``got`` equals ``want`` entry by entry within 1e-12 of the largest
+    |entry| of ``want``: how closely two eigensolves of one matrix for
+    different numbers of pairs agree."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = np.abs(want).max(initial=0.0)
+    diff = np.abs(got - want).max(initial=0.0)
+    assert diff <= 1e-12 * scale, "differs by %.3g of the largest |entry|" % (diff / scale)

@@ -162,6 +162,13 @@ def test_structural_errors():
             parse_config(raw)
 
 
+@pytest.mark.parametrize("section,key", [("classifier", "C"), ("classifier", "tol"),
+                                         ("cv", "repeats")])
+def test_a_null_is_named_by_its_json_key(section, key):
+    with pytest.raises(ConfigError, match=r"^%s\.%s must not be null$" % (section, key)):
+        parse_config(layered(**{section: {key: None}}))
+
+
 def test_bad_kernel_text_is_config_error():
     with pytest.raises(ConfigError):
         parse_config({"layers": [{"kernels": ["sigmoid"], "width": 2}]})

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from mlmkl.errors import DegenerateGramError, ShapeError
 from mlmkl.kernels import GramMatrix, cross_gram, gram, parse_kernel
 
 import oracle
+from conftest import assert_equal_to_round_off
 
 
 def linear_gram(x):
@@ -163,11 +165,78 @@ def test_leading_components_equal_a_fresh_fit():
         got, got_warned = _recording_warnings(kpca.leading, full, n)
         want, want_warned = _recording_warnings(kpca.fit, k, n)
         assert got_warned == want_warned
-        np.testing.assert_array_equal(got.alphas, want.alphas)
-        np.testing.assert_array_equal(got.eigenvalues, want.eigenvalues)
+        # a solve for fewer pairs rounds differently; the centring is shared
+        assert_equal_to_round_off(got.alphas, want.alphas)
+        assert_equal_to_round_off(got.eigenvalues, want.eigenvalues)
         np.testing.assert_array_equal(got.row_means, want.row_means)
         assert got.total_mean == want.total_mean
+        # at the model's own count, its own bits
+        same = kpca.leading(full, full.n_components)
+        np.testing.assert_array_equal(same.alphas, full.alphas)
+        np.testing.assert_array_equal(same.eigenvalues, full.eigenvalues)
     assert want_warned == ["requested 6 components but only 4 eigenvalues are usable"]
+
+
+SOLVER_CASES = {
+    "rbf": (lambda x: gram(x, parse_kernel("rbf(gamma=0.3)")), 8),
+    "arccos": (lambda x: gram(x, parse_kernel("arccos(n=1,L=2)")), 8),
+    # 3-wide rows: a rank-3 centred Gram, so 6 components warn
+    "short_spectrum": (lambda x: linear_gram(x[:, :3]), 6),
+    "all_pairs": (lambda x: gram(x[:12], parse_kernel("rbf(gamma=0.3)")), 20),
+    "two_rows": (lambda x: GramMatrix(np.array([[2.0, 0.5], [0.5, 1.0]])), 2),
+    "one_row": (lambda x: GramMatrix(np.array([[1.5]])), 1),
+}
+
+
+# the subset solver's own tests: without it both paths are eigh
+needs_dsyevr = pytest.mark.skipif(kpca._DSYEVR is None, reason="numpy's LAPACK has no dsyevr")
+
+
+@needs_dsyevr
+@pytest.mark.parametrize("case", sorted(SOLVER_CASES))
+def test_subset_solver_matches_the_full_eigh(monkeypatch, case):
+    make, n_components = SOLVER_CASES[case]
+    k = make(np.random.default_rng(10).uniform(0.05, 1.0, size=(40, 6)))
+
+    def fit_or_raise():
+        try:
+            return _recording_warnings(kpca.fit, k, n_components)
+        except DegenerateGramError as exc:
+            return str(exc), []
+
+    subset, subset_warned = fit_or_raise()
+    monkeypatch.setattr(kpca, "_DSYEVR", None)  # the fallback: all pairs from eigh
+    full, full_warned = fit_or_raise()
+    assert subset_warned == full_warned
+    if case == "one_row":  # a centred 1 x 1 Gram is 0
+        assert subset == full == "centered Gram has no positive eigenvalue (max 0.0)"
+        return
+    assert subset.n_components == full.n_components
+    bound = 1e-12 * full.eigenvalues[0]
+    assert np.abs(subset.eigenvalues - full.eigenvalues).max() <= bound
+    vectors = [m.alphas * np.sqrt(m.eigenvalues) for m in (subset, full)]
+    assert np.abs(vectors[0] - vectors[1]).max() <= bound
+    np.testing.assert_array_equal(subset.row_means, full.row_means)
+    assert subset.total_mean == full.total_mean
+    if case == "short_spectrum":
+        assert full_warned == ["requested 6 components but only 3 eigenvalues are usable"]
+    if case == "all_pairs":  # a centred Gram has a null vector
+        assert full_warned == ["requested 20 components but only 11 eigenvalues are usable"]
+
+
+@needs_dsyevr
+def test_fit_holds_no_n_by_n_eigenvector_matrix():
+    # the centred Gram is the one n x n array; the eigensolver adds n x k
+    n, k = 2000, 60
+    x = np.random.default_rng(11).uniform(0.05, 1.0, size=(n, 10))
+    g = gram(x, parse_kernel("rbf(gamma=0.3)"))
+    tracemalloc.start()
+    try:
+        kpca.fit(g, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * n * n * 8
 
 
 def test_sign_convention_is_deterministic():

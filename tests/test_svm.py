@@ -4,6 +4,7 @@ import pytest
 import oracle
 from conftest import brute_force_svm_dual, direction_blobs, svm_dual_value
 from mlmkl import svm
+from mlmkl.config import ClassifierConfig
 from mlmkl.errors import DegenerateLabelsError, ShapeError
 from mlmkl.kernels import GramMatrix, cross_gram, gram, parse_kernel
 
@@ -97,9 +98,12 @@ def test_a_non_finite_c_is_rejected(c):
     # an infinite C would snap every alpha update to 0 and return an
     # all-zero machine marked converged
     x = np.array([[0.0], [1.0], [3.0], [4.0]])
-    with pytest.raises(ValueError, match="C must be positive and finite"):
+    text = "^C must be finite, got %s$" % c  # ClassifierConfig's text
+    with pytest.raises(ValueError, match=text):
+        ClassifierConfig(c=c)
+    with pytest.raises(ValueError, match=text):
         svm.train_binary(gram(x, LINEAR), np.array([1, 1, -1, -1]), c=c)
-    with pytest.raises(ValueError, match="C must be positive and finite"):
+    with pytest.raises(ValueError, match=text):
         svm.train_multiclass(gram(x, LINEAR), np.array([0, 0, 1, 2]), c=c)
 
 
@@ -108,9 +112,13 @@ def test_a_non_positive_or_non_finite_tol_is_rejected(tol):
     # 0, -1 and nan ran to max_iter and only warned; inf stopped at once
     # with an all-zero machine marked converged
     x = np.array([[0.0], [1.0], [3.0], [4.0]])
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
+    # ClassifierConfig's text
+    text = "^tol must be %s, got %s$" % ("positive" if np.isfinite(tol) else "finite", tol)
+    with pytest.raises(ValueError, match=text):
+        ClassifierConfig(tol=tol)
+    with pytest.raises(ValueError, match=text):
         svm.train_binary(gram(x, LINEAR), np.array([1, 1, -1, -1]), c=1.0, tol=tol)
-    with pytest.raises(ValueError, match="tol must be positive and finite"):
+    with pytest.raises(ValueError, match=text):
         svm.train_multiclass(gram(x, LINEAR), np.array([0, 0, 1, 2]), c=1.0, tol=tol)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mlmkl import umkl
+from mlmkl.config import LayerConfig
 from mlmkl.errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
 from mlmkl.kernels import _SLAB_BYTES, gram, parse_kernel
 from mlmkl.umkl import (
@@ -156,9 +157,12 @@ def test_problem_validation():
     x = rng.normal(size=(6, 3))
     prob = problem_from_features(x, [parse_kernel("linear")], basis_size=2)
     local, bases = prob.local_gram, prob.bases
-    for bad in (-0.5, np.nan):
-        with pytest.raises(ValueError):
+    for bad in (-0.5, np.nan, np.inf):  # with LayerConfig's text
+        with pytest.raises(ValueError) as raised:
             assemble_qp(prob, bad)
+        with pytest.raises(ValueError) as want:
+            LayerConfig(kernels=(parse_kernel("linear"),), width=1, gamma=bad)
+        assert str(raised.value) == str(want.value)
     with pytest.raises(ValueError):
         umkl.UmklProblem(np.zeros((6, 2, 0)), local, bases)
     for bad in (np.zeros((6, 3, 1)), np.zeros((5, 2, 1)), np.zeros((6, 2))):
