@@ -164,7 +164,6 @@ def loo_nearest_neighbour_accuracy(x, y):
     return float(np.mean(y[nearest] == y))
 
 
-
 def assert_equal_to_round_off(got, want):
     """``got`` equals ``want`` entry by entry within 1e-12 of the largest
     |entry| of ``want``: how closely two eigensolves of one matrix for
