@@ -9,8 +9,9 @@ as one read from JSON, with the text that the reader puts after the
 value's section path (``layers[0].gamma must be finite, got inf``).  The
 reader only maps JSON: it rejects unknown, missing and repeated keys
 (silently ignoring a misspelled hyperparameter is how wrong numbers end up
-in tables) and passes on only the keys present, so each default has one
-copy, its field's.
+in tables) and every null, naming it by its JSON path (``split.valid must
+not be null``), and passes on only the keys present, so each default has
+one copy, its field's.
 """
 from __future__ import annotations
 
@@ -168,8 +169,13 @@ class ExperimentConfig:
                 raise TypeError("layers[%d] must be a LayerConfig, got %r" % (i, layer))
         _count("subsample", self.subsample, 0, RowCountError)
         if self.split is not None:
-            _count("split.train", self.split[0], 1)
-            _count("split.valid", self.split[1], 0)
+            try:
+                train, valid = self.split
+            except (TypeError, ValueError) as exc:
+                raise type(exc)("split must be a (train, valid) pair, got %r"
+                                % (self.split,)) from None
+            _store(self, split=(_count("split.train", train, 1),
+                                _count("split.valid", valid, 0)))
         _count("probe_cap", self.probe_cap, 1)
         for i, layer in enumerate(self.layers if self.cv is not None else ()):
             try:
@@ -194,14 +200,20 @@ def candidate_grids(layer, cv):
 
 
 def _object(entry, where, keys, required=()):
-    """``entry``, a JSON object with only ``keys`` and every ``required`` one."""
+    """``entry``, a JSON object at ``where`` (None: the root) with only
+    ``keys``, every ``required`` one and no null value.  A null is no
+    value: in a file a key is left out to take its default."""
+    name, prefix = (where, where + ".") if where else ("config", "")
     if not isinstance(entry, dict):
-        raise ConfigError("%s must be an object" % where)
+        raise ConfigError("%s must be an object" % name)
     unknown = sorted(set(entry) - set(keys))
     if unknown:
-        raise ConfigError("unknown key %r in %s" % (unknown[0], where))
+        raise ConfigError("unknown key %r in %s" % (unknown[0], name))
     if not all(key in entry for key in required):
-        raise ConfigError("%s needs %s" % (where, " and ".join(map(repr, required))))
+        raise ConfigError("%s needs %s" % (name, " and ".join(map(repr, required))))
+    null = [key for key, value in entry.items() if value is None]
+    if null:
+        raise ConfigError("%s%s must not be null" % (prefix, null[0]))
     return entry
 
 
@@ -226,12 +238,8 @@ def _build(cls, where, values, fields_of=None):
     """``cls(**values)``, each JSON key of ``values`` passed as the field
     ``fields_of`` maps it to (itself when unmapped); its ``ValueError`` or
     ``TypeError`` is a ``ConfigError`` naming the section ``where`` (None:
-    the root).  A null is no value: in a file a key is left out to take its
-    default."""
+    the root)."""
     prefix = "" if where is None else where + "."
-    null = [key for key, value in values.items() if value is None]
-    if null:
-        raise ConfigError("%s%s must not be null" % (prefix, null[0]))
     fields_of = fields_of or {}
     try:
         return cls(**{fields_of.get(key, key): value for key, value in values.items()})
@@ -255,12 +263,12 @@ def _classifier(entry):
 
 def _cv(entry):
     _object(entry, "cv", ("kernels", "gamma", "width", "svm_c", "repeats"))
-    groups = entry.get("kernels")
-    if groups is not None and (not isinstance(groups, list) or not groups):
+    groups = entry.get("kernels", ())
+    if "kernels" in entry and (not isinstance(groups, list) or not groups):
         raise ConfigError("cv.kernels must be a nonempty list of kernel lists")
     values = {
         "kernel_sets": tuple(_kernel_list(group, "cv.kernels[%d]" % i)
-                             for i, group in enumerate(groups or ())),
+                             for i, group in enumerate(groups)),
         "gammas": _list(entry.get("gamma", []), "cv.gamma"),
         "widths": _list(entry.get("width", []), "cv.width"),
     }
@@ -273,16 +281,16 @@ def _cv(entry):
 
 def parse_config(raw):
     """The ``ExperimentConfig`` of a decoded JSON configuration."""
-    _object(raw, "config", [f.name for f in fields(ExperimentConfig)], ("layers",))
+    _object(raw, None, [f.name for f in fields(ExperimentConfig)], ("layers",))
     values = {key: raw[key] for key in ("subsample", "probe_cap") if key in raw}
     values["layers"] = tuple(_layer(entry, "layers[%d]" % i)
                              for i, entry in enumerate(_list(raw["layers"], "layers")))
-    if raw.get("split") is not None:
+    if "split" in raw:
         split = _object(raw["split"], "split", ("train", "valid"), ("train",))
         values["split"] = (split["train"], split.get("valid", 0))
-    if raw.get("classifier") is not None:
+    if "classifier" in raw:
         values["classifier"] = _classifier(raw["classifier"])
-    if raw.get("cv") is not None:
+    if "cv" in raw:
         values["cv"] = _cv(raw["cv"])
     return _build(ExperimentConfig, None, values)
 

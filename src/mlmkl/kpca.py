@@ -4,12 +4,17 @@ The Gram matrix is double-centered in feature space,
 
     K' = K - 1_n K - K 1_n + 1_n K 1_n,
 
-its leading eigenpairs are computed, and the eigenvectors are rescaled by
-1/sqrt(lambda) so that projecting a centered kernel row onto them yields
-unit-variance principal directions in feature space.  Components whose
-eigenvalue falls below 1e-10 times the largest are dropped as numerically
-rank-deficient.  With a linear kernel the result coincides with ordinary
-PCA scores up to per-component sign.
+in one whole-array pass, k_ij - r_i - r_j + t in that order, with r the
+fit set's row means and t its total mean.  New rows are centred against
+the fit set by the same rule, r_i then being the new row's own mean.  The
+centred Gram is symmetric only to round-off and is not mirrored: both
+eigensolvers read its upper triangle alone.  Its leading eigenpairs are
+computed, and the eigenvectors are rescaled by 1/sqrt(lambda) so that
+projecting a centered kernel row onto them yields unit-variance principal
+directions in feature space.  Components whose eigenvalue falls below
+1e-10 times the largest are dropped as numerically rank-deficient.  With a
+linear kernel the result coincides with ordinary PCA scores up to
+per-component sign.
 
 The eigensolver is LAPACK's ``dsyevr`` with RANGE='I', asked for only the
 top min(n_components, n) pairs: an exact method (tridiagonal reduction,
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateGramError, NumericalFailureError, ShapeError
-from .kernels import _gram_values, _slab_rows
+from .kernels import _gram_values
 
 __all__ = ["SOLVER", "KpcaModel", "center_gram", "fit", "leading", "transform"]
 
@@ -69,16 +74,16 @@ SOLVER = "eigh" if _DSYEVR is None else "dsyevr"
 
 def _top_eigenpairs(a, k):
     """The ``k`` largest eigenvalues of the symmetric C-contiguous float64
-    ``a``, descending, and their unit eigenvectors as columns.  ``a`` is
-    overwritten."""
+    ``a``, descending, and their unit eigenvectors as columns.  Only the
+    upper triangle of ``a`` is read, and ``a`` is overwritten."""
     if _DSYEVR is None:
-        lams, vecs = np.linalg.eigh(a)
+        lams, vecs = np.linalg.eigh(a, UPLO="U")
         return lams[::-1][:k], vecs[:, ::-1][:, :k]
     n = a.shape[0]
     lams = np.empty(n)
     vecs = np.empty((n, k), order="F")
     found = ctypes.c_int64()
-    # a symmetric C-ordered array read column-major is the same matrix
+    # read column-major, the C-ordered upper triangle is the lower one
     info = _DSYEVR(_COL_MAJOR, b"V", b"I", b"L", n, a, n, 0.0, 0.0, n - k + 1, n, 0.0,
                    ctypes.byref(found), lams, vecs, n, np.empty(2 * k, dtype=np.int64))
     if info != 0 or found.value != k:
@@ -93,27 +98,15 @@ def center_gram(k):
 
     Returns the centered matrix together with the per-row means and the
     total mean of the input, which are exactly what is needed to center
-    kernel evaluations against new points later.
+    kernel evaluations against new points later.  The matrix is the Gram
+    centred against its own statistics by the rule that centres new rows,
+    k_ij - r_i - r_j + t, which is symmetric only to round-off: both
+    eigensolvers read its upper triangle alone.
     """
     v = _gram_values(k)
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
-    n = v.shape[0]
-    centered = np.empty((n, n))
-    # v - r_i - r_j + t rounds differently from v - r_j - r_i + t, so this is
-    # the one kernel matrix whose upper triangle is computed and copied onto
-    # the lower: a slab of rows from the diagonal on, then its transpose
-    step = _slab_rows(n)
-    for s in range(0, n, step):
-        e = min(s + step, n)
-        upper = centered[s:e, s:]
-        np.subtract(v[s:e, s:], row_means[s:e, None], out=upper)
-        upper -= row_means[None, s:]
-        upper += total_mean
-        block = centered[s:e, s:e]
-        lower = np.tril_indices(e - s, -1)
-        block[lower] = block.T[lower]
-        centered[e:, s:e] = centered[s:e, e:].T
+    centered = _center(v, row_means, total_mean, np.empty(v.shape))
     return centered, row_means, total_mean
 
 
@@ -232,14 +225,20 @@ def transform(model, cross):
     return _center_and_project(model, c, np.empty_like(c))
 
 
+def _center(cross, row_means, total_mean, out):
+    """Centre the float64 ``cross`` against a fit set's ``row_means`` and
+    ``total_mean`` into ``out``: cross - its own row means - row_means +
+    total_mean, in that order.  ``out`` may be ``cross``."""
+    np.subtract(cross, cross.mean(axis=1)[:, None], out=out)
+    out -= row_means[None, :]
+    out += total_mean
+    return out
+
+
 def _center_and_project(model, cross, out):
-    """Centre the float64 (t, n_fit) ``cross`` into ``out`` and project it:
-    cross - r_new - r_fit + t, in that order.  ``out`` may be ``cross``
-    itself when the caller built it and no longer needs it, so that no
-    second t x n array is held."""
+    """Centre the float64 (t, n_fit) ``cross`` into ``out`` and project it.
+    ``out`` may be ``cross`` itself when the caller built it and no longer
+    needs it, so that no second t x n array is held."""
     if cross.shape[0] == 0:
         return np.zeros((0, model.n_components))
-    np.subtract(cross, cross.mean(axis=1)[:, None], out=out)
-    out -= model.row_means[None, :]
-    out += model.total_mean
-    return out @ model.alphas
+    return _center(cross, model.row_means, model.total_mean, out) @ model.alphas

@@ -13,10 +13,10 @@ one pass to a whole block, the reference for the slab-by-slab blocks of
 block by the angle path, J_n of theta = arccos(c) with ``kernels.j_n``, the
 reference for the library's J_n from the cosine.  The weight objective and the neighbour bases
 are computed from the full n x n linear Gram, which the library does not
-keep, and ``center_gram`` centres a whole Gram at once, the reference for
-the slab-by-slab ``kpca.center_gram``.  ``smo`` is the SVM trainer with
-its movable sets rebuilt from scratch at every step, the reference for the
-incremental bookkeeping of ``svm.train_binary``.
+keep, and ``center_gram`` centres a whole Gram at once and mirrors it, the
+reference for the upper triangle of ``kpca.center_gram``.  ``smo`` is the
+SVM trainer with its movable sets rebuilt from scratch at every step, the
+reference for the incremental bookkeeping of ``svm.train_binary``.
 """
 import math
 

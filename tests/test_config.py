@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,23 @@ def test_structural_errors():
 def test_a_null_is_named_by_its_json_key(section, key):
     with pytest.raises(ConfigError, match=r"^%s\.%s must not be null$" % (section, key)):
         parse_config(layered(**{section: {key: None}}))
+
+
+# a null in each place a key sits: the root, a layer, the classifier, the
+# split and the cv grid
+@pytest.mark.parametrize("raw,path", [
+    ({"layers": None}, "layers"),
+    (dict(MINIMAL, subsample=None), "subsample"),
+    (dict(MINIMAL, split=None), "split"),
+    ({"layers": [{"kernels": None, "width": 2}]}, "layers[0].kernels"),
+    (layered(classifier={"kernel": None}), "classifier.kernel"),
+    (layered(split={"train": 5, "valid": None}), "split.valid"),
+    (layered(cv={"kernels": None}), "cv.kernels"),
+    (layered(cv={"gamma": None}), "cv.gamma"),
+])
+def test_every_null_is_named_by_its_json_path(raw, path):
+    with pytest.raises(ConfigError, match=r"^%s must not be null$" % re.escape(path)):
+        parse_config(raw)
 
 
 def test_bad_kernel_text_is_config_error():
@@ -359,3 +377,10 @@ def test_each_bad_value_fails_in_its_dataclass_with_one_text(cls, field, updates
 def test_values_the_reader_reads_fail_in_the_reader(cls, field, updates, json_text, build, text):
     assert rejected(dict({"layers": layer_json()}, **updates), build) == (json_text, text)
 
+
+@pytest.mark.parametrize("split,error", [((5,), ValueError), (5, TypeError),
+                                         ((5, 1, 2), ValueError)])
+def test_split_built_in_code_is_a_pair(split, error):
+    with pytest.raises(error, match=r"^split must be a \(train, valid\) pair, got "):
+        ExperimentConfig(layers=(LAYER,), split=split)
+    assert ExperimentConfig(layers=(LAYER,), split=[5, 1]).split == (5, 1)
