@@ -1,22 +1,21 @@
-"""Dataset container and loaders for the 28x28 digit benchmark formats.
+"""Dataset container and loader for the 28x28 digit benchmark format.
 
-Two on-disk formats are understood: the plain-text amat layout (one row
-per sample, 785 whitespace-separated numbers: 784 pixel intensities
-followed by the class label) and the big-endian IDX image/label pair.
-Pixels are clamped into [0, 1] on load; labels must be integers in 0..9.
-Non-finite values (nan, inf, -inf) are rejected, never clamped.
+The on-disk format is the plain-text amat layout: one row per sample,
+785 whitespace-separated numbers, 784 pixel intensities followed by the
+class label.  Pixels are clamped into [0, 1] on load; labels must be
+integers in 0..9.  Non-finite values (nan, inf, -inf) are rejected,
+never clamped.
 """
 from __future__ import annotations
 
 import os
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParseError, RowCountError, ShapeError
 
-__all__ = ["Dataset", "load_amat", "write_amat", "load_idx", "split"]
+__all__ = ["Dataset", "load_amat", "write_amat", "split"]
 
 _PIXELS = 784
 _COLUMNS = _PIXELS + 1
@@ -95,41 +94,6 @@ def write_amat(dataset, path):
         for x, y in zip(dataset.features, dataset.labels):
             fh.write(" ".join("%.10g" % v for v in x))
             fh.write(" %d\n" % y)
-
-
-def _read_exact(fh, count, what, path):
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise ParseError("truncated %s in %r" % (what, path))
-    return buf
-
-
-def load_idx(images_path, labels_path):
-    """Load a big-endian IDX image/label file pair."""
-    with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "header", images_path))
-        if magic != 0x00000803:
-            raise ParseError("bad image magic 0x%08x in %r" % (magic, images_path))
-        raw = _read_exact(fh, n * rows * cols, "pixel data", images_path)
-    features = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols) / 255.0
-    with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, "header", labels_path))
-        if magic != 0x00000801:
-            raise ParseError("bad label magic 0x%08x in %r" % (magic, labels_path))
-        if n_labels != n:
-            raise ParseError(
-                "label count %d does not match %d images" % (n_labels, n)
-            )
-        labels = np.frombuffer(_read_exact(fh, n, "label data", labels_path), dtype=np.uint8)
-    bad = np.flatnonzero(labels > 9)
-    if bad.size:
-        raise ParseError("label %d of item %d is not a digit class in %r"
-                         % (labels[bad[0]], bad[0], labels_path))
-    return Dataset(
-        features=features,
-        labels=labels.astype(np.int64),
-        name=os.path.basename(images_path),
-    )
 
 
 def split(dataset, n_train, n_valid, seed=0):

@@ -61,6 +61,7 @@ __all__ = [
     "KernelFamily",
     "KernelSpec",
     "GramMatrix",
+    "KernelRows",
     "parse_kernel",
     "j_n",
     "gram",
@@ -467,6 +468,55 @@ def cross_gram(rows, cols, spec):
     if xr.shape[0] == 0:
         return np.zeros((0, xc.shape[0]))
     return _kernel_block(xr, xc, spec, same=False)
+
+
+class KernelRows:
+    """Rows of one sample set's Gram, each computed the first time it is read.
+
+    ``rows[i]`` is row i of ``gram(samples, spec)`` to round-off: its dot
+    products are the one-row product ``x[i:i+1] @ x.T``, whose bits need
+    not be those of the whole product's row i, and its diagonal entry is
+    pinned as ``gram`` pins it, so an arc-cosine or Gaussian row's
+    diagonal is the Gram's bit for bit.  Rows are kept, in the order they
+    are first read, in one n x n buffer that is written from its start:
+    only the rows computed become resident memory, and the buffer is freed
+    as one block.  (Rows stored at their own index would touch most of the
+    buffer's pages, as large arrays are backed by huge pages.)  Rows are
+    never recomputed, and a returned row stays valid while the source
+    lives.  No check of symmetry is made, as no matrix exists to check.
+    """
+
+    def __init__(self, samples, spec):
+        x = _as_matrix(samples, "samples")
+        if x.shape[0] < 1:
+            raise ShapeError("need at least one sample")
+        self._x, self._spec = x, spec
+        self._terms = _row_terms(x, spec)
+        n = x.shape[0]
+        self._buffer = np.empty((n, n))
+        self._slot = np.full(n, -1, dtype=np.int64)
+        self.computed = 0  # rows computed so far, the buffer's written prefix
+
+    @property
+    def n(self):
+        return self._x.shape[0]
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        slot = self._slot[i]
+        if slot < 0:
+            slot = self._slot[i] = self.computed
+            row = self._buffer[slot:slot + 1]
+            np.matmul(self._x[i:i + 1], self._x.T, out=row)
+            values = _kernel_values(
+                row, self._terms[i:i + 1, None], self._terms[None, :], self._spec, same=i
+            )
+            if values is not row:
+                row[...] = values
+            self.computed += 1
+        return self._buffer[slot]
 
 
 def evaluate(spec, x, y):

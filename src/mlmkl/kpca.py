@@ -106,7 +106,8 @@ def center_gram(k):
     v = _gram_values(k)
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
-    centered = _center(v, row_means, total_mean, np.empty(v.shape))
+    # a Gram's own row means are the fit set's: computed once, used as both
+    centered = _center(v, row_means, total_mean, np.empty(v.shape), own_means=row_means)
     return centered, row_means, total_mean
 
 
@@ -225,11 +226,14 @@ def transform(model, cross):
     return _center_and_project(model, c, np.empty_like(c))
 
 
-def _center(cross, row_means, total_mean, out):
+def _center(cross, row_means, total_mean, out, own_means=None):
     """Centre the float64 ``cross`` against a fit set's ``row_means`` and
     ``total_mean`` into ``out``: cross - its own row means - row_means +
-    total_mean, in that order.  ``out`` may be ``cross``."""
-    np.subtract(cross, cross.mean(axis=1)[:, None], out=out)
+    total_mean, in that order.  ``own_means`` are ``cross.mean(axis=1)``
+    when the caller has them already.  ``out`` may be ``cross``."""
+    if own_means is None:
+        own_means = cross.mean(axis=1)
+    np.subtract(cross, own_means[:, None], out=out)
     out -= row_means[None, :]
     out += total_mean
     return out

@@ -49,7 +49,7 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .kernels import (
-    KernelFamily, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
+    KernelFamily, KernelRows, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
 )
 from .kpca import KpcaModel
 from .svm import SvmModel
@@ -321,10 +321,22 @@ def _fingerprint(x, y):
     return h.hexdigest()
 
 
+# Bytes of the largest classifier Gram that is built whole.  Above it, SMO
+# computes each kernel row the first time a machine reads it: one-vs-rest
+# machines read about a third of the rows, and reading rows overtakes
+# building the whole Gram near 3000 rows.
+_DENSE_GRAM_BYTES = 100 * 2**20
+
+
 def train_classifier(features, labels, kernel, c=ClassifierConfig.c, tol=ClassifierConfig.tol):
-    """Kernel SVM on a feature matrix; the support rows are kept on the model."""
+    """Kernel SVM on a feature matrix; the support rows are kept on the model.
+
+    Up to ``_DENSE_GRAM_BYTES`` of Gram the machines read the dense
+    ``gram``; above it they share a ``KernelRows``, whose rows equal the
+    Gram's to round-off, so a model may differ from the dense path's."""
     x = np.asarray(features, dtype=np.float64)
-    machine = svm.train_multiclass(gram(x, kernel), labels, c=c, tol=tol, kernel=kernel)
+    k = gram(x, kernel) if 8 * x.shape[0] ** 2 <= _DENSE_GRAM_BYTES else KernelRows(x, kernel)
+    machine = svm.train_multiclass(k, labels, c=c, tol=tol, kernel=kernel)
     machine.support_vectors = np.array(x[machine.support], copy=True)
     return machine
 

@@ -17,6 +17,13 @@ zero, which argmax does not see) and the f update runs in two buffers.
 The bias is the mean of f over free support vectors when any exist,
 otherwise the midpoint of the final violating pair.
 
+The trainers read the kernel a row at a time, ``k[i]``, from a dense Gram
+(a ``GramMatrix`` or an array, checked for exact symmetry) or from a
+``KernelRows`` that computes each row the first time it is read; one
+source is shared by all machines of a multiclass train, so a row is
+computed once.  A step reads rows i and j, and eta = k_i[i] + k_j[j] -
+2 k_i[j].  ``kkt_violation`` and ``dual_objective`` take a dense Gram.
+
 Multiclass classification is one-vs-rest over ascending class ids with
 prediction by maximal decision value; argmax resolves ties toward the
 smaller class id.
@@ -30,7 +37,7 @@ import numpy as np
 
 from .config import ClassifierConfig, _real
 from .errors import DegenerateLabelsError, ShapeError
-from .kernels import GramMatrix, _gram_values
+from .kernels import GramMatrix, KernelRows, _gram_values
 
 __all__ = [
     "BinarySvm",
@@ -75,9 +82,10 @@ def _movable(y, alpha, c):
 
 
 def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
-    """Train one binary machine on a precomputed kernel matrix."""
-    kv = _gram_values(k)
-    n = kv.shape[0]
+    """Train one binary machine on a kernel's rows: a dense Gram or a
+    ``KernelRows``."""
+    rows = k if isinstance(k, KernelRows) else _gram_values(k)
+    n = len(rows)
     y = _signed_labels(y, n)
     # ClassifierConfig's checks: an infinite C snaps every alpha update to 0,
     # an infinite tol stops at once with alpha = 0
@@ -110,7 +118,8 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
             lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
         else:
             lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
-        eta = float(kv[i, i] + kv[j, j] - 2.0 * kv[i, j])
+        ki, kj = rows[i], rows[j]
+        eta = float(ki[i] + kj[j] - 2.0 * ki[j])
         if eta <= 0.0:
             eta = 1e-12
         aj_new = min(hi, max(lo, aj - yj * violation / eta))
@@ -132,9 +141,9 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
             aj_new = c
         alpha[i] = ai_new
         alpha[j] = aj_new
-        # f -= kv[i] * (y_i d_i) + kv[j] * (y_j d_j), without temporaries
-        np.multiply(kv[i], yi * d_i, out=buf)
-        np.multiply(kv[j], yj * d_j, out=step)
+        # f -= k_i * (y_i d_i) + k_j * (y_j d_j), without temporaries
+        np.multiply(ki, yi * d_i, out=buf)
+        np.multiply(kj, yj * d_j, out=step)
         buf += step
         f -= buf
         for t, y_t, before, after in ((i, yi, ai, ai_new), (j, yj, aj, aj_new)):
@@ -227,8 +236,10 @@ class SvmModel:
 
 
 def train_multiclass(k, y, c=ClassifierConfig.c, tol=ClassifierConfig.tol, kernel=None):
-    """One binary machine per class, sharing one support index set."""
-    if not isinstance(k, GramMatrix):
+    """One binary machine per class, sharing one support index set and
+    one kernel: a dense Gram or a ``KernelRows``, whose rows all machines
+    share."""
+    if not isinstance(k, (GramMatrix, KernelRows)):
         k = GramMatrix(np.asarray(k, dtype=np.float64))  # checked once for all machines
     n = k.n
     y = np.asarray(y)

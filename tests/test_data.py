@@ -1,9 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
-from mlmkl.data import Dataset, load_amat, load_idx, split, write_amat
+from mlmkl.data import Dataset, load_amat, split, write_amat
 from mlmkl.errors import ParseError, ShapeError
 
 
@@ -102,69 +100,6 @@ def test_amat_empty_file(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ParseError):
         load_amat(path)
-
-
-def write_idx_pair(tmp_path, images, labels, prefix=""):
-    n, rows, cols = images.shape
-    ip = tmp_path / (prefix + "img.idx")
-    lp = tmp_path / (prefix + "lab.idx")
-    with open(ip, "wb") as fh:
-        fh.write(struct.pack(">IIII", 0x803, n, rows, cols))
-        fh.write(images.astype(np.uint8).tobytes())
-    with open(lp, "wb") as fh:
-        fh.write(struct.pack(">II", 0x801, n))
-        fh.write(labels.astype(np.uint8).tobytes())
-    return ip, lp
-
-
-def test_idx_roundtrip(tmp_path):
-    rng = np.random.default_rng(1)
-    images = rng.integers(0, 256, size=(4, 28, 28), dtype=np.uint8)
-    labels = np.array([0, 9, 4, 4], dtype=np.uint8)
-    ip, lp = write_idx_pair(tmp_path, images, labels)
-    ds = load_idx(ip, lp)
-    assert ds.n == 4
-    np.testing.assert_array_equal(ds.labels, labels)
-    np.testing.assert_allclose(ds.features, images.reshape(4, 784) / 255.0)
-    assert ds.features.max() <= 1.0
-
-
-def test_idx_bad_magic(tmp_path):
-    images = np.zeros((2, 28, 28), dtype=np.uint8)
-    labels = np.zeros(2, dtype=np.uint8)
-    ip, lp = write_idx_pair(tmp_path, images, labels)
-    data = bytearray(ip.read_bytes())
-    data[3] = 0x99
-    ip.write_bytes(bytes(data))
-    with pytest.raises(ParseError):
-        load_idx(ip, lp)
-
-
-def test_idx_truncated_pixels(tmp_path):
-    images = np.zeros((3, 28, 28), dtype=np.uint8)
-    labels = np.zeros(3, dtype=np.uint8)
-    ip, lp = write_idx_pair(tmp_path, images, labels)
-    ip.write_bytes(ip.read_bytes()[:-10])
-    with pytest.raises(ParseError):
-        load_idx(ip, lp)
-
-
-def test_idx_label_outside_the_digit_classes(tmp_path):
-    images = np.zeros((3, 28, 28), dtype=np.uint8)
-    labels = np.array([0, 12, 3], dtype=np.uint8)
-    ip, lp = write_idx_pair(tmp_path, images, labels)
-    with pytest.raises(ParseError, match=r"label 12 of item 1 .*lab\.idx"):
-        load_idx(ip, lp)
-
-
-def test_idx_count_mismatch(tmp_path):
-    images = np.zeros((3, 28, 28), dtype=np.uint8)
-    labels = np.zeros(3, dtype=np.uint8)
-    ip, lp = write_idx_pair(tmp_path, images, labels)
-    _, lp2 = write_idx_pair(tmp_path, np.zeros((2, 28, 28), dtype=np.uint8),
-                            np.zeros(2, dtype=np.uint8), prefix="short_")
-    with pytest.raises(ParseError):
-        load_idx(ip, lp2)
 
 
 def test_split_disjoint_and_deterministic():

@@ -11,8 +11,10 @@ from mlmkl.errors import (
     UnsupportedDegreeError,
     ZeroVectorError,
 )
+from mlmkl import svm
 from mlmkl.kernels import (
     KernelFamily,
+    KernelRows,
     KernelSpec,
     cross_gram,
     evaluate,
@@ -22,6 +24,7 @@ from mlmkl.kernels import (
 )
 
 import oracle
+from conftest import direction_blobs
 
 E1 = np.array([1.0, 0.0])
 E2 = np.array([0.0, 1.0])
@@ -402,6 +405,54 @@ def test_slab_blocks_match_one_pass_oracle(text):
     assert kernels._slab_rows(wide.shape[0]) == 1
     assert_same_bits(cross_gram(cols[:3], wide, spec),
                      oracle.kernel_block(cols[:3], wide, spec, same=False))
+
+
+@pytest.mark.parametrize("text", EVERY_FAMILY)
+def test_kernel_rows_equal_the_gram_rows(text):
+    # a row's dot products are a one-row product, so the row equals the
+    # Gram's to round-off; the arc-cosine and Gaussian diagonals are pinned
+    # as the Gram pins them, so they match bit for bit, while a linear or
+    # polynomial diagonal is a dot product in both and agrees to round-off
+    spec = parse_kernel(text)
+    pinned = spec.family in (KernelFamily.ARC_COSINE, KernelFamily.GAUSSIAN)
+    x = np.random.default_rng(16).uniform(0.05, 1.0, size=(150, 6))
+    for samples in layouts(x):
+        want = gram(samples, spec).values
+        rows = KernelRows(samples, spec)
+        assert rows.n == len(rows) == 150 and rows.computed == 0
+        order = np.random.default_rng(17).permutation(150)
+        for count, i in enumerate(order, 1):
+            row = rows[i]
+            assert rows.computed == count
+            assert np.abs(row - want[i]).max() <= 1e-12 * np.abs(want[i]).max()
+            if pinned:
+                assert row[i].tobytes() == want[i, i].tobytes()
+            else:
+                assert row[i] == pytest.approx(want[i, i], rel=1e-14)
+        # a row read again is the one computed, not a second computation
+        again = rows[order[0]]
+        assert rows.computed == 150
+        assert again.tobytes() == rows[order[0]].tobytes()
+
+
+def test_kernel_rows_check_their_samples_at_construction():
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
+    with pytest.raises(ZeroVectorError):
+        KernelRows(x, parse_kernel("arccos(n=1,L=1)"))
+    KernelRows(x, parse_kernel("rbf(gamma=0.5)"))  # a zero row is fine for rbf
+    with pytest.raises(ShapeError):
+        KernelRows(np.zeros((0, 2)), parse_kernel("linear"))
+    with pytest.raises(ShapeError):
+        KernelRows(np.ones(3), parse_kernel("linear"))
+
+
+def test_a_multiclass_train_computes_fewer_rows_than_it_has():
+    # the machines share the rows, and SMO reads only the rows of the
+    # pairs it steps on
+    x, y = direction_blobs(100, 30, [(0, 1, 2), (3, 4, 5), (6, 7, 8)], noise=0.2, seed=4)
+    rows = KernelRows(x, parse_kernel("arccos(n=1,L=1)"))
+    model = svm.train_multiclass(rows, y, c=10.0)
+    assert model.n_support <= rows.computed < 300
 
 
 @pytest.mark.parametrize("text", ["arccos(n=1,L=2)", "rbf(gamma=0.5)"])

@@ -44,6 +44,24 @@ def test_center_gram_matches_one_pass_oracle(text):
         assert total_mean == want[2]
 
 
+@pytest.mark.parametrize("text", ["rbf(gamma=0.5)", "arccos(n=1,L=2)", "linear"])
+def test_center_gram_takes_its_row_means_once_with_unchanged_bits(monkeypatch, text):
+    # the Gram's own row means are its row means: center_gram hands them to
+    # _center instead of letting it take them a second time, and the whole
+    # matrix keeps the bits of the rule that takes them itself
+    x = np.random.default_rng(10).uniform(0.05, 1.0, size=(300, 6))
+    k = gram(x, parse_kernel(text)).values
+    want = kpca._center(k, k.mean(axis=1), float(k.mean()), np.empty(k.shape))
+    own = []
+    center = kpca._center
+    monkeypatch.setattr(
+        kpca, "_center", lambda *args, **kw: own.append(kw.get("own_means")) or center(*args, **kw)
+    )
+    centered, row_means, _ = kpca.center_gram(k)
+    assert centered.tobytes() == want.tobytes()
+    assert len(own) == 1 and own[0] is row_means
+
+
 def test_linear_kernel_reproduces_pca():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 6)) * np.array([5.0, 3.0, 1.0, 0.5, 0.1, 0.05])

@@ -3,10 +3,10 @@ import pytest
 
 import oracle
 from conftest import brute_force_svm_dual, direction_blobs, svm_dual_value
-from mlmkl import svm
+from mlmkl import pipeline, svm
 from mlmkl.config import ClassifierConfig
 from mlmkl.errors import DegenerateLabelsError, ShapeError
-from mlmkl.kernels import GramMatrix, cross_gram, gram, parse_kernel
+from mlmkl.kernels import GramMatrix, KernelRows, cross_gram, gram, parse_kernel
 
 LINEAR = parse_kernel("linear")
 
@@ -256,3 +256,39 @@ def test_smo_stops_when_one_set_empties_as_the_oracle_does(monkeypatch):
     machine = _assert_same_as_oracle(kv, y, 0.2, rule=stuck_at_c(oracle.movable))
     can_up = svm._movable(y, machine.alpha, 0.2)[0]
     assert machine.iterations >= 1 and not can_up.any()  # emptied by a step
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_kernel_rows_train_the_dense_model_to_tolerance(monkeypatch, seed):
+    # one problem on both sides of the cut-over: at it the classifier reads
+    # the dense Gram, one byte below it a KernelRows, whose rows differ at
+    # round-off; the dense Gram is the oracle of the row-source model
+    groups = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    x, y = direction_blobs(100, 30, groups, noise=0.5, lift=0.4, seed=seed)
+    test, _ = direction_blobs(50, 30, groups, noise=0.5, lift=0.4, seed=seed + 100)
+    spec = parse_kernel("arccos(n=1,L=1)")
+    c, tol = 10.0, ClassifierConfig.tol
+    sources = []
+    train_multiclass = svm.train_multiclass
+    monkeypatch.setattr(svm, "train_multiclass",
+                        lambda k, *args, **kw: sources.append(type(k)) or train_multiclass(k, *args, **kw))
+    models = []
+    for cut_over in (8 * 400 * 400, 8 * 400 * 400 - 1):
+        monkeypatch.setattr(pipeline, "_DENSE_GRAM_BYTES", cut_over)
+        models.append(pipeline.train_classifier(x, y, spec, c=c, tol=tol))
+    assert sources == [GramMatrix, KernelRows]
+    dense, rows = models
+    np.testing.assert_array_equal(pipeline.classifier_predict(rows, test),
+                                  pipeline.classifier_predict(dense, test))
+
+    def alphas(model):
+        coef = np.zeros((model.classes.size, 400))
+        coef[:, model.support] = model.dual_coef
+        return np.abs(coef)  # alpha_s y_s with y_s = +-1
+
+    assert np.abs(alphas(rows) - alphas(dense)).max() <= 1e-6 * c
+    k = gram(x, spec)
+    for r, cls in enumerate(rows.classes):
+        yb = np.where(y == cls, 1.0, -1.0)
+        assert svm.kkt_violation(k, yb, alphas(rows)[r], c) <= tol * (1 + 1e-9)
+    assert abs(rows.n_support - dense.n_support) <= 0.03 * dense.n_support
