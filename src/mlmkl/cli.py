@@ -41,10 +41,14 @@ def _emit(args, payload, text_lines):
             print(line)
 
 
-def _mu_text(layer):
-    return " ".join(
-        "%s=%.6f" % (k.canonical(), w) for k, w in zip(layer.kernels, layer.weights.mu)
-    )
+def _layer_row(index, layer):
+    """The report row of the layer at 0-based ``index``: its kernels and weights."""
+    return {"layer": index + 1, "kernels": [k.canonical() for k in layer.kernels],
+            "mu": [float(w) for w in layer.weights.mu]}
+
+
+def _mu_text(row):
+    return " ".join("%s=%.6f" % kw for kw in zip(row["kernels"], row["mu"]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,13 +78,7 @@ def cmd_train(args):
 
     def callback(index, layer, rep):
         seconds = time.perf_counter() - state["t"]
-        row = {
-            "layer": index + 1,
-            "kernels": [k.canonical() for k in layer.kernels],
-            "mu": [float(w) for w in layer.weights.mu],
-            "seconds": seconds,
-            "valid_error_percent": None,
-        }
+        row = dict(_layer_row(index, layer), seconds=seconds, valid_error_percent=None)
         if state["valid_rep"] is not None:
             state["valid_rep"] = pipeline.transform_layer(layer, state["valid_rep"])
             row["valid_error_percent"] = probe_error(
@@ -122,7 +120,7 @@ def cmd_train(args):
         )
         lines.append(
             "layer %d [%.1fs]  mu: %s%s"
-            % (row["layer"], row["seconds"], _mu_text(model.layers[row["layer"] - 1]), note)
+            % (row["layer"], row["seconds"], _mu_text(row), note)
         )
     lines.append(
         "classifier [%.1fs]  kernel=%s C=%g  support vectors: %d"
@@ -190,17 +188,8 @@ def cmd_eval(args):
 
 def cmd_weights(args):
     model = pipeline.load(args.model)
-    lines = ["layer  weights"]
-    rows = []
-    for i, layer in enumerate(model.layers, 1):
-        lines.append("%5d  %s" % (i, _mu_text(layer)))
-        rows.append(
-            {
-                "layer": i,
-                "kernels": [k.canonical() for k in layer.kernels],
-                "mu": [float(w) for w in layer.weights.mu],
-            }
-        )
+    rows = [_layer_row(i, layer) for i, layer in enumerate(model.layers)]
+    lines = ["layer  weights"] + ["%5d  %s" % (row["layer"], _mu_text(row)) for row in rows]
     _emit(args, {"layers": rows}, lines)
     return 0
 

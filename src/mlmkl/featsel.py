@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DegenerateLabelsError, InvalidWidthError, ShapeError
 
-__all__ = ["FeatureRanking", "anova_f_scores", "select"]
+__all__ = ["FeatureRanking", "anova_f_scores", "check_labels", "select"]
 
 
 @dataclass(frozen=True)
@@ -25,26 +25,29 @@ class FeatureRanking:
     selected: np.ndarray  # (width,) the kept prefix of ``order``
 
 
+def check_labels(labels, n):
+    """Labels of ``n`` rows, of at least two classes, and their classes."""
+    y = np.asarray(labels)
+    if y.shape != (n,):
+        raise ShapeError("labels shape %r does not match %d samples" % (y.shape, n))
+    classes = np.unique(y)
+    if classes.size < 2:
+        raise DegenerateLabelsError("need at least two classes, got %d" % classes.size)
+    return y, classes
+
+
 def _check_inputs(features, labels):
     x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels)
     if x.ndim != 2:
         raise ShapeError("features must be 2-d, got shape %r" % (x.shape,))
-    if y.shape != (x.shape[0],):
-        raise ShapeError(
-            "labels shape %r does not match %d samples" % (y.shape, x.shape[0])
-        )
-    return x, y
+    return (x, *check_labels(labels, x.shape[0]))
 
 
 def anova_f_scores(features, labels):
     """One-way ANOVA F statistic of every feature against the labels."""
-    x, y = _check_inputs(features, labels)
-    classes = np.unique(y)
+    x, y, classes = _check_inputs(features, labels)
     n, d = x.shape
     c = classes.size
-    if c < 2:
-        raise DegenerateLabelsError("need at least two classes, got %d" % c)
     grand = x.mean(axis=0)
     ss_between = np.zeros(d)
     ss_within = np.zeros(d)
@@ -65,7 +68,7 @@ def anova_f_scores(features, labels):
 def select(features, labels, width):
     """Keep the ``width`` best features; returns the ranking and the
     reduced matrix with columns in descending-score order."""
-    x, y = _check_inputs(features, labels)
+    x, y, _ = _check_inputs(features, labels)
     d = x.shape[1]
     if not isinstance(width, (int, np.integer)) or not 1 <= width <= d:
         raise InvalidWidthError("width must be an integer in [1, %d], got %r" % (d, width))

@@ -385,26 +385,27 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
 
 
 def _kernel_values(dots, r, c, spec, same):
-    """Kernel values, elementwise, from dot products ``dots`` (overwritten)
-    and the ``_row_terms`` ``r`` of their rows and ``c`` of their columns,
-    broadcast to them.  ``same`` is the column of the block's first
-    diagonal entry, whose diagonal (row i, column same + i) is pinned as a
-    same-set Gram's, or None for a block without one."""
+    """Fill ``dots``, dot products, with their kernel values, elementwise,
+    and return it; ``r`` are the ``_row_terms`` of their rows and ``c`` of
+    their columns, broadcast to them.  ``same`` is the column of the
+    block's first diagonal entry, whose diagonal (row i, column same + i)
+    is pinned as a same-set Gram's, or None for a block without one."""
     if spec.family is KernelFamily.ARC_COSINE:
         return _arc_cosine_values(dots, r, c, spec.degree, spec.depth, same)
     if spec.family is KernelFamily.GAUSSIAN:
-        # in place, in the order of r + c - 2 dots and exp(-gamma * sq),
-        # so the bits are those of the plain expression
+        # in the order of r + c - 2 dots and exp(-gamma * sq), so the bits
+        # are those of the plain expression
         dots *= 2.0
-        sq = r + c
-        sq -= dots
-        np.maximum(sq, 0.0, out=sq)
+        np.subtract(r + c, dots, out=dots)
+        np.maximum(dots, 0.0, out=dots)
         if same is not None:
-            np.fill_diagonal(sq[:, same:], 0.0)
-        sq *= -spec.gamma
-        return np.exp(sq, out=sq)
+            np.fill_diagonal(dots[:, same:], 0.0)
+        dots *= -spec.gamma
+        return np.exp(dots, out=dots)
     if spec.family is KernelFamily.POLYNOMIAL:
-        return (spec.scale * dots + spec.coef0) ** spec.degree
+        dots *= spec.scale
+        dots += spec.coef0
+        dots **= spec.degree
     return dots
 
 
@@ -418,10 +419,7 @@ def _kernel_block(x_rows, x_cols, spec, same):
     step = _slab_rows(k.shape[1])
     for start in range(0, k.shape[0], step):
         rows = slice(start, start + step)
-        slab = k[rows]
-        values = _kernel_values(slab, r[rows, None], c[None, :], spec, start if same else None)
-        if values is not slab:
-            slab[...] = values
+        _kernel_values(k[rows], r[rows, None], c[None, :], spec, start if same else None)
     return k
 
 
@@ -510,11 +508,8 @@ class KernelRows:
             slot = self._slot[i] = self.computed
             row = self._buffer[slot:slot + 1]
             np.matmul(self._x[i:i + 1], self._x.T, out=row)
-            values = _kernel_values(
-                row, self._terms[i:i + 1, None], self._terms[None, :], self._spec, same=i
-            )
-            if values is not row:
-                row[...] = values
+            _kernel_values(row, self._terms[i:i + 1, None], self._terms[None, :], self._spec,
+                           same=i)
             self.computed += 1
         return self._buffer[slot]
 

@@ -375,12 +375,13 @@ def fit(
     ``callback(index, layer, representation)`` runs after each layer is
     fitted, with the training rows already pushed through it; useful for
     per-layer diagnostics without a second pass.  Every setting is
-    checked, as an ``ExperimentConfig``, before the first layer.
+    checked, as an ``ExperimentConfig``, and the labels as ``featsel``
+    checks them, before the first layer.
     """
     clf = ClassifierConfig(classifier, svm_c, svm_tol)
     configs = ExperimentConfig(layers=configs, subsample=subsample, classifier=clf).layers
-    x = _finite(features)
-    y = np.asarray(labels)
+    x = _as_matrix(_finite(features), "features")
+    y, _ = featsel.check_labels(labels, x.shape[0])
     rng = np.random.default_rng(seed)
     rep = x
     layers = []
@@ -484,9 +485,23 @@ def save(model, path):
         fh.write(digest)
 
 
+def _finite_content(name, value):
+    """``value`` of a model file, which must be finite: a NaN or inf that
+    predict reads makes every row's prediction the first class.  A layer's
+    F scores may hold +inf, featsel's score of a perfectly separating
+    component."""
+    v = np.asarray(value)
+    if np.issubdtype(v.dtype, np.inexact):
+        bad = np.isnan(v) | (v == -np.inf) if name.endswith("/scores") else ~np.isfinite(v)
+        if bad.any():
+            raise ModelIOError("%s holds nan or inf" % name)
+    return value
+
+
 def load(path):
     """Read a model file back; inverse of ``save``.  A file whose arrays
-    do not fit together fails here, not at predict time."""
+    do not fit together, or hold a NaN or inf, fails here, not at predict
+    time."""
     with open(path, "rb") as fh:
         blob = fh.read()
     start = 8 + _PREFIX.size
@@ -516,35 +531,39 @@ def load(path):
     try:
         for name in header["arrays"]:
             arrays[name] = np.lib.format.read_array(stream, allow_pickle=False)
+
+        def array(name):
+            return _finite_content(name, arrays[name])
+
         layers = []
         for index, lh in enumerate(header["layers"]):
             prefix = "layer%d/" % index
             kernels = tuple(parse_kernel(s) for s in lh["kernels"])
             model_k = KpcaModel(
-                alphas=arrays[prefix + "alphas"],
-                eigenvalues=arrays[prefix + "eigenvalues"],
-                row_means=arrays[prefix + "row_means"],
-                total_mean=float(lh["total_mean"]),
+                alphas=array(prefix + "alphas"),
+                eigenvalues=array(prefix + "eigenvalues"),
+                row_means=array(prefix + "row_means"),
+                total_mean=_finite_content(prefix + "total_mean", float(lh["total_mean"])),
             )
             layers.append(
                 LayerModel(
                     kernels=kernels,
-                    weights=KernelWeights(arrays[prefix + "weights"]),
+                    weights=KernelWeights(array(prefix + "weights")),
                     kpca=model_k,
-                    scores=arrays[prefix + "scores"],
-                    selected=arrays[prefix + "selected"],
-                    fit_sample=arrays[prefix + "fit_sample"],
+                    scores=array(prefix + "scores"),
+                    selected=array(prefix + "selected"),
+                    fit_sample=array(prefix + "fit_sample"),
                 )
             )
         ch = header["classifier"]
         machine = SvmModel(
-            classes=arrays["classifier/classes"],
-            support=arrays["classifier/support"],
-            dual_coef=arrays["classifier/dual_coef"],
-            biases=arrays["classifier/biases"],
-            c=float(ch["c"]),
+            classes=array("classifier/classes"),
+            support=array("classifier/support"),
+            dual_coef=array("classifier/dual_coef"),
+            biases=array("classifier/biases"),
+            c=_finite_content("classifier/c", float(ch["c"])),
             kernel=parse_kernel(ch["kernel"]),
-            support_vectors=arrays["classifier/support_vectors"],
+            support_vectors=array("classifier/support_vectors"),
         )
         return MlmklModel(layers=layers, classifier=machine, metadata=header["metadata"])
     except (KeyError, ValueError, IndexError, ShapeError, ParseError,

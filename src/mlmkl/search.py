@@ -9,9 +9,14 @@ layer itself: each (repeat, kernel set) is one ``pipeline.fit_layer_grid``
 call, the layer path that ``fit_layer`` runs for one candidate, which
 shares the stages between the candidates (one weight problem, one QP per
 gamma, and one combined Gram, kernel PCA and pair of crosses per distinct
-weight vector).  The search adds the probe SVM, trained once per freshly
-fitted candidate.  It runs in the calling process, one (repeat, kernel
-set) after another; BLAS spreads the large stages over the cores.
+weight vector).  The search adds the probe SVM as the grid's ``score``,
+trained once per freshly fitted candidate, so a candidate on a repeat is
+its ``LayerFit``, whose ``score`` is its probe error and whose ``train``
+and ``valid`` rows feed the next layer, or the exception that stopped it,
+whose text is the candidate's note.  A repeat is its labels, its
+generator of fit rows and its current features.  The search runs in the
+calling process, one (repeat, kernel set) after another; BLAS spreads the
+large stages over the cores.
 """
 from __future__ import annotations
 
@@ -45,24 +50,6 @@ class CvResult(NamedTuple):
     notes: dict  # (layer, candidate) index pair -> why that candidate failed
 
 
-def _probe_kernel_set(split, fit_idx, grid, classifier, cap):
-    """(error, note, train features, valid features) of each candidate of
-    one kernel set on one repeat, fitted by ``pipeline.fit_layer_grid``;
-    ``grid`` has a row per gamma and a column per width.  A candidate that
-    fails (e.g. a width beyond the usable spectrum) gets an infinite error
-    and the note that ``fit_layer`` would raise for it alone.  The probe SVM
-    runs once per freshly fitted candidate: rows whose weights are equal
-    share their cells.
-    """
-    y_train, y_valid = split["y_train"], split["y_valid"]
-    cells = pipeline.fit_layer_grid(
-        split["train"], y_train, grid, fit_idx, valid=split["valid"],
-        score=lambda train, valid: probe_error(train, y_train, valid, y_valid, classifier, cap),
-    )
-    return [(np.inf, str(c), None, None) if isinstance(c, Exception)
-            else (c.score, None, c.train, c.valid) for c in cells]
-
-
 def grid_search(dataset, config, seed=0):
     """Greedy per-layer search of ``config.cv`` on ``dataset``.
 
@@ -80,27 +67,33 @@ def grid_search(dataset, config, seed=0):
         raise ConfigError("config has no 'cv' section")
     if config.split is None or config.split[1] < 1:
         raise ConfigError("cv needs a split with a nonempty validation set")
-    splits, rngs = [], []
+    labels, rngs, feats = [], [], []  # per repeat: (train, valid) labels, generator, features
     for r in range(cv.repeats):
         train, valid = data.split(dataset, config.split[0], config.split[1], seed=seed + r)
-        splits.append({"train": train.features, "y_train": train.labels,
-                       "valid": valid.features, "y_valid": valid.labels})
+        labels.append((train.labels, valid.labels))
         rngs.append(np.random.default_rng(seed + r))
+        feats.append((train.features, valid.features))
     report = {"layers": [], "seed": seed, "repeats": cv.repeats}
     notes = {}
     chosen = []
     for li, base in enumerate(config.layers):
         grids = candidate_grids(base, cv)
         candidates = [cand for grid in grids for row in grid for cand in row]
-        cells = []  # cells[r][ci]: candidate ci on repeat r
-        for split, rng in zip(splits, rngs):
-            fit_idx = pipeline.draw_fit_rows(rng, split["train"].shape[0], config.subsample)
-            cells.append([cell for grid in grids for cell in _probe_kernel_set(
-                split, fit_idx, grid, config.classifier, config.probe_cap)])
-        errors = np.array([[cell[0] for cell in row] for row in cells]).T
+        cells = []  # cells[r][ci]: candidate ci on repeat r, its LayerFit or what stopped it
+        for (y_train, y_valid), rng, (train, valid) in zip(labels, rngs, feats):
+            fit_idx = pipeline.draw_fit_rows(rng, train.shape[0], config.subsample)
+
+            def probe(train_feats, valid_feats):
+                return probe_error(train_feats, y_train, valid_feats, y_valid,
+                                   config.classifier, config.probe_cap)
+
+            cells.append([cell for grid in grids for cell in pipeline.fit_layer_grid(
+                train, y_train, grid, fit_idx, valid=valid, score=probe)])
+        errors = np.array([[np.inf if isinstance(cell, Exception) else cell.score
+                            for cell in row] for row in cells]).T
         for row in cells:  # the last repeat's note wins
-            notes.update(((li, ci), cell[1]) for ci, cell in enumerate(row)
-                         if cell[1] is not None)
+            notes.update(((li, ci), str(cell)) for ci, cell in enumerate(row)
+                         if isinstance(cell, Exception))
         feasible = np.all(np.isfinite(errors), axis=1)
         if not np.any(feasible):
             raise ConfigError("every layer %d candidate failed, e.g.: %s"
@@ -118,17 +111,16 @@ def grid_search(dataset, config, seed=0):
             for ci, cand in enumerate(candidates)
         ])
         chosen.append(candidates[best])
-        for split, row in zip(splits, cells):
-            split["train"], split["valid"] = row[best][2], row[best][3]
+        feats = [(row[best].train, row[best].valid) for row in cells]
 
     c_rows = []
     for c in cv.svm_c:
         if c == config.classifier.c:  # the last layer's winning probes trained this SVM
             per_rep = errors[best]
         else:
-            per_rep = [probe_error(s["train"], s["y_train"], s["valid"], s["y_valid"],
+            per_rep = [probe_error(train, y_train, valid, y_valid,
                                    replace(config.classifier, c=c), config.probe_cap)
-                       for s in splits]
+                       for (y_train, y_valid), (train, valid) in zip(labels, feats)]
         c_rows.append({"C": float(c), "mean_error_percent": float(np.mean(per_rep)),
                        "std_error_percent": float(np.std(per_rep)), "selected": False})
     best_c = int(np.argmin([row["mean_error_percent"] for row in c_rows]))

@@ -9,11 +9,13 @@ by repeatedly picking the maximal violating pair: with f = y - K(alpha o y)
 (so f_i = -E_i, the negative prediction error), select i maximizing f over
 the set of indices whose alpha can increase along +y_i and j minimizing f
 over those that can decrease, stop when f_i - f_j <= tol, and solve the
-two-variable subproblem in closed form with box clipping.  The two sets
-are kept from step to step as penalties, 0 on the set and -inf (up) or
-+inf (down) off it, updated only at the two indices a step moves, so each
+two-variable subproblem in closed form with box clipping.  The penalties
+alone hold the two sets from step to step: 0 on the set and -inf (up) or
++inf (down) off it, rewritten only at the two indices a step moves, so each
 selection is one argmax of f + penalty (f + 0.0 is f up to the sign of a
-zero, which argmax does not see) and the f update runs in two buffers.
+zero, which argmax does not see), a set is empty exactly when its
+arg-extremum lands on an infinite penalty, and the f update runs in two
+buffers.
 The bias is the mean of f over free support vectors when any exist,
 otherwise the midpoint of the final violating pair.
 
@@ -37,6 +39,7 @@ import numpy as np
 
 from .config import ClassifierConfig, _real
 from .errors import DegenerateLabelsError, ShapeError
+from .featsel import check_labels
 from .kernels import GramMatrix, KernelRows, _gram_values
 
 __all__ = [
@@ -81,6 +84,13 @@ def _movable(y, alpha, c):
     return up, down
 
 
+def _snapped(a, c):
+    """``a`` put in the box [0, C], at its edge when within round-off of
+    it: a variable 1 ulp inside a bound can stall later pairs."""
+    snap = 1e-12 * c
+    return 0.0 if a < snap else c if a > c - snap else a
+
+
 def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
     """Train one binary machine on a kernel's rows: a dense Gram or a
     ``KernelRows``."""
@@ -92,21 +102,20 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
     c, tol = _real("C", c, positive=True), _real("tol", tol, positive=True)
     alpha = np.zeros(n)
     f = y.copy()  # f = y - K (alpha o y), currently alpha = 0
-    # the movable sets as penalties added to f before the arg-extremum:
-    # 0 on the set, -inf (up) or +inf (down) off it, and the set sizes
+    # the movable sets, held only as penalties added to f before the
+    # arg-extremum: 0 on the set, -inf (up) or +inf (down) off it
     can_up, can_dn = _movable(y, alpha, c)
     pen_up = np.where(can_up, 0.0, -np.inf)
     pen_dn = np.where(can_dn, 0.0, np.inf)
-    n_up, n_dn = int(can_up.sum()), int(can_dn.sum())
     buf, step = np.empty(n), np.empty(n)
     violation = np.inf
     it = 0
     while it < max_iter:
-        if not (n_up and n_dn):
-            violation = 0.0
-            break
         i = int(np.add(f, pen_up, out=buf).argmax())
         j = int(np.add(f, pen_dn, out=buf).argmin())
+        if pen_up[i] or pen_dn[j]:  # an empty set: its extremum is off it
+            violation = 0.0
+            break
         # the pair's scalars as Python floats: numpy's IEEE arithmetic
         # without its per-scalar overhead
         violation = float(f[i] - f[j])
@@ -127,34 +136,17 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
         if d_j == 0.0:
             break  # fp-empty box (kernel scale swamps the step); stop honestly
         d_i = -yi * yj * d_j
-        # snap to the box edge when an update lands within round-off of it,
-        # otherwise a variable 1 ulp inside the bound can stall later pairs
-        snap = 1e-12 * c
-        ai_new = min(c, max(0.0, ai + d_i))
-        if ai_new < snap:
-            ai_new = 0.0
-        elif ai_new > c - snap:
-            ai_new = c
-        if aj_new < snap:
-            aj_new = 0.0
-        elif aj_new > c - snap:
-            aj_new = c
-        alpha[i] = ai_new
-        alpha[j] = aj_new
+        alpha[i] = ai_new = _snapped(ai + d_i, c)
+        alpha[j] = aj_new = _snapped(aj_new, c)
         # f -= k_i * (y_i d_i) + k_j * (y_j d_j), without temporaries
         np.multiply(ki, yi * d_i, out=buf)
         np.multiply(kj, yj * d_j, out=step)
         buf += step
         f -= buf
-        for t, y_t, before, after in ((i, yi, ai, ai_new), (j, yj, aj, aj_new)):
-            was_up, was_dn = _movable(y_t, before, c)
-            up, down = _movable(y_t, after, c)
-            if up != was_up:
-                n_up += 1 if up else -1
-                pen_up[t] = 0.0 if up else -np.inf
-            if down != was_dn:
-                n_dn += 1 if down else -1
-                pen_dn[t] = 0.0 if down else np.inf
+        for t, y_t, a_t in ((i, yi, ai_new), (j, yj, aj_new)):
+            up, down = _movable(y_t, a_t, c)
+            pen_up[t] = 0.0 if up else -np.inf
+            pen_dn[t] = 0.0 if down else np.inf
         it += 1
     converged = violation <= tol
     if not converged:
@@ -242,12 +234,7 @@ def train_multiclass(k, y, c=ClassifierConfig.c, tol=ClassifierConfig.tol, kerne
     if not isinstance(k, (GramMatrix, KernelRows)):
         k = GramMatrix(np.asarray(k, dtype=np.float64))  # checked once for all machines
     n = k.n
-    y = np.asarray(y)
-    if y.shape != (n,):
-        raise ShapeError("labels shape %r does not match %d samples" % (y.shape, n))
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise DegenerateLabelsError("need at least two classes, got %d" % classes.size)
+    y, classes = check_labels(y, n)
     coef_full = np.zeros((classes.size, n))
     biases = np.zeros(classes.size)
     iterations = []

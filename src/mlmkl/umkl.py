@@ -282,7 +282,7 @@ def minimize_qp(qp):
     objs = [qp.value(mu)]
     stationary = True
     for _ in range(_MAX_STEPS):
-        g = 2.0 * (w @ mu) + z
+        g = qp.gradient(mu)
         if stationary:
             mult = g - g[free].mean()
             mult[free] = np.inf

@@ -17,6 +17,7 @@ from conftest import digits_like, direction_blobs, write_amat
 from mlmkl import cli, data, pipeline, search
 from mlmkl.config import load_config
 from mlmkl.errors import ConfigError, ModelIOError, RowCountError
+from mlmkl.kernels import parse_kernel
 from mlmkl.search import error_percent
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -479,6 +480,80 @@ def test_eval_rejects_model_with_out_of_range_selection(corpus, capsys):
     rc = cli.main(["eval", "--model", str(model_path), "--test", corpus["test"]])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def saved_model(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("saved")
+    x, y = digits_like(20, n_classes=2, seed=0)
+    xt, yt = digits_like(10, n_classes=2, seed=1)
+    write_amat(tmp / "test.amat", xt, yt)
+    layer = pipeline.LayerConfig(kernels=(parse_kernel("rbf(gamma=0.05)"), parse_kernel("linear")),
+                                 width=4, basis_size=5)
+    pipeline.save(pipeline.fit(x, y, [layer], subsample=0), tmp / "model.bin")
+    return {"model": tmp / "model.bin", "test": str(tmp / "test.amat"), "x_test": xt}
+
+
+# each value of a model file that predict reads, by its name in the file,
+# and where it sits in a model, as (owner, attribute)
+MODEL_VALUES = {
+    "layer0/weights": lambda m: (m.layers[0].weights, "mu"),
+    "layer0/alphas": lambda m: (m.layers[0].kpca, "alphas"),
+    "layer0/eigenvalues": lambda m: (m.layers[0].kpca, "eigenvalues"),
+    "layer0/row_means": lambda m: (m.layers[0].kpca, "row_means"),
+    "layer0/total_mean": lambda m: (m.layers[0].kpca, "total_mean"),
+    "layer0/scores": lambda m: (m.layers[0], "scores"),
+    "layer0/fit_sample": lambda m: (m.layers[0], "fit_sample"),
+    "classifier/dual_coef": lambda m: (m.classifier, "dual_coef"),
+    "classifier/biases": lambda m: (m.classifier, "biases"),
+    "classifier/support_vectors": lambda m: (m.classifier, "support_vectors"),
+    "classifier/c": lambda m: (m.classifier, "c"),
+}
+
+
+def save_with_one_entry(saved_model, path, name, value):
+    """The saved model, with one entry of ``name`` set to ``value``, saved
+    to ``path`` with a valid checksum."""
+    model = pipeline.load(saved_model["model"])
+    owner, attr = MODEL_VALUES[name](model)
+    entry = getattr(owner, attr)
+    if np.ndim(entry):
+        entry = np.array(entry, copy=True)
+        entry.flat[0] = value
+    else:
+        entry = value
+    object.__setattr__(owner, attr, entry)  # also on frozen dataclasses
+    pipeline.save(model, path)
+
+
+@pytest.mark.parametrize("name,value", [
+    (name, value) for name in MODEL_VALUES for value in (np.nan, np.inf)
+    if (name, value) != ("layer0/scores", np.inf)
+] + [("layer0/scores", -np.inf)])
+def test_a_model_value_that_is_not_finite_fails_to_load(saved_model, tmp_path, capsys,
+                                                         name, value):
+    # a NaN or inf that predict reads used to load, and every row was then
+    # predicted as the first class
+    path = tmp_path / "model.bin"
+    save_with_one_entry(saved_model, path, name, value)
+    with pytest.raises(ModelIOError, match="^%s holds nan or inf$" % name):
+        pipeline.load(path)
+    rc = cli.main(["eval", "--model", str(path), "--test", saved_model["test"]])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: %s holds nan or inf\n" % name
+
+
+def test_a_model_score_may_be_infinite(saved_model, tmp_path):
+    # featsel scores a perfectly separating component +inf; predict reads no score
+    path = tmp_path / "model.bin"
+    save_with_one_entry(saved_model, path, "layer0/scores", np.inf)
+    back = pipeline.load(path)
+    assert back.layers[0].scores[0] == np.inf
+    np.testing.assert_array_equal(pipeline.predict(back, saved_model["x_test"]),
+                                  pipeline.predict(pipeline.load(saved_model["model"]),
+                                                   saved_model["x_test"]))
 
 
 @pytest.fixture

@@ -408,6 +408,19 @@ def test_slab_blocks_match_one_pass_oracle(text):
 
 
 @pytest.mark.parametrize("text", EVERY_FAMILY)
+def test_kernel_values_fill_and_return_the_dots_they_are_given(text):
+    # every family writes its values over the dot products, so neither a
+    # block's slab nor a kernel row is copied back
+    spec = parse_kernel(text)
+    x = np.random.default_rng(15).uniform(0.05, 1.0, size=(7, 4))
+    terms = kernels._row_terms(x, spec)
+    for same in (None, 0):
+        dots = x @ x.T
+        assert kernels._kernel_values(dots, terms[:, None], terms[None, :], spec, same) is dots
+    assert_same_bits(dots, gram(x, spec).values)
+
+
+@pytest.mark.parametrize("text", EVERY_FAMILY)
 def test_kernel_rows_equal_the_gram_rows(text):
     # a row's dot products are a one-row product, so the row equals the
     # Gram's to round-off; the arc-cosine and Gaussian diagonals are pinned

@@ -8,6 +8,7 @@ from conftest import assert_equal_to_round_off, direction_blobs, loo_nearest_nei
 from mlmkl import featsel, kpca, pipeline
 from mlmkl.errors import (
     ChecksumError,
+    DegenerateLabelsError,
     ModelIOError,
     NonFiniteInputError,
     RowCountError,
@@ -265,6 +266,20 @@ def test_zero_row_fails_with_an_arc_cosine_kernel_whatever_its_weight(gamma, arc
 def no_layer(monkeypatch):
     """Fails the test if ``pipeline.fit`` reaches its first layer."""
     monkeypatch.setattr(pipeline, "fit_layer", lambda *a, **kw: pytest.fail("a layer was fitted"))
+
+
+@pytest.mark.parametrize("labels,error,message", [
+    (lambda y: y[:-1], ShapeError, "labels shape (49,) does not match 50 samples"),
+    (lambda y: y[:, None], ShapeError, "labels shape (50, 1) does not match 50 samples"),
+    (lambda y: np.zeros_like(y), DegenerateLabelsError, "need at least two classes, got 1"),
+], ids=["one_short", "column", "one_class"])
+def test_fit_checks_the_labels_before_the_first_layer(monkeypatch, labels, error, message):
+    # bad labels used to fail in featsel, after layer 1's Gram, QP and kPCA
+    monkeypatch.setattr(kpca, "fit", lambda *a, **kw: pytest.fail("kpca.fit was called"))
+    x, y = blob_data()
+    with pytest.raises(error) as caught:
+        pipeline.fit(x, labels(y), default_configs(), subsample=0)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("c", [np.inf, np.nan])

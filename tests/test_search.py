@@ -95,6 +95,21 @@ def test_candidates_are_the_configured_layer_with_the_searched_fields_replaced(k
     assert result.report["best_config"]["layers"][0]["kpca_components"] == 12
 
 
+def probed_grid(train, valid, fit_idx, grid, cfg):
+    """``fit_layer_grid`` of ``grid`` on one split, scored by the search's probe SVM."""
+    def probe(train_feats, valid_feats):
+        return search.probe_error(train_feats, train.labels, valid_feats, valid.labels,
+                                  cfg.classifier, cfg.probe_cap)
+
+    return pipeline.fit_layer_grid(train.features, train.labels, grid, fit_idx,
+                                   valid=valid.features, score=probe)
+
+
+def outcome(cell):
+    """(error, note) of a cell as the search reads it."""
+    return (np.inf, str(cell)) if isinstance(cell, Exception) else (cell.score, None)
+
+
 def test_gammas_with_different_weights_get_their_own_cells(monkeypatch, kpca_fits):
     # each gamma its own vertex, so no two rows may share cells
     vertex = {g: KernelWeights(np.eye(2)[i]) for i, g in enumerate(GAMMAS)}
@@ -104,20 +119,16 @@ def test_gammas_with_different_weights_get_their_own_cells(monkeypatch, kpca_fit
     grid = [[pipeline.LayerConfig(kernels=cfg.layers[0].kernels, width=w, gamma=g, basis_size=5)
              for w in cfg.cv.widths] for g in GAMMAS]
     train, valid = data.split(corpus(), 40, 20, seed=0)
-    split = {"train": train.features, "y_train": train.labels,
-             "valid": valid.features, "y_valid": valid.labels}
     fit_idx = np.arange(0, 40, 2)
-    both = search._probe_kernel_set(split, fit_idx, grid, cfg.classifier, cfg.probe_cap)
+    both = probed_grid(train, valid, fit_idx, grid, cfg)
     assert len(kpca_fits) == 2
-    alone = [cell for row in grid
-             for cell in search._probe_kernel_set(split, fit_idx, [row], cfg.classifier,
-                                                  cfg.probe_cap)]
+    alone = [cell for row in grid for cell in probed_grid(train, valid, fit_idx, [row], cfg)]
     assert len(both) == len(alone) == 4
     for got, want in zip(both, alone):
-        assert got[:2] == want[:2]
-        np.testing.assert_array_equal(got[2], want[2])
-        np.testing.assert_array_equal(got[3], want[3])
-    assert not np.array_equal(both[0][2], both[2][2])
+        assert outcome(got) == outcome(want)
+        np.testing.assert_array_equal(got.train, want.train)
+        np.testing.assert_array_equal(got.valid, want.valid)
+    assert not np.array_equal(both[0].train, both[2].train)
 
 
 def fail_the_qp_at(monkeypatch, gamma):
@@ -170,35 +181,31 @@ def test_a_failing_stage_stops_the_candidates_it_stops_when_fitted_alone(monkeyp
                                   basis_size=20 if stage == "problem" else 5)
              for w in ([3, 40] if stage == "width" else [3, 5])] for g in gammas]
     train, valid = data.split(corpus(), 40, 20, seed=0)
-    split = {"train": train.features, "y_train": train.labels,
-             "valid": valid.features, "y_valid": valid.labels}
     fit_idx = np.arange(0, 40, 2)
-    fitted = pipeline.fit_layer_grid(split["train"], split["y_train"], grid, fit_idx,
-                                     valid=split["valid"])
-    probed = search._probe_kernel_set(split, fit_idx, grid, cfg.classifier, cfg.probe_cap)
-    alone = [cell for row in grid
-             for cell in search._probe_kernel_set(split, fit_idx, [row], cfg.classifier,
-                                                  cfg.probe_cap)]
-    assert [cell[:2] for cell in probed] == [cell[:2] for cell in alone]
+    fitted = pipeline.fit_layer_grid(train.features, train.labels, grid, fit_idx,
+                                     valid=valid.features)
+    probed = probed_grid(train, valid, fit_idx, grid, cfg)
+    alone = [cell for row in grid for cell in probed_grid(train, valid, fit_idx, [row], cfg)]
+    assert [outcome(cell) for cell in probed] == [outcome(cell) for cell in alone]
     error, stopped = FAILING_STAGES[stage]
     assert [isinstance(f, Exception) for f in fitted] == [bool(s) for row in stopped for s in row]
     candidates = [cand for row in grid for cand in row]
     for cand, f, cell in zip(candidates, fitted, probed):
         if isinstance(f, Exception):
-            assert type(f) is error and cell[0] == np.inf and cell[1] == str(f)
+            assert type(f) is error and outcome(cell) == (np.inf, str(f))
             with pytest.raises(error) as raised:
-                pipeline.fit_layer(split["train"], split["y_train"], cand, fit_idx)
+                pipeline.fit_layer(train.features, train.labels, cand, fit_idx)
             assert type(raised.value) is error and str(raised.value) == str(f)
         else:
-            layer, reduced = pipeline.fit_layer(split["train"], split["y_train"], cand, fit_idx)
-            assert cell[1] is None and np.isfinite(cell[0])
+            layer, reduced = pipeline.fit_layer(train.features, train.labels, cand, fit_idx)
+            assert outcome(cell)[1] is None and np.isfinite(outcome(cell)[0])
             # a row's kPCA is solved at its largest count: bit for bit the
             # lone fit there, and to round-off at a smaller count
             if cand.components == max(c.components for c in grid[0]):
                 np.testing.assert_array_equal(reduced, f.train)
             else:
                 assert_equal_to_round_off(reduced, f.train)
-            np.testing.assert_array_equal(f.train, cell[2])
+            np.testing.assert_array_equal(f.train, cell.train)
             np.testing.assert_array_equal(layer.selected, f.layer.selected)
 
 
@@ -214,16 +221,16 @@ def test_c_grid_trains_no_svm_the_winning_probe_trained(monkeypatch, svm_c, trai
     calls = []  # C of each train_classifier call
     layer_calls = []  # len(calls) after each kernel set's probes
     train_classifier = pipeline.train_classifier
-    probe_kernel_set = search._probe_kernel_set
+    fit_layer_grid = pipeline.fit_layer_grid
 
-    def probes(*args):
-        cells = probe_kernel_set(*args)
+    def probes(*args, **kwargs):
+        cells = fit_layer_grid(*args, **kwargs)
         layer_calls.append(len(calls))
         return cells
 
     monkeypatch.setattr(pipeline, "train_classifier",
                         lambda *a, **kw: calls.append(kw["c"]) or train_classifier(*a, **kw))
-    monkeypatch.setattr(search, "_probe_kernel_set", probes)
+    monkeypatch.setattr(pipeline, "fit_layer_grid", probes)
     result = search.grid_search(corpus(), experiment(GAMMAS, svm_c=svm_c), seed=0)
     c_stage = calls[layer_calls[-1]:]
     assert len(c_stage) == trained * 2 and 10 not in c_stage
