@@ -43,6 +43,8 @@ J_1 and J_2 are flat there and their duplicates stay at round-off.
 """
 from __future__ import annotations
 
+import functools
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -376,12 +378,23 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
             scale = np.sqrt(s_rows * s_cols)
         k /= scale
         np.clip(k, -1.0, 1.0, out=k)
-        if same is not None:
-            np.fill_diagonal(k[:, same:], 1.0)
+        _pin(k, same, 1.0)
         _j_n_of_cosine(k, degree)
         k /= np.pi
         k *= scale**degree
     return k
+
+
+def _pin(k, same, value):
+    """Set the pinned entries of a block to ``value``: row i, column
+    same + i of a 2-d block, every entry of a 1-d one (a diagonal), none
+    when ``same`` is None."""
+    if same is None:
+        return
+    if k.ndim == 1:
+        k.fill(value)
+    else:
+        np.fill_diagonal(k[:, same:], value)
 
 
 def _kernel_values(dots, r, c, spec, same):
@@ -389,7 +402,9 @@ def _kernel_values(dots, r, c, spec, same):
     and return it; ``r`` are the ``_row_terms`` of their rows and ``c`` of
     their columns, broadcast to them.  ``same`` is the column of the
     block's first diagonal entry, whose diagonal (row i, column same + i)
-    is pinned as a same-set Gram's, or None for a block without one."""
+    is pinned as a same-set Gram's, or None for a block without one.  A
+    1-d ``dots`` with ``same`` set is a same-set diagonal, x_i . x_i, and
+    every entry is pinned."""
     if spec.family is KernelFamily.ARC_COSINE:
         return _arc_cosine_values(dots, r, c, spec.degree, spec.depth, same)
     if spec.family is KernelFamily.GAUSSIAN:
@@ -398,8 +413,7 @@ def _kernel_values(dots, r, c, spec, same):
         dots *= 2.0
         np.subtract(r + c, dots, out=dots)
         np.maximum(dots, 0.0, out=dots)
-        if same is not None:
-            np.fill_diagonal(dots[:, same:], 0.0)
+        _pin(dots, same, 0.0)
         dots *= -spec.gamma
         return np.exp(dots, out=dots)
     if spec.family is KernelFamily.POLYNOMIAL:
@@ -481,7 +495,9 @@ class KernelRows:
     as one block.  (Rows stored at their own index would touch most of the
     buffer's pages, as large arrays are backed by huge pages.)  Rows are
     never recomputed, and a returned row stays valid while the source
-    lives.  No check of symmetry is made, as no matrix exists to check.
+    lives.  Only an index in [0, n) is read; any other raises
+    ``IndexError``.  ``diagonal`` is the Gram's diagonal, computed without
+    any row.  No check of symmetry is made, as no matrix exists to check.
     """
 
     def __init__(self, samples, spec):
@@ -503,15 +519,32 @@ class KernelRows:
         return self.n
 
     def __getitem__(self, i):
+        i = operator.index(i)
+        if not 0 <= i < self.n:
+            raise IndexError("row %d out of range for %d samples" % (i, self.n))
         slot = self._slot[i]
         if slot < 0:
-            slot = self._slot[i] = self.computed
+            # the slot is claimed only once its row is written, so a row
+            # whose computation raised is computed again on its next read
+            slot = self.computed
             row = self._buffer[slot:slot + 1]
             np.matmul(self._x[i:i + 1], self._x.T, out=row)
             _kernel_values(row, self._terms[i:i + 1, None], self._terms[None, :], self._spec,
                            same=i)
+            self._slot[i] = slot
             self.computed += 1
         return self._buffer[slot]
+
+    @functools.cached_property
+    def diagonal(self):
+        """The Gram's diagonal, computed once and without any row: the
+        dot products x_i . x_i through ``_kernel_values``, each entry pinned
+        as ``gram`` pins its diagonal, so an arc-cosine or Gaussian diagonal
+        is the Gram's bit for bit and a linear or polynomial one equals it
+        to round-off."""
+        x = self._x
+        return _kernel_values(np.einsum("ij,ij->i", x, x), self._terms, self._terms, self._spec,
+                              same=0)
 
 
 def evaluate(spec, x, y):

@@ -5,17 +5,22 @@ The binary trainer minimizes the standard dual
     D(alpha) = 1/2 alpha^T Q alpha - sum_i alpha_i,
     Q_ij = y_i y_j K_ij,   0 <= alpha_i <= C,   sum_i alpha_i y_i = 0
 
-by repeatedly picking the maximal violating pair: with f = y - K(alpha o y)
-(so f_i = -E_i, the negative prediction error), select i maximizing f over
-the set of indices whose alpha can increase along +y_i and j minimizing f
-over those that can decrease, stop when f_i - f_j <= tol, and solve the
-two-variable subproblem in closed form with box clipping.  The penalties
-alone hold the two sets from step to step: 0 on the set and -inf (up) or
-+inf (down) off it, rewritten only at the two indices a step moves, so each
-selection is one argmax of f + penalty (f + 0.0 is f up to the sign of a
-zero, which argmax does not see), a set is empty exactly when its
-arg-extremum lands on an infinite penalty, and the f update runs in two
-buffers.
+two variables at a time.  With f = y - K(alpha o y) (so f_i = -E_i, the
+negative prediction error), each step takes i maximizing f over the set of
+indices whose alpha can increase along +y_i, and j by the second-order
+rule of Fan, Chen & Lin (JMLR 2005): over the t that can decrease along
+-y_t with f_t < f_i, the largest gain (f_i - f_t)^2 / a_it, with
+a_it = K_ii + K_tt - 2 K_it clamped below at 1e-12, which is twice
+the decrease of D that the pair's unclipped step would make.  It then solves
+the two-variable subproblem in closed form with box clipping.  The stop
+rule is the maximal violating pair's: stop when f_i - min f over the
+decreasing set <= tol, which is what ``kkt_violation`` measures.  The
+penalties alone hold the two sets from step to step: 0 on the set and
+-inf (up) or +inf (down) off it, rewritten only at the two indices a step
+moves, so each extremum is one arg-extremum of f + penalty (f + 0.0 is f
+up to the sign of a zero, which argmax does not see), a set is empty
+exactly when its arg-extremum lands on an infinite penalty, and the
+gain and the f update each run in the same two buffers.
 The bias is the mean of f over free support vectors when any exist,
 otherwise the midpoint of the final violating pair.
 
@@ -23,8 +28,11 @@ The trainers read the kernel a row at a time, ``k[i]``, from a dense Gram
 (a ``GramMatrix`` or an array, checked for exact symmetry) or from a
 ``KernelRows`` that computes each row the first time it is read; one
 source is shared by all machines of a multiclass train, so a row is
-computed once.  A step reads rows i and j, and eta = k_i[i] + k_j[j] -
-2 k_i[j].  ``kkt_violation`` and ``dual_objective`` take a dense Gram.
+computed once.  The gain reads half the kernel's diagonal, taken once
+per machine from a dense Gram's diagonal or from ``KernelRows.diagonal``,
+which is computed once per source without any row.  A step reads rows i and j, and eta = k_i[i] +
+k_j[j] - 2 k_i[j].  ``kkt_violation`` and ``dual_objective`` take a dense
+Gram.
 
 Multiclass classification is one-vs-rest over ascending class ids with
 prediction by maximal decision value; argmax resolves ties toward the
@@ -73,6 +81,7 @@ class BinarySvm:
     bias: float
     iterations: int
     converged: bool
+    violation: float  # the final gap f_i - f_j of the maximal violating pair
 
 
 def _movable(y, alpha, c):
@@ -93,7 +102,9 @@ def _snapped(a, c):
 
 def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
     """Train one binary machine on a kernel's rows: a dense Gram or a
-    ``KernelRows``."""
+    ``KernelRows``.  The machine's ``violation`` is the maximal violating
+    pair's gap at the alphas returned, also after ``max_iter`` steps; it is
+    <= tol exactly when ``converged``."""
     rows = k if isinstance(k, KernelRows) else _gram_values(k)
     n = len(rows)
     y = _signed_labels(y, n)
@@ -102,15 +113,18 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
     c, tol = _real("C", c, positive=True), _real("tol", tol, positive=True)
     alpha = np.zeros(n)
     f = y.copy()  # f = y - K (alpha o y), currently alpha = 0
+    # half the diagonal, for a_it / 2 = (K_tt / 2 - K_it) + K_ii / 2 in two
+    # passes; halving is exact, so the gain (f_i - f_t)^2 / (a_it / 2) is
+    # exactly twice (f_i - f_t)^2 / a_it and has the same argmax
+    half = 0.5 * (rows.diagonal if isinstance(rows, KernelRows) else np.diagonal(rows))
     # the movable sets, held only as penalties added to f before the
     # arg-extremum: 0 on the set, -inf (up) or +inf (down) off it
     can_up, can_dn = _movable(y, alpha, c)
     pen_up = np.where(can_up, 0.0, -np.inf)
     pen_dn = np.where(can_dn, 0.0, np.inf)
     buf, step = np.empty(n), np.empty(n)
-    violation = np.inf
     it = 0
-    while it < max_iter:
+    while True:
         i = int(np.add(f, pen_up, out=buf).argmax())
         j = int(np.add(f, pen_dn, out=buf).argmin())
         if pen_up[i] or pen_dn[j]:  # an empty set: its extremum is off it
@@ -118,20 +132,35 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
             break
         # the pair's scalars as Python floats: numpy's IEEE arithmetic
         # without its per-scalar overhead
-        violation = float(f[i] - f[j])
-        if violation <= tol:
+        fi = float(f[i])
+        violation = fi - float(f[j])
+        if violation <= tol or it == max_iter:
             break
+        ki = rows[i]
+        # j maximizes the gain (f_i - f_t)^2 / a_it over the down set, in
+        # the two buffers: f_i - (f + pen_dn) is -inf off the set, and the
+        # clip at 0 drops it and every t with f_t >= f_i; the minimal f
+        # has gain > 0, as f_i - f_min > tol
+        np.subtract(fi, buf, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        buf *= buf
+        # a_it / 2, with a_it clamped below at 1e-12, eta's floor
+        np.subtract(half, ki, out=step)
+        step += half[i]
+        np.maximum(step, 0.5e-12, out=step)
+        buf /= step
+        j = int(buf.argmax())
+        kj = rows[j]
         yi, yj = float(y[i]), float(y[j])
         ai, aj = float(alpha[i]), float(alpha[j])
         if yi != yj:
             lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
         else:
             lo, hi = max(0.0, ai + aj - c), min(c, ai + aj)
-        ki, kj = rows[i], rows[j]
         eta = float(ki[i] + kj[j] - 2.0 * ki[j])
         if eta <= 0.0:
             eta = 1e-12
-        aj_new = min(hi, max(lo, aj - yj * violation / eta))
+        aj_new = min(hi, max(lo, aj - yj * (fi - float(f[j])) / eta))
         d_j = aj_new - aj
         if d_j == 0.0:
             break  # fp-empty box (kernel scale swamps the step); stop honestly
@@ -162,7 +191,8 @@ def train_binary(k, y, c, tol=ClassifierConfig.tol, max_iter=1_000_000):
         hi = float(np.max(f[can_up])) if can_up.any() else 0.0
         lo = float(np.min(f[can_dn])) if can_dn.any() else 0.0
         bias = 0.5 * (hi + lo)
-    return BinarySvm(alpha=alpha, bias=bias, iterations=it, converged=converged)
+    return BinarySvm(alpha=alpha, bias=bias, iterations=it, converged=converged,
+                     violation=violation)
 
 
 def kkt_violation(k, y, alpha, c):
@@ -204,7 +234,11 @@ class SvmModel:
     c: float
     kernel: object = None  # KernelSpec used on the feature representation
     support_vectors: np.ndarray | None = None
+    # per machine, in class order, as ``train_multiclass`` left them; a
+    # loaded model has none
     iterations: tuple = field(default_factory=tuple)
+    converged: tuple = field(default_factory=tuple)
+    violations: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         r, s = self.classes.shape[0], self.support.shape[0]
@@ -237,13 +271,13 @@ def train_multiclass(k, y, c=ClassifierConfig.c, tol=ClassifierConfig.tol, kerne
     y, classes = check_labels(y, n)
     coef_full = np.zeros((classes.size, n))
     biases = np.zeros(classes.size)
-    iterations = []
+    machines = []
     for r, cls in enumerate(classes):
         yb = np.where(y == cls, 1.0, -1.0)
         machine = train_binary(k, yb, c, tol=tol)
         coef_full[r] = machine.alpha * yb
         biases[r] = machine.bias
-        iterations.append(machine.iterations)
+        machines.append(machine)
     support = np.nonzero(np.any(coef_full != 0.0, axis=0))[0]
     return SvmModel(
         classes=classes.astype(np.int64, copy=False)
@@ -254,7 +288,9 @@ def train_multiclass(k, y, c=ClassifierConfig.c, tol=ClassifierConfig.tol, kerne
         biases=biases,
         c=float(c),
         kernel=kernel,
-        iterations=tuple(iterations),
+        iterations=tuple(m.iterations for m in machines),
+        converged=tuple(m.converged for m in machines),
+        violations=tuple(m.violation for m in machines),
     )
 
 

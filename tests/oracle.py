@@ -16,7 +16,9 @@ are computed from the full n x n linear Gram, which the library does not
 keep, and ``center_gram`` centres a whole Gram at once and mirrors it, the
 reference for the upper triangle of ``kpca.center_gram``.  ``smo`` is the
 SVM trainer with its movable sets rebuilt from scratch at every step, the
-reference for the incremental bookkeeping of ``svm.train_binary``.
+reference for the incremental bookkeeping of ``svm.train_binary``; it
+also keeps the first-order (maximal violating pair) choice of the second
+index, which the library no longer makes.
 """
 import math
 
@@ -241,22 +243,26 @@ def movable(y, alpha, c):
     return up, down
 
 
-def smo(kv, y, c, tol=1e-3, max_iter=1_000_000, rule=movable):
-    """Maximal-violating-pair SMO as ``svm.train_binary`` defines it, with
-    both movable masks rebuilt by ``rule`` from the whole of alpha at every
-    step: (alpha, bias, iterations, converged) for kernel values ``kv`` and
-    +1/-1 labels ``y``.  The library keeps the masks as penalty arrays
-    updated at the two moved indices, so bit-for-bit agreement pins that
-    bookkeeping."""
+def smo(kv, y, c, tol=1e-3, max_iter=1_000_000, rule=movable, second_order=True):
+    """SMO as ``svm.train_binary`` defines it, with both movable masks
+    rebuilt by ``rule`` from the whole of alpha at every step: (alpha,
+    bias, iterations, converged) for kernel values ``kv`` and +1/-1 labels
+    ``y``.  i maximizes f over the up set and the stop rule is the maximal
+    violating pair's gap; j is that pair's (the first-order rule) unless
+    ``second_order``, when it maximizes (f_i - f_t)^2 / a_it over the t of
+    the down set with f_t < f_i, a_it = (K_tt - 2 K_it) + K_ii, summed in
+    the order whose bits the library's halved sum has, and clamped below
+    at 1e-12.  The library keeps the masks as penalty arrays updated at
+    the two moved indices, so bit-for-bit agreement pins that bookkeeping."""
     kv = np.asarray(kv, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = kv.shape[0]
+    diag = np.diagonal(kv)
     alpha = np.zeros(n)
     f = y.copy()
     pos = y > 0
-    violation = np.inf
     it = 0
-    while it < max_iter:
+    while True:
         can_up, can_dn = rule(y, alpha, c)
         if not (can_up.any() and can_dn.any()):
             violation = 0.0
@@ -264,8 +270,13 @@ def smo(kv, y, c, tol=1e-3, max_iter=1_000_000, rule=movable):
         i = int(np.argmax(np.where(can_up, f, -np.inf)))
         j = int(np.argmin(np.where(can_dn, f, np.inf)))
         violation = f[i] - f[j]
-        if violation <= tol:
+        if violation <= tol or it == max_iter:
             break
+        if second_order:
+            below = can_dn & (f < f[i])
+            a = np.maximum(diag - 2.0 * kv[i] + diag[i], 1e-12)
+            gain = np.where(below, (f[i] - f) ** 2, 0.0) / a
+            j = int(np.argmax(gain))
         ai, aj = alpha[i], alpha[j]
         if pos[i] != pos[j]:
             lo, hi = max(0.0, aj - ai), min(c, c + aj - ai)
@@ -274,7 +285,7 @@ def smo(kv, y, c, tol=1e-3, max_iter=1_000_000, rule=movable):
         eta = kv[i, i] + kv[j, j] - 2.0 * kv[i, j]
         if eta <= 0.0:
             eta = 1e-12
-        aj_new = min(hi, max(lo, aj - y[j] * violation / eta))
+        aj_new = min(hi, max(lo, aj - y[j] * (f[i] - f[j]) / eta))
         d_j = aj_new - aj
         if d_j == 0.0:
             break

@@ -448,6 +448,69 @@ def test_kernel_rows_equal_the_gram_rows(text):
         assert again.tobytes() == rows[order[0]].tobytes()
 
 
+@pytest.mark.parametrize("text", EVERY_FAMILY)
+def test_kernel_rows_diagonal_equals_the_gram_diagonal(text):
+    # computed once through _kernel_values from x_i . x_i, without a row:
+    # the arc-cosine and Gaussian entries are pinned as gram pins them, so
+    # they match bit for bit; a linear or polynomial entry is a dot
+    # product in both and agrees to round-off
+    spec = parse_kernel(text)
+    pinned = spec.family in (KernelFamily.ARC_COSINE, KernelFamily.GAUSSIAN)
+    x = np.random.default_rng(18).uniform(0.05, 1.0, size=(150, 6))
+    for samples in layouts(x):
+        want = np.diagonal(gram(samples, spec).values)
+        rows = KernelRows(samples, spec)
+        diagonal = rows.diagonal
+        assert rows.computed == 0 and rows.diagonal is diagonal
+        if pinned:
+            assert_same_bits(diagonal, want)
+        else:
+            np.testing.assert_allclose(diagonal, want, rtol=1e-14, atol=0)
+
+
+def test_kernel_rows_read_only_indices_in_range():
+    x = np.random.default_rng(19).uniform(0.05, 1.0, size=(5, 3))
+    rows = KernelRows(x, parse_kernel("arccos(n=1,L=1)"))
+    for bad in (-1, 5, -6):
+        with pytest.raises(IndexError):
+            rows[bad]
+    for bad in (1.0, slice(0, 2), np.array([0, 1])):
+        with pytest.raises(TypeError):
+            rows[bad]
+    assert rows.computed == 0
+    assert_same_bits(rows[np.int64(4)], rows[4])
+    assert rows.computed == 1
+    with pytest.raises(IndexError):  # not the last row, once it is computed
+        rows[-1]
+
+
+def test_a_row_whose_computation_raised_is_computed_again(monkeypatch):
+    # the slot is claimed only after the row is written, so a failed row
+    # leaves no slot that a later read would return unwritten
+    spec = parse_kernel("arccos(n=1,L=1)")
+    x = np.random.default_rng(20).uniform(0.05, 1.0, size=(5, 3))
+    want = gram(x, spec).values
+    rows = KernelRows(x, spec)
+    kernel_values = kernels._kernel_values
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(kernels, "_kernel_values", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        rows[4]
+    assert rows.computed == 0
+    monkeypatch.setattr(kernels, "_kernel_values", kernel_values)
+    row = rows[4]
+    assert rows.computed == 1
+    assert np.abs(row - want[4]).max() <= 1e-12 * np.abs(want[4]).max()
+    assert row[4].tobytes() == want[4, 4].tobytes()
+    kept = row.copy()
+    rows[0]  # the next row takes the next slot
+    assert rows.computed == 2
+    assert_same_bits(rows[4], kept)
+
+
 def test_kernel_rows_check_their_samples_at_construction():
     x = np.array([[1.0, 0.0], [0.0, 0.0], [0.5, 0.5]])
     with pytest.raises(ZeroVectorError):

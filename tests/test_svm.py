@@ -226,18 +226,49 @@ def test_smo_matches_the_oracle_one_vs_rest():
 
 
 def test_smo_matches_the_oracle_when_it_stops_early():
+    tol = ClassifierConfig.tol
     x = np.array([[1.0, 0.0], [0.0, 1.0], [1e8, 5e7]])
     y = np.array([1.0, -1.0, -1.0])
     kv = gram(x, LINEAR).values
     with pytest.warns(UserWarning, match="SMO stopped"):
         machine = _assert_same_as_oracle(kv, y, 10.0)  # the kernel scale empties the box
-    assert machine.iterations == 2 and not machine.converged
+    assert machine.iterations == 2 and not machine.converged and machine.violation > tol
     rng = np.random.default_rng(6)
     x = rng.normal(size=(20, 3))
     y = np.where(x[:, 0] > 0, 1.0, -1.0)
+    kv = gram(x, LINEAR).values
     with pytest.warns(UserWarning, match="SMO stopped"):
-        machine = _assert_same_as_oracle(gram(x, LINEAR).values, y, 1.0, max_iter=3)
-    assert machine.iterations == 3 and not machine.converged
+        machine = _assert_same_as_oracle(kv, y, 1.0, max_iter=3)
+    assert machine.iterations == 3 and not machine.converged and machine.violation > tol
+    # the violation is that of the alphas returned, not of the step before
+    assert machine.violation == pytest.approx(svm.kkt_violation(kv, y, machine.alpha, 1.0),
+                                              rel=1e-9)
+
+
+def test_the_model_carries_each_machines_convergence():
+    # both one-vs-rest machines of the box-empty problem stop early, and the
+    # model says so per class without the warning
+    x = np.array([[1.0, 0.0], [0.0, 1.0], [1e8, 5e7]])
+    with pytest.warns(UserWarning, match="SMO stopped"):
+        model = svm.train_multiclass(gram(x, LINEAR), np.array([0, 1, 1]), c=10.0)
+    assert model.converged == (False, False)
+    assert len(model.iterations) == 2
+    assert all(v > ClassifierConfig.tol for v in model.violations)
+    x, labels = direction_blobs(25, 12, [[0, 1], [2, 3], [4, 5]], noise=0.4, lift=0.5, seed=3)
+    model = svm.train_multiclass(gram(x, parse_kernel("arccos(n=1,L=1)")), labels, c=10.0)
+    assert model.converged == (True, True, True)
+    assert all(0.0 <= v <= ClassifierConfig.tol for v in model.violations)
+
+
+def test_second_order_selection_takes_no_more_iterations():
+    x, labels = direction_blobs(25, 12, [[0, 1], [2, 3], [4, 5]], noise=0.4, lift=0.5, seed=3)
+    kv = gram(x, parse_kernel("arccos(n=1,L=1)")).values
+    for cls in range(3):
+        y = np.where(labels == cls, 1.0, -1.0)
+        first = oracle.smo(kv, y, 10.0, second_order=False)
+        second = oracle.smo(kv, y, 10.0)
+        assert first[3] and second[3]
+        assert second[2] <= first[2]
 
 
 def test_smo_stops_when_one_set_empties_as_the_oracle_does(monkeypatch):
