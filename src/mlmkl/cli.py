@@ -159,10 +159,9 @@ def cmd_eval(args):
     predicted = pipeline.predict(model, ds.features)
     error = error_percent(predicted, ds.labels)
     classes = np.union1d(model.classifier.classes, np.unique(ds.labels))
-    index = {c: i for i, c in enumerate(classes)}
-    confusion = np.zeros((classes.size, classes.size), dtype=np.int64)
-    for t, p in zip(ds.labels, predicted):
-        confusion[index[t], index[p]] += 1
+    k = classes.size
+    cells = np.searchsorted(classes, ds.labels) * k + np.searchsorted(classes, predicted)
+    confusion = np.bincount(cells, minlength=k * k).reshape(k, k)
     lines = [
         "test %s: %d rows" % (args.test, ds.n),
         "error: %.2f%%" % error,

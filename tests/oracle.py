@@ -18,12 +18,17 @@ reference for the upper triangle of ``kpca.center_gram``.  ``smo`` is the
 SVM trainer with its movable sets rebuilt from scratch at every step, the
 reference for the incremental bookkeeping of ``svm.train_binary``; it
 also keeps the first-order (maximal violating pair) choice of the second
-index, which the library no longer makes.
+index, which the library no longer makes.  ``load_amat`` and ``write_amat``
+are the amat reader and writer that handle one row and one value at a time,
+the references for ``mlmkl.data``'s whole-file parse and one-format rows.
 """
 import math
+import os
 
 import numpy as np
 
+from mlmkl.data import Dataset
+from mlmkl.errors import ParseError
 from mlmkl.kernels import KernelFamily, _kernel_values, _row_terms, j_n as angle_j_n
 
 # J_n(0) / pi: J_0(0) = pi, J_1(0) = pi, J_2(0) = 3 pi
@@ -314,3 +319,48 @@ def smo(kv, y, c, tol=1e-3, max_iter=1_000_000, rule=movable, second_order=True)
         lo = float(np.min(f[can_dn])) if can_dn.any() else 0.0
         bias = 0.5 * (hi + lo)
     return alpha, bias, it, converged
+
+
+_COLUMNS = 785  # 784 pixels, then the label
+
+
+def load_amat(path):
+    """Parse an amat file, preserving row order."""
+    rows = []
+    labels = []
+    with open(path, "r") as fh:
+        for lineno, line in enumerate(fh, 1):
+            parts = line.split()
+            if not parts:
+                continue  # tolerate blank lines (common as trailing newline)
+            if len(parts) != _COLUMNS:
+                raise ParseError(
+                    "expected %d values per row, got %d" % (_COLUMNS, len(parts)),
+                    line=lineno,
+                )
+            try:
+                values = np.array(parts, dtype=np.float64)
+            except ValueError:
+                raise ParseError("non-numeric value in row", line=lineno) from None
+            if not np.all(np.isfinite(values)):
+                raise ParseError("non-finite value in row", line=lineno)
+            label = values[-1]
+            if label != int(label) or not 0 <= label <= 9:
+                raise ParseError("label %g is not a digit class" % label, line=lineno)
+            rows.append(np.clip(values[:-1], 0.0, 1.0))
+            labels.append(int(label))
+    if not rows:
+        raise ParseError("no samples in %r" % path)
+    return Dataset(
+        features=np.vstack(rows),
+        labels=np.array(labels, dtype=np.int64),
+        name=os.path.basename(path),
+    )
+
+
+def write_amat(dataset, path):
+    """Write rows back out in the amat layout (load_amat inverts this)."""
+    with open(path, "w") as fh:
+        for x, y in zip(dataset.features, dataset.labels):
+            fh.write(" ".join("%.10g" % v for v in x))
+            fh.write(" %d\n" % y)

@@ -640,3 +640,55 @@ def test_jobs_is_deprecated_and_changes_only_a_note(golden_corpus, capsys):
     captured = capsys.readouterr()
     assert captured.out == golden
     assert captured.err == ""
+
+
+def test_eval_confusion_counts_every_row(saved_model, tmp_path, capsys):
+    x, y = digits_like(6, n_classes=3, seed=4)
+    y = np.where(y == 2, 7, y)  # a true class the two-class model never predicts
+    test = tmp_path / "test.amat"
+    write_amat(test, x, y)
+    predicted = pipeline.predict(pipeline.load(saved_model["model"]), data.load_amat(test).features)
+    classes = [0, 1, 7]
+    want = [[sum(1 for t, p in zip(y, predicted) if (t, p) == (a, b)) for b in classes]
+            for a in classes]
+    assert sum(want[2]) == 6 and want[2][2] == 0
+
+    argv = ["eval", "--model", str(saved_model["model"]), "--test", str(test)]
+    assert cli.main(argv + ["--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classes"] == classes
+    assert report["confusion"] == want
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == ["%4d | %s" % (c, " ".join("%5d" % v for v in row))
+                          for c, row in zip(classes, want)]
+
+
+BAD_AMAT = {
+    "binary": (b"\xff\xfe\x00garbage\n", "error: line 1: row is not utf-8 text"),
+    "columns": ((" ".join(["0"] * 784) + " 1\n0 0 1\n").encode("ascii"),
+                "error: line 2: expected 785 values per row, got 3"),
+    "empty": (b"", "error: no samples in "),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_AMAT))
+@pytest.mark.parametrize("command", ["train", "eval", "cv"])
+def test_a_bad_amat_file_is_one_error_line(corpus, saved_model, capsys, recwarn, command, kind):
+    content, message = BAD_AMAT[kind]
+    bad = corpus["tmp"] / "bad.amat"
+    bad.write_bytes(content)
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3], "repeats": 1})
+    argv = {
+        "train": ["train", "--config", cfg, "--train", str(bad),
+                  "--out", str(corpus["tmp"] / "m.bin")],
+        "eval": ["eval", "--model", str(saved_model["model"]), "--test", str(bad)],
+        "cv": ["cv", "--config", cfg, "--train", str(bad)],
+    }[command]
+    rc = cli.main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert len(recwarn) == 0
