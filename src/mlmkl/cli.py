@@ -56,11 +56,12 @@ def _mu_text(row):
 
 
 def _writable(path):
-    """Fail as ``open(path, "wb")`` fails when ``path`` is a directory or its
-    parent directory is missing, but before the fit and creating no file."""
+    """Fail as ``open(path, "wb")`` fails when ``path`` is empty, is a
+    directory or its parent directory is missing, but before the fit and
+    creating no file."""
     if os.path.isdir(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    if not os.path.isdir(os.path.dirname(path) or "."):
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
@@ -198,7 +199,7 @@ def cmd_weights(args):
 
 
 def cmd_cv(args):
-    if args.out:
+    if args.out is not None:
         _writable(args.out)
     if args.jobs > 1:
         print("note: --jobs is deprecated and has no effect; cv runs in this process",
@@ -231,7 +232,7 @@ def cmd_cv(args):
         "best: error %.2f%% +- %.2f%%"
         % (report["best_mean_error_percent"], report["best_std_error_percent"])
     )
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w") as fh:
             json.dump(best, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -16,6 +16,12 @@ directions in feature space.  Components whose eigenvalue falls below
 linear kernel the result coincides with ordinary PCA scores up to
 per-component sign.
 
+Each rule is one function.  ``leading`` decides how many components are
+kept, and warns from one line of this module when fewer are usable than
+asked for, whoever called it; ``fit`` returns the leading ones of its
+usable pairs.  ``transform`` centres and projects new rows, into a new
+array or into the caller's cross-Gram (``out``).
+
 The eigensolver is LAPACK's ``dsyevr`` with RANGE='I', asked for only the
 top min(n_components, n) pairs: an exact method (tridiagonal reduction,
 then bisection and inverse iteration for the chosen pairs), which skips
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 import ctypes
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,14 +153,6 @@ def _check_count(n_components):
         raise ValueError("n_components must be a positive integer, got %r" % (n_components,))
 
 
-def _warn_short(n_components, usable):
-    warnings.warn(
-        "requested %d components but only %d eigenvalues are usable"
-        % (n_components, usable),
-        stacklevel=3,
-    )
-
-
 def fit(k, n_components):
     """Extract the leading kernel principal components.
 
@@ -174,56 +172,62 @@ def fit(k, n_components):
             "centered Gram has no positive eigenvalue (max %r)" % lam_max
         )
     usable = int(np.sum(lams > _EIGENVALUE_CUTOFF * lam_max))
-    keep = min(n_components, usable)
-    if keep < n_components:
-        _warn_short(n_components, usable)
-    lams = lams[:keep].copy()
-    vecs = vecs[:, :keep].copy()
+    lams = lams[:usable].copy()
+    vecs = vecs[:, :usable].copy()
     # deterministic sign: make the largest-magnitude entry of each vector positive
-    for j in range(keep):
+    for j in range(usable):
         i = int(np.argmax(np.abs(vecs[:, j])))
         if vecs[i, j] < 0.0:
             vecs[:, j] = -vecs[:, j]
     alphas = vecs / np.sqrt(lams)[None, :]
-    return KpcaModel(alphas=alphas, eigenvalues=lams, row_means=row_means, total_mean=total_mean)
+    model = KpcaModel(alphas=alphas, eigenvalues=lams, row_means=row_means,
+                      total_mean=total_mean)
+    return leading(model, n_components)
 
 
 def leading(model, n_components):
-    """The first ``n_components`` components of a model that ``fit``
-    returned for at least that many.
+    """The first ``n_components`` components of ``model``, or all of them,
+    with a warning, when it has fewer: the one keep-and-warn rule, which
+    ``fit`` applies to its usable pairs, so the warning comes from one
+    line whoever called it.
 
-    What ``fit`` returns for ``n_components`` on the same Gram, with the
-    same warning when fewer are usable, so one eigendecomposition serves
-    every smaller count.  The values agree to round-off (within 1e-12 of
-    the largest entry), not bit for bit, since a subset solve for fewer
-    pairs rounds differently; at ``model.n_components`` they are the
-    model's own bits.
+    On a model that ``fit`` returned for at least ``n_components``, this is
+    what ``fit`` returns for ``n_components`` on the same Gram, with the
+    same warning, so one eigendecomposition serves every smaller count.
+    The values agree to round-off (within 1e-12 of the largest entry), not
+    bit for bit, since a subset solve for fewer pairs rounds differently.
+    A model of no more than ``n_components`` is returned itself, uncopied.
     """
     _check_count(n_components)
-    keep = min(n_components, model.n_components)
-    if keep < n_components:
-        _warn_short(n_components, model.n_components)
-    return KpcaModel(
-        alphas=model.alphas[:, :keep].copy(),
-        eigenvalues=model.eigenvalues[:keep].copy(),
-        row_means=model.row_means,
-        total_mean=model.total_mean,
-    )
+    if model.n_components < n_components:
+        message = "requested %d components but only %d eigenvalues are usable" % (
+            n_components, model.n_components)
+        warnings.warn(message)
+    if model.n_components <= n_components:
+        return model
+    return replace(model, alphas=model.alphas[:, :n_components].copy(),
+                   eigenvalues=model.eigenvalues[:n_components].copy())
 
 
-def transform(model, cross):
+def transform(model, cross, out=None):
     """Project new points given their kernel values against the fit set.
 
     ``cross`` has one row per new point and one column per fit sample.
     Centering uses the stored fit-set statistics, so the projection is
-    consistent with the training-time geometry.
+    consistent with the training-time geometry.  The centred rows go to
+    ``out``, a new array by default; ``out`` may be a float64 ``cross``
+    itself when the caller no longer needs it, so that no second t x n
+    array is held.
     """
     c = np.asarray(cross, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != model.n_fit:
         raise ShapeError(
             "cross matrix must be (t, %d), got shape %r" % (model.n_fit, c.shape)
         )
-    return _center_and_project(model, c, np.empty_like(c))
+    if c.shape[0] == 0:
+        return np.zeros((0, model.n_components))
+    out = np.empty_like(c) if out is None else out
+    return _center(c, model.row_means, model.total_mean, out) @ model.alphas
 
 
 def _center(cross, row_means, total_mean, out, own_means=None):
@@ -238,11 +242,3 @@ def _center(cross, row_means, total_mean, out, own_means=None):
     out += total_mean
     return out
 
-
-def _center_and_project(model, cross, out):
-    """Centre the float64 (t, n_fit) ``cross`` into ``out`` and project it.
-    ``out`` may be ``cross`` itself when the caller built it and no longer
-    needs it, so that no second t x n array is held."""
-    if cross.shape[0] == 0:
-        return np.zeros((0, model.n_components))
-    return _center(cross, model.row_means, model.total_mean, out) @ model.alphas

@@ -11,7 +11,10 @@ the final representation.
 There is one layer path, ``fit_layer_grid``: it fits a gamma x width grid
 of one kernel set's candidates and shares each stage between them.
 ``fit_layer`` is its one-candidate call, and ``search.grid_search`` runs it
-for every candidate grid of ``mlmkl cv``.
+for every candidate grid of ``mlmkl cv``.  A row of the grid builds its
+combined Gram, kernel PCA and crosses once, before any width, and calls
+``kpca.fit`` and ``kpca.leading`` directly, so a short spectrum warns from
+``kpca`` alone; ``transform_layer`` projects through ``kpca.transform``.
 
 ``config`` owns the settings: ``LayerConfig`` and ``DEFAULT_SUBSAMPLE`` are
 re-exported here, the classifier defaults are ``ClassifierConfig``'s, and
@@ -23,7 +26,8 @@ keeps the cubic eigendecomposition affordable.  All randomness flows
 from one integer seed, so a fit is reproducible bit for bit; the model
 serializer below is deterministic too (fixed header layout, sorted JSON
 keys, raw array segments, sha256 trailer), hence two fits with the same
-seed produce byte-identical files.
+seed produce byte-identical files.  One table, ``_LAYER_ARRAYS``, lays out
+a layer's arrays for both ``save`` and ``load``.
 """
 from __future__ import annotations
 
@@ -164,37 +168,28 @@ class LayerFit(NamedTuple):
     score: object  # what ``score(train, valid)`` returned, when given
 
 
-def _kpca(source, n_components):
-    """Kernel PCA of ``n_components`` components: fitted on a Gram, or the
-    leading ones of a fitted ``KpcaModel``.  Both go through one call, so a
-    short spectrum warns from one source location whether a candidate's
-    components were computed or reused, and Python's default filter, which
-    shows a text once per location, shows a reused row's warnings no more
-    often than a fresh row's."""
-    step = kpca.leading if isinstance(source, KpcaModel) else kpca.fit
-    return step(source, n_components)
-
-
 def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None):
     """Fit every candidate of one kernel set's ``grid`` of ``LayerConfig``s,
     a row per gamma and a column per width, on the rows ``fit_idx`` of
     ``features`` (None means all of them); every row is transformed.
 
     Returns, row by row, each candidate's ``LayerFit``, or the exception
-    that stopped it where a candidate fitted alone would stop.  The
-    candidates share the stages: one weight problem, one QP per gamma, and
-    per distinct weight vector one combined Gram, one kernel PCA at the
-    largest component count, one training cross and, given ``valid`` rows,
-    one validation cross.  Gamma enters only the QP, so rows whose weights
-    are equal get the same cells, computed once; ``score(train, valid)``
-    runs on each freshly fitted candidate.  A candidate at the largest
+    that stopped it.  The candidates share the stages: one weight problem,
+    one QP per gamma, and per distinct weight vector one combined Gram, one
+    kernel PCA at the largest component count, one training cross and,
+    given ``valid`` rows, one validation cross, all built before any width,
+    so a failure among them stops every candidate of the row.  Gamma
+    enters only the QP, so rows whose weights are equal get the same
+    cells, computed once; ``score(train, valid)`` runs on each freshly
+    fitted candidate.  A candidate at the largest
     count has the bits of the same layer fitted alone; one at a smaller
     count gets the leading components of that kernel PCA, which equal its
     own to round-off (``kpca.leading``), not bit for bit.
     """
     failures = (MlmklError, ValueError)
     x, kernels = _as_matrix(features, "features"), grid[0][0].kernels
-    xs = x if fit_idx is None else x[fit_idx]
+    # a copy either way, made once: every candidate's layer keeps it as its fit rows
+    xs = np.array(x, copy=True) if fit_idx is None else x[fit_idx]
     try:
         problem = problem_from_features(xs, kernels, grid[0][0].basis_size)
     except failures as exc:
@@ -204,22 +199,20 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
 
     def fit_row(row, weights):
         """(kernel PCA or None, cells) of a row of candidates with ``weights``."""
+        kp = None
         try:
             k_fit = combine(xs, kernels, weights)
-            kp = _kpca(k_fit, counts[top])
+            kp = kpca.fit(k_fit, counts[top])
+            # fit warned for the top candidate, leading warns for the rest, all
+            # before the crosses, as each candidate fitted alone would
+            kps = [kp if i == top else kpca.leading(kp, n) for i, n in enumerate(counts)]
+            train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
+            valid_cross = None if valid is None else combined_cross(valid, xs, kernels, weights)
         except failures as exc:
-            return None, [exc] * len(row)
-        sample = np.array(x, copy=True) if fit_idx is None else xs  # x[fit_idx] is a copy
-        # each cross is built once, where a candidate fitted on its own would
-        # build it, so a failure reaches the same candidates
-        train_cross = valid_cross = None
+            return kp, [exc] * len(row)
         row_cells = []
-        for i, cand in enumerate(row):
+        for cand, kc in zip(row, kps):
             try:
-                # fit warned for the top candidate, leading warns for the rest
-                kc = kp if i == top else _kpca(kp, cand.components)
-                if train_cross is None:
-                    train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
                 # training rows are ranked on every component; the layer
                 # keeps, and projects new rows onto, the selected ones
                 ranking, train = featsel.select(kpca.transform(kc, train_cross), labels,
@@ -228,12 +221,8 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
                 kept = replace(kc, alphas=np.ascontiguousarray(kc.alphas[:, sel]),
                                eigenvalues=kc.eigenvalues[sel])
                 layer = LayerModel(kernels=kernels, weights=weights, kpca=kept,
-                                   scores=ranking.scores, selected=sel, fit_sample=sample)
-                reduced = None
-                if valid is not None:
-                    if valid_cross is None:
-                        valid_cross = combined_cross(valid, xs, kernels, weights)
-                    reduced = kpca.transform(kept, valid_cross)
+                                   scores=ranking.scores, selected=sel, fit_sample=xs)
+                reduced = None if valid_cross is None else kpca.transform(kept, valid_cross)
                 scored = None if score is None else score(train, reduced)
                 row_cells.append(LayerFit(layer, train, reduced, scored))
             except failures as exc:
@@ -253,7 +242,7 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
             seen[key] = fit_row(row, weights)
         elif seen[key][0] is not None:
             for cand in row:  # the kPCA warnings of each candidate fitted alone
-                _kpca(seen[key][0], cand.components)
+                kpca.leading(seen[key][0], cand.components)
         cells += seen[key][1]
     return cells
 
@@ -279,7 +268,7 @@ def transform_layer(layer, features):
             "expected rows of dimension %d, got shape %r" % (layer.input_dim, x.shape)
         )
     cross = combined_cross(x, layer.fit_sample, layer.kernels, layer.weights)
-    return kpca._center_and_project(layer.kpca, cross, cross)
+    return kpca.transform(layer.kpca, cross, out=cross)
 
 
 @dataclass
@@ -432,31 +421,32 @@ _VERSION = 2
 _PREFIX = struct.Struct("<IIQ")
 
 
+# Each layer's arrays in file order, as (name, value of a layer), and the
+# classifier's, by their ``SvmModel`` field names: ``_manifest`` writes them
+# and ``load`` reads them back.
+_LAYER_ARRAYS = (
+    ("weights", lambda layer: layer.weights.mu),
+    ("alphas", lambda layer: layer.kpca.alphas),
+    ("eigenvalues", lambda layer: layer.kpca.eigenvalues),
+    ("row_means", lambda layer: layer.kpca.row_means),
+    ("scores", lambda layer: layer.scores),
+    ("selected", lambda layer: layer.selected),
+    ("fit_sample", lambda layer: layer.fit_sample),
+)
+_CLASSIFIER_ARRAYS = ("classes", "support", "dual_coef", "biases", "support_vectors")
+
+
 def _manifest(model):
-    if model.classifier.support_vectors is None or model.classifier.kernel is None:
-        raise ValueError("cannot save a classifier without support vectors and kernel")
-    arrays = []
-    layer_headers = []
-    for index, layer in enumerate(model.layers):
-        prefix = "layer%d/" % index
-        arrays.append((prefix + "weights", layer.weights.mu))
-        arrays.append((prefix + "alphas", layer.kpca.alphas))
-        arrays.append((prefix + "eigenvalues", layer.kpca.eigenvalues))
-        arrays.append((prefix + "row_means", layer.kpca.row_means))
-        arrays.append((prefix + "scores", layer.scores))
-        arrays.append((prefix + "selected", layer.selected))
-        arrays.append((prefix + "fit_sample", layer.fit_sample))
-        layer_headers.append({"kernels": [k.canonical() for k in layer.kernels],
-                              "total_mean": layer.kpca.total_mean})
     clf = model.classifier
-    arrays.append(("classifier/classes", clf.classes))
-    arrays.append(("classifier/support", clf.support))
-    arrays.append(("classifier/dual_coef", clf.dual_coef))
-    arrays.append(("classifier/biases", clf.biases))
-    arrays.append(("classifier/support_vectors", clf.support_vectors))
+    if clf.support_vectors is None or clf.kernel is None:
+        raise ValueError("cannot save a classifier without support vectors and kernel")
+    arrays = [("layer%d/%s" % (index, name), value(layer))
+              for index, layer in enumerate(model.layers) for name, value in _LAYER_ARRAYS]
+    arrays += [("classifier/" + name, getattr(clf, name)) for name in _CLASSIFIER_ARRAYS]
     header = {
         "format": "mlmkl-model",
-        "layers": layer_headers,
+        "layers": [{"kernels": [k.canonical() for k in layer.kernels],
+                    "total_mean": layer.kpca.total_mean} for layer in model.layers],
         "classifier": {
             "kernel": clf.kernel.canonical(),
             "c": clf.c,
@@ -532,39 +522,28 @@ def load(path):
         for name in header["arrays"]:
             arrays[name] = np.lib.format.read_array(stream, allow_pickle=False)
 
-        def array(name):
-            return _finite_content(name, arrays[name])
+        def finite_arrays(prefix, names):
+            return {name: _finite_content(prefix + name, arrays[prefix + name])
+                    for name in names}
 
         layers = []
         for index, lh in enumerate(header["layers"]):
             prefix = "layer%d/" % index
             kernels = tuple(parse_kernel(s) for s in lh["kernels"])
+            a = finite_arrays(prefix, [name for name, _ in _LAYER_ARRAYS])
             model_k = KpcaModel(
-                alphas=array(prefix + "alphas"),
-                eigenvalues=array(prefix + "eigenvalues"),
-                row_means=array(prefix + "row_means"),
+                alphas=a["alphas"],
+                eigenvalues=a["eigenvalues"],
+                row_means=a["row_means"],
                 total_mean=_finite_content(prefix + "total_mean", float(lh["total_mean"])),
             )
-            layers.append(
-                LayerModel(
-                    kernels=kernels,
-                    weights=KernelWeights(array(prefix + "weights")),
-                    kpca=model_k,
-                    scores=array(prefix + "scores"),
-                    selected=array(prefix + "selected"),
-                    fit_sample=array(prefix + "fit_sample"),
-                )
-            )
+            layers.append(LayerModel(kernels=kernels, weights=KernelWeights(a["weights"]),
+                                     kpca=model_k, scores=a["scores"], selected=a["selected"],
+                                     fit_sample=a["fit_sample"]))
         ch = header["classifier"]
-        machine = SvmModel(
-            classes=array("classifier/classes"),
-            support=array("classifier/support"),
-            dual_coef=array("classifier/dual_coef"),
-            biases=array("classifier/biases"),
-            c=_finite_content("classifier/c", float(ch["c"])),
-            kernel=parse_kernel(ch["kernel"]),
-            support_vectors=array("classifier/support_vectors"),
-        )
+        machine = SvmModel(kernel=parse_kernel(ch["kernel"]),
+                           **finite_arrays("classifier/", _CLASSIFIER_ARRAYS),
+                           c=_finite_content("classifier/c", float(ch["c"])))
         return MlmklModel(layers=layers, classifier=machine, metadata=header["metadata"])
     except (KeyError, ValueError, IndexError, ShapeError, ParseError,
             TypeError, OverflowError) as exc:  # TypeError: e.g. a number for a list

@@ -209,6 +209,20 @@ def test_cv_out_in_a_missing_directory_fails_before_the_search(corpus, capsys, m
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "cv"])
+def test_an_empty_out_fails_before_any_layer_is_fitted(corpus, capsys, monkeypatch, command):
+    # train used to run the whole fit and then fail to open ''; cv took an
+    # empty --out for no --out and printed the best config
+    for name in ("fit", "fit_layer_grid"):
+        monkeypatch.setattr(pipeline, name, lambda *a, **kw: pytest.fail("a layer was fitted"))
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, cv={"width": [3], "repeats": 1})
+    rc = cli.main([command, "--config", cfg, "--train", corpus["train"], "--out", ""])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+
+
 def test_unknown_config_key_fails_cleanly(corpus, capsys):
     cfg = write_config(corpus, probecap=10)
     rc = cli.main(["train", "--config", cfg, "--train", corpus["train"],

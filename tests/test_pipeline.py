@@ -1,3 +1,5 @@
+import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -373,6 +375,20 @@ def test_a_saved_layer_holds_its_kept_components_only(tmp_path):
         assert layer.kpca.eigenvalues.shape == (cfg.width,)
         assert layer.scores.shape == (cfg.components,)  # every component computed
         assert not hasattr(layer, "fit_indices")
+
+
+def test_a_model_file_lists_its_arrays_layer_by_layer_then_the_classifier(tmp_path):
+    _, _, model = fitted_model()
+    path = tmp_path / "model.bin"
+    pipeline.save(model, path)
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack("<I", blob[12:16])  # after magic (8) and version (4)
+    header = json.loads(blob[24:24 + header_len])
+    layer = ["weights", "alphas", "eigenvalues", "row_means", "scores", "selected", "fit_sample"]
+    classifier = ["classes", "support", "dual_coef", "biases", "support_vectors"]
+    assert header["arrays"] == (["layer0/" + name for name in layer]
+                                + ["layer1/" + name for name in layer]
+                                + ["classifier/" + name for name in classifier])
 
 
 def test_same_seed_refit_gives_identical_file(tmp_path):

@@ -1,6 +1,7 @@
 """``search.grid_search`` runs the layer stages once per distinct weight
 vector: gamma enters only the weight QP, so gammas that learn equal
 weights share the combined Gram, kernel PCA, crosses and probe SVMs."""
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,10 @@ from conftest import assert_equal_to_round_off, direction_blobs
 from mlmkl import data, kpca, pipeline, search, umkl
 from mlmkl.config import parse_config
 from mlmkl.errors import (
-    DegenerateGramError, InvalidBasisSizeError, InvalidWidthError, NumericalFailureError,
+    ConfigError, DegenerateGramError, InvalidBasisSizeError, InvalidWidthError,
+    NumericalFailureError, ZeroVectorError,
 )
+from mlmkl.kernels import GramMatrix
 from mlmkl.umkl import KernelWeights
 
 # on the corpus below both gammas put all weight on the rbf kernel
@@ -164,6 +167,8 @@ FAILING_STAGES = {
     "qp": (NumericalFailureError, [[1, 1], [0, 0], [0, 0]]),
     "combine": (DegenerateGramError, [[1, 1], [0, 0], [1, 1]]),
     "width": (InvalidWidthError, [[0, 1], [0, 1], [0, 1]]),
+    # a zero training row outside the fit rows, under KERNELS' arc-cosine kernel
+    "training cross": (ZeroVectorError, [[1, 1], [1, 1], [1, 1]]),
 }
 
 
@@ -182,6 +187,8 @@ def test_a_failing_stage_stops_the_candidates_it_stops_when_fitted_alone(monkeyp
              for w in ([3, 40] if stage == "width" else [3, 5])] for g in gammas]
     train, valid = data.split(corpus(), 40, 20, seed=0)
     fit_idx = np.arange(0, 40, 2)
+    if stage == "training cross":
+        train.features[1] = 0.0
     fitted = pipeline.fit_layer_grid(train.features, train.labels, grid, fit_idx,
                                      valid=valid.features)
     probed = probed_grid(train, valid, fit_idx, grid, cfg)
@@ -207,6 +214,52 @@ def test_a_failing_stage_stops_the_candidates_it_stops_when_fitted_alone(monkeyp
                 assert_equal_to_round_off(reduced, f.train)
             np.testing.assert_array_equal(f.train, cell.train)
             np.testing.assert_array_equal(layer.selected, f.layer.selected)
+
+
+def test_a_zero_validation_row_stops_every_candidate():
+    dataset = corpus()
+    train, valid = data.split(dataset, 40, 20, seed=0)
+    (row,) = np.flatnonzero((dataset.features == valid.features[3]).all(axis=1))
+    valid.features[3] = 0.0
+    cfg = experiment(GAMMAS, repeats=1)
+    grid = [[pipeline.LayerConfig(kernels=cfg.layers[0].kernels, width=w, gamma=g, basis_size=5)
+             for w in cfg.cv.widths] for g in GAMMAS]
+    cells = probed_grid(train, valid, np.arange(0, 40, 2), grid, cfg)
+    assert [type(cell) for cell in cells] == [ZeroVectorError] * 4
+    assert {str(cell) for cell in cells} == {"arc-cosine kernel undefined for zero row 3"}
+    # the search splits the corpus as above, so that row is its validation row 3
+    dataset.features[row] = 0.0
+    with pytest.raises(ConfigError, match="^every layer 1 candidate failed, e.g.: "
+                       "arc-cosine kernel undefined for zero row 3$"):
+        search.grid_search(dataset, cfg, seed=0)
+
+
+def short_spectrum_warnings(fn, *args, **kwargs):
+    """(file, line) of each short-spectrum warning that ``fn`` issues."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args, **kwargs)
+    return {(w.filename, w.lineno) for w in caught if "eigenvalues are usable" in str(w.message)}
+
+
+def test_a_short_spectrum_warns_from_one_line_of_kpca():
+    # 4-wide rows give a linear Gram 4 usable components; 30 fit rows give any Gram 29
+    x = np.random.default_rng(9).normal(size=(15, 4))
+    k = GramMatrix(x @ x.T)
+    train, _ = data.split(corpus(), 40, 20, seed=0)
+    cfg = experiment(GAMMAS, repeats=1, kpca_components=40)
+    sources = {
+        "kpca.fit": short_spectrum_warnings(kpca.fit, k, 6),
+        "kpca.leading": short_spectrum_warnings(kpca.leading, kpca.fit(k, 3), 6),
+        "pipeline.fit_layer": short_spectrum_warnings(
+            pipeline.fit_layer, train.features, train.labels, cfg.layers[0],
+            np.arange(0, 40, 2)),
+        "search.grid_search": short_spectrum_warnings(search.grid_search, corpus(), cfg),
+    }
+    assert all(len(where) == 1 for where in sources.values()), sources
+    assert len(set.union(*sources.values())) == 1, sources
+    (filename, _), = sources["kpca.fit"]
+    assert filename.endswith("kpca.py")
 
 
 def test_search_releases_the_linear_gram_before_kpca(live_linear_grams):
