@@ -62,17 +62,14 @@ configs = [
 ]
 
 
-def report(index, layer, rep):
+model = pipeline.fit(x_train, y_train, configs, subsample=0, seed=0, svm_c=10.0)
+
+for index, layer in enumerate(model.layers):
     parts = "  ".join(
         "%s %.3f" % (k.canonical(), w) for k, w in zip(layer.kernels, layer.weights.mu)
     )
     print("layer %d weights: %s" % (index + 1, parts))
-    print("          representation %d x %d" % rep.shape)
-
-
-model = pipeline.fit(
-    x_train, y_train, configs, subsample=0, seed=0, svm_c=10.0, callback=report
-)
+    print("          representation %d x %d" % (len(x_train), layer.width))
 
 pred_train = pipeline.predict(model, x_train)
 pred_test = pipeline.predict(model, x_test)

@@ -13,6 +13,10 @@ and give train and cv their --seed.  Randomness is controlled by --seed
 alone; two train runs with the same config and seed write byte-identical
 model files.  cv runs in the calling process; its --jobs is deprecated and
 has no effect.
+
+The library owns the work and this module only parses and formats: train
+prints the report of ``pipeline.train``, which splits, fits, probes each
+layer and times it, and cv the report of ``search.grid_search``.
 """
 from __future__ import annotations
 
@@ -21,14 +25,12 @@ import errno
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import data, pipeline, search
 from .config import load_config
 from .errors import MlmklError
-from .search import error_percent, probe_error
 
 __all__ = ["main"]
 
@@ -39,12 +41,6 @@ def _emit(args, payload, text_lines):
     else:
         for line in text_lines:
             print(line)
-
-
-def _layer_row(index, layer):
-    """The report row of the layer at 0-based ``index``: its kernels and weights."""
-    return {"layer": index + 1, "kernels": [k.canonical() for k in layer.kernels],
-            "mu": [float(w) for w in layer.weights.mu]}
 
 
 def _mu_text(row):
@@ -69,53 +65,14 @@ def cmd_train(args):
     _writable(args.out)
     cfg = load_config(args.config)
     ds = data.load_amat(args.train)
-    if cfg.split is not None:
-        train_ds, valid_ds = data.split(ds, cfg.split[0], cfg.split[1], seed=args.seed)
-    else:
-        train_ds, valid_ds = ds, None
-
-    layer_rows = []
-    state = {"t": time.perf_counter(), "valid_rep": None if valid_ds is None else valid_ds.features}
-
-    def callback(index, layer, rep):
-        seconds = time.perf_counter() - state["t"]
-        row = dict(_layer_row(index, layer), seconds=seconds, valid_error_percent=None)
-        if state["valid_rep"] is not None:
-            state["valid_rep"] = pipeline.transform_layer(layer, state["valid_rep"])
-            row["valid_error_percent"] = probe_error(
-                rep, train_ds.labels, state["valid_rep"], valid_ds.labels,
-                cfg.classifier, cfg.probe_cap,
-            )
-        layer_rows.append(row)
-        state["t"] = time.perf_counter()
-
-    t_start = time.perf_counter()
-    model = pipeline.fit(
-        train_ds.features,
-        train_ds.labels,
-        cfg.layers,
-        subsample=cfg.subsample,
-        seed=args.seed,
-        classifier=cfg.classifier.kernel,
-        svm_c=cfg.classifier.c,
-        svm_tol=cfg.classifier.tol,
-        callback=callback,
-    )
-    svm_seconds = time.perf_counter() - state["t"]
-    total_seconds = time.perf_counter() - t_start
-    valid_error = None
-    if valid_ds is not None:  # the callback has pushed the rows through every layer
-        valid_error = error_percent(
-            pipeline.classifier_predict(model.classifier, state["valid_rep"]), valid_ds.labels
-        )
+    model, report = pipeline.train(ds, cfg, seed=args.seed)
     pipeline.save(model, args.out)
 
     lines = ["loaded %s: %d rows" % (args.train, ds.n)]
-    if valid_ds is not None:
-        lines.append(
-            "split: %d train / %d validation (seed %d)" % (train_ds.n, valid_ds.n, args.seed)
-        )
-    for row in layer_rows:
+    if cfg.split is not None:
+        lines.append("split: %d train / %d validation (seed %d)"
+                     % (report["n_train"], report["n_valid"], args.seed))
+    for row in report["layers"]:
         note = "" if row["valid_error_percent"] is None else (
             "  valid error %.2f%%" % row["valid_error_percent"]
         )
@@ -123,29 +80,16 @@ def cmd_train(args):
             "layer %d [%.1fs]  mu: %s%s"
             % (row["layer"], row["seconds"], _mu_text(row), note)
         )
+    clf = report["classifier"]
     lines.append(
         "classifier [%.1fs]  kernel=%s C=%g  support vectors: %d"
-        % (svm_seconds, model.classifier.kernel.canonical(), model.classifier.c,
-           model.classifier.n_support)
+        % (clf["seconds"], clf["kernel"], clf["C"], clf["support_vectors"])
     )
-    if valid_error is not None:
-        lines.append("validation error: %.2f%%" % valid_error)
-    lines.append("total %.1fs, model written to %s" % (total_seconds, args.out))
-    payload = {
-        "train_file": args.train,
-        "n_rows": ds.n,
-        "seed": args.seed,
-        "layers": layer_rows,
-        "classifier": {
-            "kernel": model.classifier.kernel.canonical(),
-            "C": model.classifier.c,
-            "support_vectors": model.classifier.n_support,
-            "seconds": svm_seconds,
-        },
-        "validation_error_percent": valid_error,
-        "seconds": total_seconds,
-        "model_path": args.out,
-    }
+    if report["validation_error_percent"] is not None:
+        lines.append("validation error: %.2f%%" % report["validation_error_percent"])
+    lines.append("total %.1fs, model written to %s" % (report["seconds"], args.out))
+    payload = dict(report, train_file=args.train, n_rows=ds.n, seed=args.seed,
+                   model_path=args.out)
     _emit(args, payload, lines)
     return 0
 
@@ -158,7 +102,7 @@ def cmd_eval(args):
     model = pipeline.load(args.model)
     ds = data.load_amat(args.test)
     predicted = pipeline.predict(model, ds.features)
-    error = error_percent(predicted, ds.labels)
+    error = pipeline.error_percent(predicted, ds.labels)
     classes = np.union1d(model.classifier.classes, np.unique(ds.labels))
     k = classes.size
     cells = np.searchsorted(classes, ds.labels) * k + np.searchsorted(classes, predicted)
@@ -188,7 +132,7 @@ def cmd_eval(args):
 
 def cmd_weights(args):
     model = pipeline.load(args.model)
-    rows = [_layer_row(i, layer) for i, layer in enumerate(model.layers)]
+    rows = [pipeline.layer_row(i, layer) for i, layer in enumerate(model.layers)]
     lines = ["layer  weights"] + ["%5d  %s" % (row["layer"], _mu_text(row)) for row in rows]
     _emit(args, {"layers": rows}, lines)
     return 0

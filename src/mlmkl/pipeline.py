@@ -16,6 +16,12 @@ combined Gram, kernel PCA and crosses once, before any width, and calls
 ``kpca.fit`` and ``kpca.leading`` directly, so a short spectrum warns from
 ``kpca`` alone; ``transform_layer`` projects through ``kpca.transform``.
 
+There is one layer loop too, shared by ``fit`` and ``train``: it fits the
+layers greedily and then the classifier.  ``train`` splits a dataset by its
+config's ``split`` and also pushes the validation rows through each layer,
+scores them with a probe SVM (``probe_error``, which ``mlmkl cv`` also
+uses) and times each stage: its report is what ``mlmkl train`` prints.
+
 ``config`` owns the settings: ``LayerConfig`` and ``DEFAULT_SUBSAMPLE`` are
 re-exported here, the classifier defaults are ``ClassifierConfig``'s, and
 ``fit`` checks its settings as an ``ExperimentConfig`` before any layer.
@@ -35,12 +41,13 @@ import hashlib
 import io
 import json
 import struct
+import time
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from . import featsel, kpca, svm
+from . import data, featsel, kpca, svm
 from .config import DEFAULT_SUBSAMPLE, ClassifierConfig, ExperimentConfig, LayerConfig
 from .errors import (
     ChecksumError,
@@ -79,10 +86,15 @@ __all__ = [
     "fit_layer",
     "transform_layer",
     "fit",
+    "TrainResult",
+    "train",
+    "layer_row",
     "transform",
     "predict",
     "train_classifier",
     "classifier_predict",
+    "error_percent",
+    "probe_error",
     "save",
     "load",
 ]
@@ -339,6 +351,19 @@ def classifier_predict(machine, features):
     return svm.predict(machine, cross)
 
 
+def error_percent(predicted, actual):
+    return 100.0 * float(np.mean(np.asarray(predicted) != np.asarray(actual)))
+
+
+def probe_error(train_feats, y_train, test_feats, y_test, classifier, cap):
+    """Validation error of an SVM trained on (at most ``cap``) feature rows."""
+    m = min(cap, train_feats.shape[0])
+    machine = train_classifier(
+        train_feats[:m], y_train[:m], classifier.kernel, c=classifier.c, tol=classifier.tol,
+    )
+    return error_percent(classifier_predict(machine, test_feats), y_test)
+
+
 def _finite(features):
     x = np.asarray(features, dtype=np.float64)
     finite = np.isfinite(x)
@@ -346,6 +371,61 @@ def _finite(features):
         first = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise NonFiniteInputError("features hold nan or inf, first at index %s" % (first,))
     return x
+
+
+def layer_row(index, layer):
+    """The report row of the layer at 0-based ``index``: its kernels and weights."""
+    return {"layer": index + 1, "kernels": [k.canonical() for k in layer.kernels],
+            "mu": [float(w) for w in layer.weights.mu]}
+
+
+def _stack(features, labels, config, seed, valid=None):
+    """The one layer loop, of ``fit`` and ``train``: ``config``'s layers
+    fitted greedily on the rows, then its classifier on the last layer's.
+
+    Returns the model, the report of its layers and its classifier, and
+    the ``valid`` rows (a ``data.Dataset`` or None) through every layer;
+    each layer's row then holds the error of a probe SVM on them.  The
+    rows and labels are checked before the first layer, as ``config``, an
+    ``ExperimentConfig``, was checked when it was built.
+    """
+    x = _as_matrix(_finite(features), "features")
+    y, _ = featsel.check_labels(labels, x.shape[0])
+    rng = np.random.default_rng(seed)
+    rep, valid_rep = x, None if valid is None else valid.features
+    layers, rows = [], []
+    clock = time.perf_counter()
+    for index, cfg in enumerate(config.layers):
+        layer, rep = fit_layer(rep, y, cfg, draw_fit_rows(rng, rep.shape[0], config.subsample))
+        layers.append(layer)
+        rows.append(dict(layer_row(index, layer), seconds=time.perf_counter() - clock,
+                         valid_error_percent=None))
+        if valid is not None:
+            valid_rep = transform_layer(layer, valid_rep)
+            try:
+                rows[-1]["valid_error_percent"] = probe_error(
+                    rep, y, valid_rep, valid.labels, config.classifier, config.probe_cap)
+            except MlmklError as exc:
+                m = min(config.probe_cap, rep.shape[0])
+                probe = "%d training row%s" % (m, "" if m == 1 else "s")
+                raise type(exc)("layer %d validation probe on %s (probe_cap %d): %s"
+                                % (index + 1, probe, config.probe_cap, exc)) from None
+        clock = time.perf_counter()
+    clf = config.classifier
+    machine = train_classifier(rep, y, clf.kernel, c=clf.c, tol=clf.tol)
+    report = {"layers": rows, "classifier": {
+        "kernel": machine.kernel.canonical(), "C": machine.c,
+        "support_vectors": machine.n_support, "seconds": time.perf_counter() - clock}}
+    metadata = {
+        "seed": int(seed),
+        "subsample": int(config.subsample),
+        "classifier": clf.kernel.canonical(),
+        "svm_c": clf.c,
+        "svm_tol": clf.tol,
+        "data_sha256": _fingerprint(x, y),
+        "layer_configs": [cfg.to_dict() for cfg in config.layers],
+    }
+    return MlmklModel(layers=layers, classifier=machine, metadata=metadata), report, valid_rep
 
 
 def fit(
@@ -357,39 +437,47 @@ def fit(
     classifier=ClassifierConfig.kernel,
     svm_c=ClassifierConfig.c,
     svm_tol=ClassifierConfig.tol,
-    callback=None,
 ):
     """Train the full stack: layers greedily, then the SVM on top.
 
-    ``callback(index, layer, representation)`` runs after each layer is
-    fitted, with the training rows already pushed through it; useful for
-    per-layer diagnostics without a second pass.  Every setting is
-    checked, as an ``ExperimentConfig``, and the labels as ``featsel``
-    checks them, before the first layer.
+    The arguments are built into an ``ExperimentConfig``, so every setting
+    is checked, and the labels as ``featsel`` checks them, before the first
+    layer; the layers are fitted by the loop that ``train`` runs, and the
+    model is ``train``'s for that config on the same rows without a split.
     """
-    clf = ClassifierConfig(classifier, svm_c, svm_tol)
-    configs = ExperimentConfig(layers=configs, subsample=subsample, classifier=clf).layers
-    x = _as_matrix(_finite(features), "features")
-    y, _ = featsel.check_labels(labels, x.shape[0])
-    rng = np.random.default_rng(seed)
-    rep = x
-    layers = []
-    for index, cfg in enumerate(configs):
-        layer, rep = fit_layer(rep, y, cfg, draw_fit_rows(rng, rep.shape[0], subsample))
-        layers.append(layer)
-        if callback is not None:
-            callback(index, layer, rep)
-    machine = train_classifier(rep, y, clf.kernel, c=clf.c, tol=clf.tol)
-    metadata = {
-        "seed": int(seed),
-        "subsample": int(subsample),
-        "classifier": clf.kernel.canonical(),
-        "svm_c": clf.c,
-        "svm_tol": clf.tol,
-        "data_sha256": _fingerprint(x, y),
-        "layer_configs": [cfg.to_dict() for cfg in configs],
-    }
-    return MlmklModel(layers=layers, classifier=machine, metadata=metadata)
+    config = ExperimentConfig(layers=configs, subsample=subsample,
+                              classifier=ClassifierConfig(classifier, svm_c, svm_tol))
+    return _stack(features, labels, config, seed)[0]
+
+
+class TrainResult(NamedTuple):
+    model: MlmklModel
+    report: dict  # the fit's part of what ``mlmkl train --format json`` prints
+
+
+def train(dataset, config, seed=0):
+    """Fit ``config``'s stack on ``dataset``, a ``data.Dataset``, as
+    ``mlmkl train`` does, and report each stage.
+
+    A ``config.split`` draws the training and validation rows with
+    ``seed``, which also draws each layer's fit rows.  The report holds the
+    row counts ``n_train`` and ``n_valid``, per layer its kernels, ``mu``,
+    seconds and ``valid_error_percent`` (the error of a probe SVM on at
+    most ``config.probe_cap`` rows of the layer's output), the classifier's
+    kernel, C, support vectors and seconds, ``validation_error_percent``
+    and the total seconds.  Without validation rows the errors are None.
+    """
+    start = time.perf_counter()
+    rows, valid = dataset, None
+    if config.split is not None:
+        rows, valid = data.split(dataset, config.split[0], config.split[1], seed=seed)
+    model, report, valid_rep = _stack(rows.features, rows.labels, config, seed, valid)
+    report.update(n_train=rows.n, n_valid=0, validation_error_percent=None)
+    if valid is not None:
+        report.update(n_valid=valid.n, validation_error_percent=error_percent(
+            classifier_predict(model.classifier, valid_rep), valid.labels))
+    report["seconds"] = time.perf_counter() - start
+    return TrainResult(model, report)
 
 
 def transform(model, features):

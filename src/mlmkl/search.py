@@ -29,20 +29,7 @@ from . import data, pipeline
 from .config import candidate_grids, config_to_dict
 from .errors import ConfigError
 
-__all__ = ["CvResult", "grid_search", "error_percent", "probe_error"]
-
-
-def error_percent(predicted, actual):
-    return 100.0 * float(np.mean(np.asarray(predicted) != np.asarray(actual)))
-
-
-def probe_error(train_feats, y_train, test_feats, y_test, classifier, cap):
-    """Validation error of an SVM trained on (at most ``cap``) feature rows."""
-    m = min(cap, train_feats.shape[0])
-    machine = pipeline.train_classifier(
-        train_feats[:m], y_train[:m], classifier.kernel, c=classifier.c, tol=classifier.tol,
-    )
-    return error_percent(pipeline.classifier_predict(machine, test_feats), y_test)
+__all__ = ["CvResult", "grid_search"]
 
 
 class CvResult(NamedTuple):
@@ -84,8 +71,8 @@ def grid_search(dataset, config, seed=0):
             fit_idx = pipeline.draw_fit_rows(rng, train.shape[0], config.subsample)
 
             def probe(train_feats, valid_feats):
-                return probe_error(train_feats, y_train, valid_feats, y_valid,
-                                   config.classifier, config.probe_cap)
+                return pipeline.probe_error(train_feats, y_train, valid_feats, y_valid,
+                                            config.classifier, config.probe_cap)
 
             cells.append([cell for grid in grids for cell in pipeline.fit_layer_grid(
                 train, y_train, grid, fit_idx, valid=valid, score=probe)])
@@ -118,8 +105,8 @@ def grid_search(dataset, config, seed=0):
         if c == config.classifier.c:  # the last layer's winning probes trained this SVM
             per_rep = errors[best]
         else:
-            per_rep = [probe_error(train, y_train, valid, y_valid,
-                                   replace(config.classifier, c=c), config.probe_cap)
+            per_rep = [pipeline.probe_error(train, y_train, valid, y_valid,
+                                            replace(config.classifier, c=c), config.probe_cap)
                        for (y_train, y_valid), (train, valid) in zip(labels, feats)]
         c_rows.append({"C": float(c), "mean_error_percent": float(np.mean(per_rep)),
                        "std_error_percent": float(np.std(per_rep)), "selected": False})

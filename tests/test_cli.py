@@ -18,7 +18,7 @@ from mlmkl import cli, data, pipeline, search
 from mlmkl.config import load_config
 from mlmkl.errors import ConfigError, ModelIOError, RowCountError
 from mlmkl.kernels import parse_kernel
-from mlmkl.search import error_percent
+from mlmkl.pipeline import error_percent
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -125,6 +125,63 @@ def test_train_with_split_reports_validation(corpus, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["validation_error_percent"] is not None
     assert payload["layers"][0]["valid_error_percent"] is not None
+
+
+def without_seconds(report):
+    """``report`` of ``pipeline.train`` or ``mlmkl train`` without its timings."""
+    out = {key: value for key, value in report.items() if key != "seconds"}
+    out["layers"] = [{k: v for k, v in row.items() if k != "seconds"} for row in out["layers"]]
+    out["classifier"] = {k: v for k, v in out["classifier"].items() if k != "seconds"}
+    return out
+
+
+@pytest.mark.parametrize("split", [None, {"train": 30, "valid": 10}])
+def test_train_prints_the_report_of_the_library_train(corpus, capsys, split):
+    updates = {"layers": [
+        {"kernels": ["rbf(gamma=0.05)", "linear"], "width": 5, "basis_size": 5},
+        {"kernels": ["arccos(n=1,L=1)", "linear"], "width": 3, "kpca_components": 5,
+         "basis_size": 5},
+    ]}
+    cfg = write_config(corpus, **updates, **({} if split is None else {"split": split}))
+    model_path = str(corpus["tmp"] / "model.bin")
+    assert cli.main(["train", "--config", cfg, "--train", corpus["train"], "--out", model_path,
+                     "--format", "json", "--seed", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    model, report = pipeline.train(data.load_amat(corpus["train"]), load_config(cfg), seed=3)
+    assert {key: payload.pop(key) for key in ("train_file", "n_rows", "seed", "model_path")} == {
+        "train_file": corpus["train"], "n_rows": 40, "seed": 3, "model_path": model_path}
+    assert without_seconds(payload) == json.loads(json.dumps(without_seconds(report)))
+    saved = corpus["tmp"] / "library.bin"
+    pipeline.save(model, saved)
+    assert saved.read_bytes() == Path(model_path).read_bytes()
+
+
+def test_a_split_without_validation_rows_is_reported(corpus, capsys):
+    # the split draws 30 of the 40 rows to fit on; it must say so
+    cfg = write_config(corpus, split={"train": 30})
+    model_path = str(corpus["tmp"] / "model.bin")
+    assert cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                     "--out", model_path]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["loaded %s: 40 rows" % corpus["train"],
+                         "split: 30 train / 0 validation (seed 0)"]
+    assert cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                     "--out", model_path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["n_rows"], payload["n_train"], payload["n_valid"]) == (40, 30, 0)
+    assert payload["validation_error_percent"] is None
+    assert payload["layers"][0]["valid_error_percent"] is None
+
+
+def test_a_failing_validation_probe_names_the_layer_and_the_probe_cap(corpus, capsys):
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, probe_cap=1)
+    model_path = corpus["tmp"] / "model.bin"
+    assert cli.main(["train", "--config", cfg, "--train", corpus["train"],
+                     "--out", str(model_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: layer 1 validation probe on 1 training row (probe_cap 1): "
+        "need at least two classes, got 1\n")
+    assert not model_path.exists()
 
 
 def test_train_runs_are_byte_identical(corpus, capsys):

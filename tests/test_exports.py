@@ -49,3 +49,29 @@ def test_config_imports_no_package_module_but_kernels_and_errors():
                 alias.name for alias in node.names]
             imported |= {n for n in names if n.split(".")[0] == "mlmkl"}
     assert imported == {"kernels", "errors"}
+
+
+def test_cli_only_parses_and_formats():
+    # the library times and probes each layer (``pipeline.train``), so the
+    # command line needs no clock and no probe SVM of its own
+    path = Path(mlmkl.__file__).parent / "cli.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {node.module} | {alias.name for alias in node.names}
+    assert imported & {"time", "probe_error"} == set()
+
+
+def test_one_layer_loop_calls_fit_layer():
+    # fit and train share one loop; cv fits its layers through fit_layer_grid
+    calls = []
+    for path in sorted(Path(mlmkl.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "fit_layer":
+                    calls.append(path.name)
+    assert calls == ["pipeline.py"]

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from conftest import assert_equal_to_round_off, direction_blobs, loo_nearest_neighbour_accuracy
-from mlmkl import featsel, kpca, pipeline
+from conftest import (
+    assert_equal_to_round_off, digits_like, direction_blobs, loo_nearest_neighbour_accuracy,
+)
+from mlmkl import data, featsel, kpca, pipeline
+from mlmkl.config import ClassifierConfig, ExperimentConfig
 from mlmkl.errors import (
     ChecksumError,
     DegenerateLabelsError,
@@ -168,16 +171,28 @@ def test_transform_layer_rejects_wrong_dimension():
 # full stack
 
 
-def test_fit_builds_requested_depth_and_widths():
+@pytest.fixture
+def layer_inputs(monkeypatch):
+    """The (features, fit_idx) of every ``pipeline.fit_layer`` call, and the
+    rows that it returned, in call order."""
+    calls = []
+    real = pipeline.fit_layer
+
+    def spy(features, labels, config, fit_idx=None):
+        layer, rep = real(features, labels, config, fit_idx)
+        calls.append((features, fit_idx, rep))
+        return layer, rep
+
+    monkeypatch.setattr(pipeline, "fit_layer", spy)
+    return calls
+
+
+def test_fit_builds_requested_depth_and_widths(layer_inputs):
     x, y = blob_data()
-    reps = []
-    model = pipeline.fit(
-        x, y, default_configs(), subsample=0, seed=3,
-        callback=lambda i, layer, rep: reps.append((i, rep.shape)),
-    )
+    model = pipeline.fit(x, y, default_configs(), subsample=0, seed=3)
     assert model.n_layers == 2
     assert model.widths == (6, 4)
-    assert reps == [(0, (50, 6)), (1, (50, 4))]
+    assert [rep.shape for _, _, rep in layer_inputs] == [(50, 6), (50, 4)]
     assert model.layers[0].input_dim == 30
     assert model.layers[1].input_dim == 6
     assert model.metadata["seed"] == 3
@@ -207,16 +222,18 @@ def test_duplicate_rows_get_identical_outputs():
     np.testing.assert_array_equal(rep[0], rep[1])
 
 
-def test_fit_subsample_path_records_sorted_indices():
+def test_fit_subsample_path_records_sorted_indices(layer_inputs):
     x, y = blob_data(n_per_class=40)
-    inputs = [x]  # each layer's input: x, then the rows through each layer
-    model = pipeline.fit(x, y, default_configs(), subsample=48, seed=11,
-                         callback=lambda index, layer, rep: inputs.append(rep))
+    model = pipeline.fit(x, y, default_configs(), subsample=48, seed=11)
+    inputs = [x] + [rep for _, _, rep in layer_inputs]  # each layer's input
     rng = np.random.default_rng(11)
-    for layer, rows in zip(model.layers, inputs):
+    assert len(layer_inputs) == model.n_layers
+    for layer, rows, (features, fit_idx, _) in zip(model.layers, inputs, layer_inputs):
         idx = pipeline.draw_fit_rows(rng, rows.shape[0], 48)
         assert idx is not None and idx.size == 48
         assert np.all(np.diff(idx) > 0)
+        np.testing.assert_array_equal(fit_idx, idx)
+        np.testing.assert_array_equal(features, rows)
         np.testing.assert_array_equal(layer.fit_sample, rows[idx])
     assert model.metadata["subsample"] == 48
     pred = pipeline.predict(model, x)
@@ -409,6 +426,32 @@ def test_different_seed_changes_the_file(tmp_path):
     pipeline.save(pipeline.fit(x, y, cfgs, subsample=48, seed=5), a)
     pipeline.save(pipeline.fit(x, y, cfgs, subsample=48, seed=6), b)
     assert a.read_bytes() != b.read_bytes()
+
+
+@pytest.mark.parametrize("split", [None, (30, 10)])
+def test_train_saves_the_model_of_fit_on_its_training_rows(tmp_path, split):
+    # train and fit run one layer loop: with the unpacked settings, fit on
+    # the rows that train's split draws writes the same file
+    x, y = digits_like(20, n_classes=2, seed=0)
+    dataset = data.Dataset(x, y)
+    layers = (LayerConfig(kernels=(parse_kernel("rbf(gamma=0.05)"), LINEAR), width=4,
+                          basis_size=5),
+              LayerConfig(kernels=(ARC, LINEAR), width=3, kpca_components=4, basis_size=5))
+    config = ExperimentConfig(layers=layers, subsample=25, split=split,
+                              classifier=ClassifierConfig(ARC, 10.0, 1e-3))
+    model, report = pipeline.train(dataset, config, seed=4)
+    rows = dataset if split is None else data.split(dataset, *split, seed=4)[0]
+    a, b = tmp_path / "train.bin", tmp_path / "fit.bin"
+    pipeline.save(model, a)
+    pipeline.save(pipeline.fit(rows.features, rows.labels, config.layers, subsample=25, seed=4,
+                               classifier=ARC, svm_c=10.0, svm_tol=1e-3), b)
+    assert a.read_bytes() == b.read_bytes()
+    assert (report["n_train"], report["n_valid"]) == (rows.n, 0 if split is None else 10)
+    assert [row["layer"] for row in report["layers"]] == [1, 2]
+    has_valid = split is not None
+    assert [row["valid_error_percent"] is not None for row in report["layers"]] == [has_valid] * 2
+    assert (report["validation_error_percent"] is not None) == has_valid
+    assert report["classifier"]["support_vectors"] == model.classifier.n_support
 
 
 def test_corrupted_payload_is_rejected(tmp_path):

@@ -101,8 +101,8 @@ def test_candidates_are_the_configured_layer_with_the_searched_fields_replaced(k
 def probed_grid(train, valid, fit_idx, grid, cfg):
     """``fit_layer_grid`` of ``grid`` on one split, scored by the search's probe SVM."""
     def probe(train_feats, valid_feats):
-        return search.probe_error(train_feats, train.labels, valid_feats, valid.labels,
-                                  cfg.classifier, cfg.probe_cap)
+        return pipeline.probe_error(train_feats, train.labels, valid_feats, valid.labels,
+                                    cfg.classifier, cfg.probe_cap)
 
     return pipeline.fit_layer_grid(train.features, train.labels, grid, fit_idx,
                                    valid=valid.features, score=probe)
