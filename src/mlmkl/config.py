@@ -176,7 +176,7 @@ class ExperimentConfig:
                                 % (self.split,)) from None
             _store(self, split=(_count("split.train", train, 1),
                                 _count("split.valid", valid, 0)))
-        _count("probe_cap", self.probe_cap, 1)
+        _count("probe_cap", self.probe_cap, 2)  # a probe SVM needs two rows of two classes
         for i, layer in enumerate(self.layers if self.cv is not None else ()):
             try:
                 candidate_grids(layer, self.cv)  # LayerConfig checks each candidate

@@ -23,7 +23,15 @@ class RowCountError(MlmklError, ValueError):
 
 
 class ZeroVectorError(MlmklError):
-    """An input vector has zero norm where a direction is required."""
+    """An input vector has zero norm where a direction is required.
+
+    Carries the offending 0-based row, so that rows passed on in blocks
+    can be named by their place in the whole batch.
+    """
+
+    def __init__(self, reason, row=None):
+        super().__init__(reason if row is None else "%s %d" % (reason, row))
+        self.reason, self.row = reason, row
 
 
 class UnsupportedDegreeError(MlmklError):

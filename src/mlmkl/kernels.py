@@ -311,7 +311,7 @@ def _row_norms(x):
     """Row norms, which the arc-cosine kernel needs nonzero."""
     norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
-        raise ZeroVectorError("arc-cosine kernel undefined for zero row %d" % np.argmin(norms))
+        raise ZeroVectorError("arc-cosine kernel undefined for zero row", int(np.argmin(norms)))
     return norms
 
 

@@ -20,7 +20,11 @@ Each rule is one function.  ``leading`` decides how many components are
 kept, and warns from one line of this module when fewer are usable than
 asked for, whoever called it; ``fit`` returns the leading ones of its
 usable pairs.  ``transform`` centres and projects new rows, into a new
-array or into the caller's cross-Gram (``out``).
+array or into the caller's cross-Gram (``out``).  The fit rows themselves
+need no cross: their projections are sqrt(lambda) v
+(``KpcaModel.training_projections``).  ``fit(k, n, overwrite=True)``
+centres the Gram in its own buffer and hands it to the eigensolver as its
+workspace, so a fit holds one n x n array, not two.
 
 The eigensolver is LAPACK's ``dsyevr`` with RANGE='I', asked for only the
 top min(n_components, n) pairs: an exact method (tridiagonal reduction,
@@ -99,7 +103,7 @@ def _top_eigenpairs(a, k):
     return lams[:k][::-1], vecs[:, ::-1]
 
 
-def center_gram(k):
+def center_gram(k, *, overwrite=False):
     """Double-center a Gram matrix.
 
     Returns the centered matrix together with the per-row means and the
@@ -108,12 +112,18 @@ def center_gram(k):
     centred against its own statistics by the rule that centres new rows,
     k_ij - r_i - r_j + t, which is symmetric only to round-off: both
     eigensolvers read its upper triangle alone.
+
+    With ``overwrite`` the Gram's own C-contiguous float64 buffer may hold
+    the result, as scipy's ``overwrite_a`` permits; it is then no longer
+    the Gram.  The bits are the same either way.
     """
     v = _gram_values(k)
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
+    in_place = overwrite and v.flags.c_contiguous and v.flags.writeable
     # a Gram's own row means are the fit set's: computed once, used as both
-    centered = _center(v, row_means, total_mean, np.empty(v.shape), own_means=row_means)
+    centered = _center(v, row_means, total_mean, v if in_place else np.empty(v.shape),
+                       own_means=row_means)
     return centered, row_means, total_mean
 
 
@@ -153,16 +163,21 @@ def _check_count(n_components):
         raise ValueError("n_components must be a positive integer, got %r" % (n_components,))
 
 
-def fit(k, n_components):
+def fit(k, n_components, *, overwrite=False):
     """Extract the leading kernel principal components.
 
     Keeps at most ``n_components`` directions, fewer (with a warning)
     when the centered spectrum has fewer eigenvalues above the relative
     cutoff.  A spectrum with no positive eigenvalue at all means the
     centered Gram carries no variance and is rejected.
+
+    With ``overwrite`` the Gram is centred in its own buffer, which the
+    eigensolver then overwrites, so no second n x n array is made; the
+    caller must not read ``k`` afterwards.  Without it ``k`` is untouched.
+    The model is the same either way, bit for bit.
     """
     _check_count(n_components)
-    centered, row_means, total_mean = center_gram(k)
+    centered, row_means, total_mean = center_gram(k, overwrite=overwrite)
     # only the top pairs are computed: when fewer of them than asked for are
     # above the cutoff, they are all the usable ones there are
     lams, vecs = _top_eigenpairs(centered, min(n_components, centered.shape[0]))

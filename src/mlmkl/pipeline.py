@@ -16,6 +16,13 @@ combined Gram, kernel PCA and crosses once, before any width, and calls
 ``kpca.fit`` and ``kpca.leading`` directly, so a short spectrum warns from
 ``kpca`` alone; ``transform_layer`` projects through ``kpca.transform``.
 
+A row of the grid centres its combined Gram in place for kernel PCA, whose
+eigensolver then overwrites it, so a layer holds one n x n array.  When
+every training row is a fit row, they take their training projections;
+only a subsample needs a training cross.  ``transform`` and ``predict``
+push new rows through in blocks of ``_BLOCK_ROWS``, so their memory does
+not grow with the batch.
+
 There is one layer loop too, shared by ``fit`` and ``train``: it fits the
 layers greedily and then the classifier.  ``train`` splits a dataset by its
 config's ``split`` and also pushes the validation rows through each layer,
@@ -58,6 +65,7 @@ from .errors import (
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
+    ZeroVectorError,
 )
 from .kernels import (
     KernelFamily, KernelRows, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
@@ -160,10 +168,9 @@ def draw_fit_rows(rng, n, subsample):
 
 def training_cross(rows, fit_idx, kernels, weights, k_fit):
     """Combined kernel rows of every training row against the fit rows
-    ``rows[fit_idx]`` (all rows when ``fit_idx`` is None), whose combined
-    Gram is ``k_fit``."""
-    if fit_idx is None:
-        return k_fit.values
+    ``rows[fit_idx]``, whose combined Gram is ``k_fit``.  When every row
+    is a fit row there is no cross to build: their projections are the
+    kernel PCA's ``training_projections``."""
     cross = combined_cross(rows, rows[fit_idx], kernels, weights)
     # fit rows get their exact same-set kernel values, not the
     # round-off-limited recomputation
@@ -188,15 +195,19 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     Returns, row by row, each candidate's ``LayerFit``, or the exception
     that stopped it.  The candidates share the stages: one weight problem,
     one QP per gamma, and per distinct weight vector one combined Gram, one
-    kernel PCA at the largest component count, one training cross and,
-    given ``valid`` rows, one validation cross, all built before any width,
-    so a failure among them stops every candidate of the row.  Gamma
-    enters only the QP, so rows whose weights are equal get the same
-    cells, computed once; ``score(train, valid)`` runs on each freshly
-    fitted candidate.  A candidate at the largest
-    count has the bits of the same layer fitted alone; one at a smaller
-    count gets the leading components of that kernel PCA, which equal its
-    own to round-off (``kpca.leading``), not bit for bit.
+    kernel PCA at the largest component count, one training cross (none
+    when every row is a fit row: those take their training projections)
+    and, given ``valid`` rows, one validation cross, all built before any
+    width, so a failure among them stops every candidate of the row.  The
+    training cross copies the combined Gram into its fit rows before the
+    kernel PCA consumes that Gram as its eigensolver's workspace, so no
+    second array of its size is held.  Gamma enters only the QP, so rows
+    whose weights are equal get the same cells, computed once;
+    ``score(train, valid)`` runs on each freshly fitted candidate.  A
+    candidate at the largest count has the bits of the same layer fitted
+    alone; one at a smaller count gets the leading components of that
+    kernel PCA, which equal its own to round-off (``kpca.leading``), not
+    bit for bit.
     """
     failures = (MlmklError, ValueError)
     x, kernels = _as_matrix(features, "features"), grid[0][0].kernels
@@ -211,14 +222,15 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
 
     def fit_row(row, weights):
         """(kernel PCA or None, cells) of a row of candidates with ``weights``."""
-        kp = None
+        kp = train_cross = None
         try:
             k_fit = combine(xs, kernels, weights)
-            kp = kpca.fit(k_fit, counts[top])
+            if fit_idx is not None:  # reads k_fit, which kpca.fit then consumes
+                train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
+            kp = kpca.fit(k_fit, counts[top], overwrite=True)
             # fit warned for the top candidate, leading warns for the rest, all
-            # before the crosses, as each candidate fitted alone would
+            # before the validation cross, as each candidate fitted alone would
             kps = [kp if i == top else kpca.leading(kp, n) for i, n in enumerate(counts)]
-            train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
             valid_cross = None if valid is None else combined_cross(valid, xs, kernels, weights)
         except failures as exc:
             return kp, [exc] * len(row)
@@ -227,8 +239,9 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
             try:
                 # training rows are ranked on every component; the layer
                 # keeps, and projects new rows onto, the selected ones
-                ranking, train = featsel.select(kpca.transform(kc, train_cross), labels,
-                                                cand.width)
+                projected = (kc.training_projections() if train_cross is None
+                             else kpca.transform(kc, train_cross))
+                ranking, train = featsel.select(projected, labels, cand.width)
                 sel = ranking.selected
                 kept = replace(kc, alphas=np.ascontiguousarray(kc.alphas[:, sel]),
                                eigenvalues=kc.eigenvalues[sel])
@@ -480,17 +493,56 @@ def train(dataset, config, seed=0):
     return TrainResult(model, report)
 
 
-def transform(model, features):
-    """Final-layer representation of new rows."""
-    rep = _finite(features)
+# Rows that ``transform`` and ``predict`` push through the layers and the
+# classifier at a time, so that a batch holds a block's cross-Grams, not the
+# batch's.  At 1024 rows a block keeps the throughput of the whole batch.
+_BLOCK_ROWS = 1024
+
+
+def _in_blocks(model, features, step):
+    """``step`` applied to the rows of ``features`` ``_BLOCK_ROWS`` at a
+    time, its outputs stacked in row order.  A short last block is padded
+    with copies of its last row, whose outputs are dropped: a block is
+    always the full count, and a zero row would fail an arc-cosine layer.
+    A batch of at most one block, or of rows that ``model``'s first layer
+    rejects by their shape, is passed whole, as it is; a zero row is named
+    by its place in the batch."""
+    x = _finite(features)
+    if x.ndim != 2 or x.shape[0] <= _BLOCK_ROWS or x.shape[1] != model.layers[0].input_dim:
+        return step(x)
+    outs = []
+    for start in range(0, x.shape[0], _BLOCK_ROWS):
+        block = x[start:start + _BLOCK_ROWS]
+        rows = block.shape[0]
+        if rows < _BLOCK_ROWS:
+            block = np.concatenate([block, np.repeat(block[-1:], _BLOCK_ROWS - rows, axis=0)])
+        try:
+            outs.append(step(block)[:rows])
+        except ZeroVectorError as exc:
+            raise ZeroVectorError(exc.reason, start + exc.row) from None
+    return np.concatenate(outs)
+
+
+def _through_layers(model, rows):
     for layer in model.layers:
-        rep = transform_layer(layer, rep)
-    return rep
+        rows = transform_layer(layer, rows)
+    return rows
+
+
+def transform(model, features):
+    """Final-layer representation of new rows, ``_BLOCK_ROWS`` at a time.
+
+    A batch of at most one block has the bits of its rows pushed through
+    whole; in a larger one a row's values may differ from those at
+    round-off, since BLAS rounds a product by its shape."""
+    return _in_blocks(model, features, lambda rows: _through_layers(model, rows))
 
 
 def predict(model, features):
-    """Class labels for new rows."""
-    return classifier_predict(model.classifier, transform(model, features))
+    """Class labels for new rows, ``_BLOCK_ROWS`` at a time through the
+    layers and the classifier, as ``transform`` pushes them."""
+    return _in_blocks(model, features, lambda rows: classifier_predict(
+        model.classifier, _through_layers(model, rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,9 @@ def live_linear_grams(monkeypatch):
         refs.append(weakref.ref(p))
         return build_local_bases(p, basis_size)
 
-    def counted_fit(k, n_components):
+    def counted_fit(k, n_components, **options):
         live.append(sum(ref() is not None for ref in refs))
-        return fit(k, n_components)
+        return fit(k, n_components, **options)
 
     monkeypatch.setattr(mlmkl.umkl, "build_local_bases", bases)
     monkeypatch.setattr(mlmkl.kpca, "fit", counted_fit)

@@ -174,12 +174,13 @@ def test_a_split_without_validation_rows_is_reported(corpus, capsys):
 
 
 def test_a_failing_validation_probe_names_the_layer_and_the_probe_cap(corpus, capsys):
-    cfg = write_config(corpus, split={"train": 30, "valid": 10}, probe_cap=1)
+    # the first two training rows of this split share a class
+    cfg = write_config(corpus, split={"train": 30, "valid": 10}, probe_cap=2)
     model_path = corpus["tmp"] / "model.bin"
     assert cli.main(["train", "--config", cfg, "--train", corpus["train"],
                      "--out", str(model_path)]) == 2
     assert capsys.readouterr().err == (
-        "error: layer 1 validation probe on 1 training row (probe_cap 1): "
+        "error: layer 1 validation probe on 2 training rows (probe_cap 2): "
         "need at least two classes, got 1\n")
     assert not model_path.exists()
 

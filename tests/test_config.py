@@ -335,9 +335,9 @@ SAME_TEXT = [
     (ExperimentConfig, "cv", {"cv": {"svm_c": [1, -2]}},
      lambda: ExperimentConfig(layers=(LAYER,), cv=cv_config(svm_c=(1, -2))), "cv.",
      "svm_c must be positive, got -2.0"),
-    (ExperimentConfig, "probe_cap", {"probe_cap": 0},
-     lambda: ExperimentConfig(layers=(LAYER,), probe_cap=0), "",
-     "probe_cap must be >= 1, got 0"),
+    (ExperimentConfig, "probe_cap", {"probe_cap": 1},
+     lambda: ExperimentConfig(layers=(LAYER,), probe_cap=1), "",
+     "probe_cap must be >= 2, got 1"),
 ]
 
 # The classifier kernel is a string that the reader parses: the reader

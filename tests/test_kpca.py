@@ -62,6 +62,30 @@ def test_center_gram_takes_its_row_means_once_with_unchanged_bits(monkeypatch, t
     assert len(own) == 1 and own[0] is row_means
 
 
+def test_fit_may_consume_its_gram_with_the_same_bits():
+    rng = np.random.default_rng(9)
+    x = rng.uniform(0.1, 1.0, size=(40, 8))
+    k = gram(x, parse_kernel("rbf(gamma=0.7)"))
+    g = k.values.copy()
+    want = kpca.fit(g.copy(), 6)
+
+    def same_bits(model):
+        return all(np.asarray(getattr(model, name)).tobytes()
+                   == np.asarray(getattr(want, name)).tobytes()
+                   for name in ("alphas", "eigenvalues", "row_means", "total_mean"))
+
+    held = g.copy()
+    assert same_bits(kpca.fit(g, 6))
+    assert g.tobytes() == held.tobytes()  # without overwrite the Gram is untouched
+    assert same_bits(kpca.fit(g, 6, overwrite=True))
+    assert g.tobytes() != held.tobytes()  # consumed: no second n x n array
+    assert same_bits(kpca.fit(k, 6, overwrite=True))
+    assert k.values.tobytes() != held.tobytes()
+    fortran = np.asfortranarray(held)  # not C-ordered: centred into a copy
+    kpca.fit(fortran, 6, overwrite=True)
+    assert fortran.tobytes() == held.tobytes()
+
+
 def test_linear_kernel_reproduces_pca():
     rng = np.random.default_rng(1)
     x = rng.normal(size=(30, 6)) * np.array([5.0, 3.0, 1.0, 0.5, 0.1, 0.05])

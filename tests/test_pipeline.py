@@ -76,11 +76,14 @@ def test_single_linear_layer_is_pca_plus_univariate_screen():
 
 
 def test_layer_transform_matches_fit_representation():
+    # every row a fit row (their training projections) or a subsample (a
+    # training cross): the training rows are where transform_layer puts them
     x, y = blob_data()
     cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4)
-    layer, reduced = fit_layer(x, y, cfg)
-    again = transform_layer(layer, x)
-    np.testing.assert_allclose(again, reduced, atol=1e-8)
+    for fit_idx in (None, np.arange(0, 50, 2)):
+        layer, reduced = fit_layer(x, y, cfg, fit_idx=fit_idx)
+        again = transform_layer(layer, x)
+        np.testing.assert_allclose(again, reduced, rtol=0.0, atol=1e-9)
 
 
 def test_transform_layer_projects_its_own_cross_in_place():
@@ -148,6 +151,28 @@ def test_fit_layer_releases_the_linear_gram_before_kpca(live_linear_grams):
     cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4)
     fit_layer(x, y, cfg, fit_idx=np.arange(0, 60, 2))
     assert live_linear_grams == [0]
+
+
+@pytest.mark.skipif(kpca._DSYEVR is None, reason="numpy's eigh returns all n eigenvectors")
+def test_fit_layer_holds_no_second_gram_once_combined(monkeypatch):
+    # 400 fit rows make a 1.28 MB Gram.  kPCA centres it in its own buffer,
+    # which the eigensolver then overwrites, and the fit rows take their
+    # training projections: nothing allocated after combine is half its size
+    x, y = blob_data(n_per_class=200)
+    combine = pipeline.combine
+
+    def traced_combine(*args):
+        k = combine(*args)
+        tracemalloc.start()
+        return k
+
+    monkeypatch.setattr(pipeline, "combine", traced_combine)
+    try:
+        fit_layer(x, y, LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 8 * 400 ** 2
 
 
 def test_vertex_weights_build_one_base_gram(built_grams):
@@ -238,6 +263,68 @@ def test_fit_subsample_path_records_sorted_indices(layer_inputs):
     assert model.metadata["subsample"] == 48
     pred = pipeline.predict(model, x)
     assert pred.shape == (80,)
+
+
+# ---------------------------------------------------------------------------
+# predict in row blocks
+
+
+def test_blocked_predict_and_transform_agree_with_the_whole_batch(monkeypatch):
+    x, y = blob_data()
+    model = pipeline.fit(x, y, default_configs(), subsample=0)
+    new = blob_data(n_per_class=100, seed=1)[0]
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", new.shape[0])  # one block
+    whole, labels = pipeline.transform(model, new), pipeline.predict(model, new)
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 64)  # three blocks and 8 rows
+    np.testing.assert_array_equal(pipeline.predict(model, new), labels)
+    assert_equal_to_round_off(pipeline.transform(model, new), whole)
+
+
+def test_a_one_row_tail_goes_through_an_arc_cosine_layer(monkeypatch):
+    # the tail is padded with copies of its last row: zeros would fail
+    x, y = blob_data()
+    model = pipeline.fit(x, y, [LayerConfig(kernels=(ARC,), width=3, basis_size=4)],
+                         subsample=0)
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 9)
+    whole, labels = pipeline.transform(model, x[:9]), pipeline.predict(model, x[:9])
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 4)  # 4 + 4 + 1 rows
+    np.testing.assert_array_equal(pipeline.predict(model, x[:9]), labels)
+    assert_equal_to_round_off(pipeline.transform(model, x[:9]), whole)
+    # rows of the wrong width go through whole and are named so
+    with pytest.raises(ShapeError, match=r"got shape \(9, 29\)$"):
+        pipeline.predict(model, x[:9, :29])
+    # a zero row is named by its place in the batch, not in its block
+    for row in (6, 8):
+        rows = x[:9].copy()
+        rows[row] = 0.0
+        for entry in (pipeline.transform, pipeline.predict):
+            with pytest.raises(ZeroVectorError, match="^arc-cosine kernel undefined for "
+                                                      "zero row %d$" % row):
+                entry(model, rows)
+
+
+def test_no_rows_give_no_labels():
+    x, y = blob_data()
+    model = pipeline.fit(x, y, default_configs(), subsample=0)
+    assert pipeline.transform(model, np.zeros((0, 30))).shape == (0, 4)
+    assert pipeline.predict(model, np.zeros((0, 30))).shape == (0,)
+
+
+def test_predict_holds_a_few_blocks_of_cross_gram(monkeypatch):
+    # fitted on 300 rows and applied to 4000: the batch's cross-Gram against
+    # the fit rows would be 9.6 MB, a 256-row block's is 0.61 MB
+    x, y = blob_data(n_per_class=150)
+    model = pipeline.fit(x, y, default_configs(), subsample=0)
+    new = blob_data(n_per_class=2000, seed=1)[0]
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 256)
+    tracemalloc.start()
+    try:
+        labels = pipeline.predict(model, new)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert labels.shape == (4000,)
+    assert peak <= 4 * 8 * 256 * 300
 
 
 def test_classifier_predict_requires_support_vectors():

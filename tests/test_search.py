@@ -46,7 +46,7 @@ def kpca_fits(monkeypatch):
     """The component counts that ``kpca.fit`` is called with."""
     fits = []
     fit = kpca.fit
-    monkeypatch.setattr(kpca, "fit", lambda k, n: fits.append(n) or fit(k, n))
+    monkeypatch.setattr(kpca, "fit", lambda k, n, **kw: fits.append(n) or fit(k, n, **kw))
     return fits
 
 
@@ -80,7 +80,7 @@ def test_gammas_with_equal_weights_share_one_layer_fit(monkeypatch, built_grams,
 @pytest.mark.parametrize("change,message", [
     (lambda cfg: replace(cfg, cv=replace(cfg.cv, svm_c=())), "svm_c must not be empty"),
     (lambda cfg: replace(cfg, cv=replace(cfg.cv, repeats=0)), "repeats must be >= 1, got 0"),
-    (lambda cfg: replace(cfg, probe_cap=0), "probe_cap must be >= 1, got 0"),
+    (lambda cfg: replace(cfg, probe_cap=0), "probe_cap must be >= 2, got 0"),
 ], ids=["svm_c_empty", "repeats_zero", "probe_cap_zero"])
 def test_a_bad_setting_built_in_code_fails_before_any_layer_fit(monkeypatch, change, message):
     # an empty svm_c used to run the whole layer search, then fail in argmin
