@@ -103,7 +103,7 @@ def _top_eigenpairs(a, k):
     return lams[:k][::-1], vecs[:, ::-1]
 
 
-def center_gram(k, *, overwrite=False):
+def center_gram(k):
     """Double-center a Gram matrix.
 
     Returns the centered matrix together with the per-row means and the
@@ -112,19 +112,18 @@ def center_gram(k, *, overwrite=False):
     centred against its own statistics by the rule that centres new rows,
     k_ij - r_i - r_j + t, which is symmetric only to round-off: both
     eigensolvers read its upper triangle alone.
-
-    With ``overwrite`` the Gram's own C-contiguous float64 buffer may hold
-    the result, as scipy's ``overwrite_a`` permits; it is then no longer
-    the Gram.  The bits are the same either way.
     """
     v = _gram_values(k)
+    return _center_gram(v, np.empty(v.shape))
+
+
+def _center_gram(v, out):
+    """``center_gram`` of the float64 Gram values ``v`` into ``out``, which
+    may be ``v``."""
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
-    in_place = overwrite and v.flags.c_contiguous and v.flags.writeable
     # a Gram's own row means are the fit set's: computed once, used as both
-    centered = _center(v, row_means, total_mean, v if in_place else np.empty(v.shape),
-                       own_means=row_means)
-    return centered, row_means, total_mean
+    return _center(v, row_means, total_mean, out, own_means=row_means), row_means, total_mean
 
 
 @dataclass(frozen=True)
@@ -172,12 +171,15 @@ def fit(k, n_components, *, overwrite=False):
     centered Gram carries no variance and is rejected.
 
     With ``overwrite`` the Gram is centred in its own buffer, which the
-    eigensolver then overwrites, so no second n x n array is made; the
-    caller must not read ``k`` afterwards.  Without it ``k`` is untouched.
-    The model is the same either way, bit for bit.
+    eigensolver then overwrites, so no second n x n array is made: ``k``
+    must then be a writeable C-contiguous float64 array or ``GramMatrix``,
+    as ``umkl.combine`` returns, and the caller must not read it
+    afterwards.  Without it ``k`` is untouched.  The model is the same
+    either way, bit for bit.
     """
     _check_count(n_components)
-    centered, row_means, total_mean = center_gram(k, overwrite=overwrite)
+    v = _gram_values(k)
+    centered, row_means, total_mean = _center_gram(v, v if overwrite else np.empty(v.shape))
     # only the top pairs are computed: when fewer of them than asked for are
     # above the cutoff, they are all the usable ones there are
     lams, vecs = _top_eigenpairs(centered, min(n_components, centered.shape[0]))

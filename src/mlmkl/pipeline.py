@@ -499,25 +499,18 @@ def train(dataset, config, seed=0):
 _BLOCK_ROWS = 1024
 
 
-def _in_blocks(model, features, step):
+def _in_blocks(features, step):
     """``step`` applied to the rows of ``features`` ``_BLOCK_ROWS`` at a
-    time, its outputs stacked in row order.  A short last block is padded
-    with copies of its last row, whose outputs are dropped: a block is
-    always the full count, and a zero row would fail an arc-cosine layer.
-    A batch of at most one block, or of rows that ``model``'s first layer
-    rejects by their shape, is passed whole, as it is; a zero row is named
-    by its place in the batch."""
+    time, its outputs stacked in row order; a zero row is named by its
+    place in the batch.  What is not a matrix of rows, or has none, is
+    passed whole."""
     x = _finite(features)
-    if x.ndim != 2 or x.shape[0] <= _BLOCK_ROWS or x.shape[1] != model.layers[0].input_dim:
+    if x.ndim != 2 or x.shape[0] == 0:
         return step(x)
     outs = []
     for start in range(0, x.shape[0], _BLOCK_ROWS):
-        block = x[start:start + _BLOCK_ROWS]
-        rows = block.shape[0]
-        if rows < _BLOCK_ROWS:
-            block = np.concatenate([block, np.repeat(block[-1:], _BLOCK_ROWS - rows, axis=0)])
         try:
-            outs.append(step(block)[:rows])
+            outs.append(step(x[start:start + _BLOCK_ROWS]))
         except ZeroVectorError as exc:
             raise ZeroVectorError(exc.reason, start + exc.row) from None
     return np.concatenate(outs)
@@ -535,13 +528,13 @@ def transform(model, features):
     A batch of at most one block has the bits of its rows pushed through
     whole; in a larger one a row's values may differ from those at
     round-off, since BLAS rounds a product by its shape."""
-    return _in_blocks(model, features, lambda rows: _through_layers(model, rows))
+    return _in_blocks(features, lambda rows: _through_layers(model, rows))
 
 
 def predict(model, features):
     """Class labels for new rows, ``_BLOCK_ROWS`` at a time through the
     layers and the classifier, as ``transform`` pushes them."""
-    return _in_blocks(model, features, lambda rows: classifier_predict(
+    return _in_blocks(features, lambda rows: classifier_predict(
         model.classifier, _through_layers(model, rows)))
 
 

@@ -281,7 +281,8 @@ def test_blocked_predict_and_transform_agree_with_the_whole_batch(monkeypatch):
 
 
 def test_a_one_row_tail_goes_through_an_arc_cosine_layer(monkeypatch):
-    # the tail is padded with copies of its last row: zeros would fail
+    # the last block is the one row left over, which the arc-cosine layer
+    # takes alone
     x, y = blob_data()
     model = pipeline.fit(x, y, [LayerConfig(kernels=(ARC,), width=3, basis_size=4)],
                          subsample=0)
@@ -290,8 +291,8 @@ def test_a_one_row_tail_goes_through_an_arc_cosine_layer(monkeypatch):
     monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 4)  # 4 + 4 + 1 rows
     np.testing.assert_array_equal(pipeline.predict(model, x[:9]), labels)
     assert_equal_to_round_off(pipeline.transform(model, x[:9]), whole)
-    # rows of the wrong width go through whole and are named so
-    with pytest.raises(ShapeError, match=r"got shape \(9, 29\)$"):
+    # rows of the wrong width stop at the first block, which names its shape
+    with pytest.raises(ShapeError, match=r"^expected rows of dimension 30, got shape \(4, 29\)$"):
         pipeline.predict(model, x[:9, :29])
     # a zero row is named by its place in the batch, not in its block
     for row in (6, 8):

@@ -216,6 +216,24 @@ def test_a_failing_stage_stops_the_candidates_it_stops_when_fitted_alone(monkeyp
             np.testing.assert_array_equal(layer.selected, f.layer.selected)
 
 
+def test_a_zero_training_row_is_named_before_a_degenerate_gram(monkeypatch):
+    # the training cross reads the combined Gram, which kernel PCA then
+    # consumes, so it is built first and its failure is the one reported
+    def degenerate(k, n, overwrite=False):
+        raise DegenerateGramError("centered Gram has no positive eigenvalue")
+
+    monkeypatch.setattr(kpca, "fit", degenerate)
+    train = data.split(corpus(), 40, 20, seed=0)[0]
+    cand = pipeline.LayerConfig(kernels=experiment(GAMMAS).layers[0].kernels, width=3,
+                                basis_size=5)
+    fit_idx = np.arange(0, 40, 2)
+    with pytest.raises(DegenerateGramError):
+        pipeline.fit_layer(train.features, train.labels, cand, fit_idx)
+    train.features[1] = 0.0
+    with pytest.raises(ZeroVectorError, match="zero row 1$"):
+        pipeline.fit_layer(train.features, train.labels, cand, fit_idx)
+
+
 def test_a_zero_validation_row_stops_every_candidate():
     dataset = corpus()
     train, valid = data.split(dataset, 40, 20, seed=0)
