@@ -32,6 +32,13 @@ peaks at its output plus a few slabs.  The dot products themselves are not compu
 product of a few rows does not always have the bits of those rows of the
 whole product.
 
+A layer's kernel is a weighted combination sum_t w_t k_t, and it too is
+one product per weighted block: ``gram`` and ``cross_gram`` take (w_t,
+k_t) pairs, evaluate each kernel of nonzero weight on a copy of each
+slab's dot products (the last kernel on the slab itself) and sum the
+weighted values in ascending t, with the bits of summing each kernel's
+own whole block.
+
 Numerical care: arccos is ill-conditioned near cos = 1, so a dot-product
 round-off of one ulp turns into an angle of ~1e-8.  Same-set Gram
 construction therefore pins theta = 0 on the diagonal at every
@@ -381,7 +388,8 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
         _pin(k, same, 1.0)
         _j_n_of_cosine(k, degree)
         k /= np.pi
-        k *= scale**degree
+        if degree:  # scale**degree, bit for bit, without a slab for the power
+            k *= np.multiply(scale, scale, out=scale) if degree == 2 else scale
     return k
 
 
@@ -423,22 +431,46 @@ def _kernel_values(dots, r, c, spec, same):
     return dots
 
 
-def _kernel_block(x_rows, x_cols, spec, same):
-    """Kernel block of the rows of ``x_rows`` against those of ``x_cols``
-    (the same array when ``same``): one matmul of dot products, then the
-    elementwise steps of ``_kernel_values`` slab by slab, in place."""
-    r = _row_terms(x_rows, spec)
-    c = r if same else _row_terms(x_cols, spec)
+def _weighted_terms(spec):
+    """The (weight, KernelSpec) pairs a block evaluates: a KernelSpec is
+    one kernel of weight 1, and a combination, a sequence of (weight,
+    KernelSpec) pairs, keeps its pairs of nonzero weight."""
+    terms = [(1.0, spec)] if isinstance(spec, KernelSpec) else [(w, s) for w, s in spec if w]
+    if not terms:
+        raise ValueError("kernel weights are all zero")
+    return terms
+
+
+def _kernel_block(x_rows, x_cols, terms, same):
+    """Block sum_t w_t k_t of the rows of ``x_rows`` against those of
+    ``x_cols`` (the same array when ``same``) over the (w_t, k_t) ``terms``:
+    one matmul of dot products, then slab by slab each kernel's elementwise
+    steps (``_kernel_values``) on a copy of the slab, the last kernel's on
+    the slab itself.  Each value is scaled unless its weight is 1 and added
+    in ascending t, ((w_0 k_0 + w_1 k_1) + w_2 k_2), the bits of summing
+    whole weighted blocks: one addition gives the same bits either way
+    round."""
+    r = [_row_terms(x_rows, s) for _, s in terms]
+    c = r if same else [_row_terms(x_cols, s) for _, s in terms]
     k = x_rows @ x_cols.T
     step = _slab_rows(k.shape[1])
     for start in range(0, k.shape[0], step):
         rows = slice(start, start + step)
-        _kernel_values(k[rows], r[rows, None], c[None, :], spec, start if same else None)
+        for t, (w, spec) in enumerate(terms):
+            dots = k[rows] if t == len(terms) - 1 else k[rows].copy()
+            value = _kernel_values(dots, r[t][rows, None], c[t][None, :], spec,
+                                   start if same else None)
+            if w != 1.0:
+                value *= w
+            total = value if t == 0 else np.add(value, total, out=value)
     return k
 
 
 def gram(samples, spec):
-    """Kernel matrix of one sample set with itself.
+    """Kernel matrix of one sample set with itself, under ``spec``: one
+    KernelSpec, or a combination sum_t w_t k_t given as a sequence of
+    (w_t, KernelSpec) pairs, of which only the kernels of nonzero weight
+    are evaluated.
 
     Returns a GramMatrix whose diagonal is computed at theta = 0 for
     angle-based kernels.  Its values are exactly symmetric without a
@@ -448,16 +480,19 @@ def gram(samples, spec):
     enter each (i, j) and (j, i) entry by the same commutative operation.
     That function runs on row slabs of the one product, with each slab's
     part of the diagonal pinned, so the bits are those of one pass over
-    the whole matrix.  Peak memory is the n x n result plus a few slabs.
+    the whole matrix; a combination's are those of its weighted Grams
+    summed in order.  Peak memory is the n x n result plus a few slabs,
+    however many kernels are combined.
     """
     x = _as_matrix(samples, "samples")
     if x.shape[0] < 1:
         raise ShapeError("need at least one sample")
-    return GramMatrix(_kernel_block(x, x, spec, same=True))
+    return GramMatrix(_kernel_block(x, x, _weighted_terms(spec), same=True))
 
 
 def cross_gram(rows, cols, spec):
-    """Rectangular kernel block k(rows_i, cols_j).
+    """Rectangular kernel block k(rows_i, cols_j), under one KernelSpec or
+    a combination of them, as for ``gram``.
 
     ``rows`` may be empty (yields a 0 x n block); ``cols`` may not.
     Unlike ``gram``, coincident row/col pairs are not detected, so a
@@ -465,7 +500,7 @@ def cross_gram(rows, cols, spec):
     (about 1e-8 at the first level).  Only degree 0 feels it: its value
     moves by ~1e-8 at L=1 and ~4e-5 at L=2, while degrees 1 and 2, flat at
     theta = 0, stay at round-off.
-    The kernel's elementwise steps run on row slabs of the one product
+    The kernels' elementwise steps run on row slabs of the one product
     ``rows @ cols.T``, with the bits of one pass over the whole block;
     peak memory is the block plus a few slabs.
     """
@@ -479,7 +514,7 @@ def cross_gram(rows, cols, spec):
         )
     if xr.shape[0] == 0:
         return np.zeros((0, xc.shape[0]))
-    return _kernel_block(xr, xc, spec, same=False)
+    return _kernel_block(xr, xc, _weighted_terms(spec), same=False)
 
 
 class KernelRows:

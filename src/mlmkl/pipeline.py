@@ -78,7 +78,6 @@ from .umkl import (
     combine,
     problem_from_features,
     solve_simplex_qp,
-    weighted_sum,
 )
 
 __all__ = [
@@ -153,7 +152,7 @@ def combined_cross(rows, cols, kernels, weights):
     """
     if any(spec.family is KernelFamily.ARC_COSINE for spec in kernels):
         _row_norms(np.asarray(rows, dtype=np.float64))
-    return weighted_sum(weights.mu, lambda t: cross_gram(rows, cols, kernels[t]))
+    return cross_gram(rows, cols, tuple(zip(weights.mu, kernels)))
 
 
 def draw_fit_rows(rng, n, subsample):
@@ -228,6 +227,7 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
             if fit_idx is not None:  # reads k_fit, which kpca.fit then consumes
                 train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
             kp = kpca.fit(k_fit, counts[top], overwrite=True)
+            del k_fit  # the eigensolver's workspace now: no later stage reads it
             # fit warned for the top candidate, leading warns for the rest, all
             # before the validation cross, as each candidate fitted alone would
             kps = [kp if i == top else kpca.leading(kp, n) for i, n in enumerate(counts)]

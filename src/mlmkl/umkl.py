@@ -30,6 +30,12 @@ them.  So ``problem_from_features`` keeps, per sample, its bases, the
 kernel entries at them and its (k+1) x (k+1) local linear Gram, and
 drops the n x n P; ``assemble_qp(problem, gamma)`` builds the QP of any
 gamma from that.
+
+Once the weights are found, ``combine`` builds the combined Gram as one
+product per weighted block: one ``kernels.gram`` of the (mu_t, K_t)
+pairs, which evaluates only the kernels of nonzero weight, sums their
+weighted values into one matmul of dot products and checks the sum's
+symmetry once.
 """
 from __future__ import annotations
 
@@ -40,7 +46,7 @@ import numpy as np
 from . import kernels
 from .config import _real
 from .errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from .kernels import GramMatrix, _as_matrix, _kernel_values, _row_terms, _slab_rows
+from .kernels import _as_matrix, _kernel_values, _row_terms, _slab_rows
 
 __all__ = [
     "KernelWeights",
@@ -52,7 +58,6 @@ __all__ = [
     "assemble_qp",
     "minimize_qp",
     "solve_simplex_qp",
-    "weighted_sum",
     "combine",
 ]
 
@@ -317,30 +322,9 @@ def solve_simplex_qp(qp):
     return KernelWeights(mu)
 
 
-def weighted_sum(weights, term):
-    """sum_t weights[t] * term(t), calling ``term`` for nonzero weights only.
-
-    Each ``term(t)`` is a fresh array, scaled in place (the bits of
-    ``weights[t] * term(t)``, as multiplication commutes) and added to the
-    first, so the sum holds at most two of them at once.
-    """
-    out = None
-    for t, wt in enumerate(weights):
-        if wt == 0.0:
-            continue
-        block = term(t)
-        block *= wt
-        if out is None:
-            out = block
-        else:
-            out += block
-    if out is None:
-        raise ValueError("kernel weights are all zero")
-    return out
-
-
 def combine(samples, specs, weights):
     """Convex combination sum_t mu_t K_t of the Grams of ``specs`` over
-    ``samples``; only the Grams of nonzero weights are built."""
+    ``samples``: one ``kernels.gram`` of the weighted kernels, which makes
+    one product and evaluates only the kernels of nonzero weight."""
     w = _weights_array(weights, len(specs))
-    return GramMatrix(weighted_sum(w, lambda t: kernels.gram(samples, specs[t]).values))
+    return kernels.gram(samples, tuple(zip(w, specs)))

@@ -9,17 +9,26 @@ import weakref
 import numpy as np
 import pytest
 
+import mlmkl.featsel
 import mlmkl.kernels
 import mlmkl.kpca
+import mlmkl.pipeline
 import mlmkl.umkl
+from mlmkl.kernels import KernelSpec
 
 
 @pytest.fixture
 def built_grams(monkeypatch):
-    """The specs that ``kernels.gram`` is called with, in call order."""
+    """The specs whose Grams ``kernels.gram`` evaluates, in call order: the
+    one spec it is called with, or those of nonzero weight in a combination."""
     built = []
     gram = mlmkl.kernels.gram
-    monkeypatch.setattr(mlmkl.kernels, "gram", lambda x, spec: built.append(spec) or gram(x, spec))
+
+    def recorded(x, spec):
+        built.extend([spec] if isinstance(spec, KernelSpec) else [s for w, s in spec if w])
+        return gram(x, spec)
+
+    monkeypatch.setattr(mlmkl.kernels, "gram", recorded)
     return built
 
 
@@ -41,6 +50,28 @@ def live_linear_grams(monkeypatch):
 
     monkeypatch.setattr(mlmkl.umkl, "build_local_bases", bases)
     monkeypatch.setattr(mlmkl.kpca, "fit", counted_fit)
+    return live
+
+
+@pytest.fixture
+def live_fit_grams(monkeypatch):
+    """Per ``featsel.select`` call, how many of the combined Grams that
+    ``pipeline.combine`` returned are still alive on entry."""
+    refs, live = [], []
+    combine = mlmkl.pipeline.combine
+    select = mlmkl.featsel.select
+
+    def tracked(*args):
+        k = combine(*args)
+        refs.append(weakref.ref(k.values))
+        return k
+
+    def counted_select(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in refs))
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(mlmkl.pipeline, "combine", tracked)
+    monkeypatch.setattr(mlmkl.featsel, "select", counted_select)
     return live
 
 

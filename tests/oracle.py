@@ -9,10 +9,12 @@ angular factors, so agreement with the library is evidence, not
 tautology.  Only ``KernelSpec`` (the description of a kernel) is shared,
 except by ``kernel_block``: it applies the library's elementwise steps in
 one pass to a whole block, the reference for the slab-by-slab blocks of
-``gram`` and ``cross_gram``.  ``arc_cosine_block`` builds an arc-cosine
-block by the angle path, J_n of theta = arccos(c) with ``kernels.j_n``, the
-reference for the library's J_n from the cosine.  The weight objective and the neighbour bases
-are computed from the full n x n linear Gram, which the library does not
+``gram`` and ``cross_gram``, and ``weighted_block`` sums such blocks, one
+per kernel, the reference for a weighted combination's one product.
+``arc_cosine_block`` builds an arc-cosine block by the angle path, J_n of
+theta = arccos(c) with ``kernels.j_n``, the reference for the library's
+J_n from the cosine.  The weight objective and the neighbour bases are
+computed from the full n x n linear Gram, which the library does not
 keep, and ``center_gram`` centres a whole Gram at once and mirrors it, the
 reference for the upper triangle of ``kpca.center_gram``.  ``smo`` is the
 SVM trainer with its movable sets rebuilt from scratch at every step, the
@@ -104,6 +106,25 @@ def kernel_block(x_rows, x_cols, spec, same):
     r = _row_terms(x_rows, spec)
     c = r if same else _row_terms(x_cols, spec)
     return _kernel_values(x_rows @ x_cols.T, r[:, None], c[None, :], spec, 0 if same else None)
+
+
+def weighted_block(x_rows, x_cols, specs, weights, same):
+    """Combined block sum_t weights[t] k_t as whole blocks, one kernel at a
+    time: each kernel of nonzero weight gets its own product and
+    ``kernel_block``, scaled in place, and the blocks are added in
+    ascending t.  The reference for the library's one product per
+    weighted block."""
+    out = None
+    for spec, w in zip(specs, weights):
+        if w == 0.0:
+            continue
+        block = kernel_block(x_rows, x_cols, spec, same)
+        block *= w
+        if out is None:
+            out = block
+        else:
+            out += block
+    return out
 
 
 def arc_cosine_block(x_rows, x_cols, degree, depth, same):

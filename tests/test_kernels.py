@@ -407,6 +407,48 @@ def test_slab_blocks_match_one_pass_oracle(text):
                      oracle.kernel_block(cols[:3], wide, spec, same=False))
 
 
+# a vertex, a zero weight, an exact 1 and three mixed weights
+COMBINATIONS = [(1.0, 0.0, 0.0), (0.0, 0.0, 1.0), (0.5, 0.5, 0.0), (0.0, 0.25, 0.75),
+                (0.2, 0.3, 0.5)]
+
+
+@pytest.mark.parametrize("text", EVERY_FAMILY)
+def test_weighted_blocks_match_the_per_kernel_sum_oracle(text):
+    # one product per block; each weighted kernel's values, slab by slab,
+    # have the bits of its own whole block scaled and added in order, with
+    # the family first (on a copy of each slab) and last (on the slab itself)
+    others = (parse_kernel("rbf(gamma=0.5)"), parse_kernel("arccos(n=2,L=1)"))
+    rng = np.random.default_rng(17)
+    cols = rng.uniform(0.05, 1.0, size=(257, 6))
+    height = kernels._slab_rows(cols.shape[0])
+    n0 = next(n for n in range(1, 2000) if kernels._slab_rows(n) <= n)
+    for specs in ((parse_kernel(text),) + others, others + (parse_kernel(text),)):
+        for mu in COMBINATIONS:
+            combination = tuple(zip(mu, specs))
+            for n in (height, height + 1):
+                rows = rng.uniform(0.05, 1.0, size=(n, 6))
+                rows[n // 2] = cols[n % 257]  # one coincident pair
+                assert_same_bits(cross_gram(rows, cols, combination),
+                                 oracle.weighted_block(rows, cols, specs, mu, same=False))
+            for n in (n0, n0 + 1):
+                x = rng.uniform(0.05, 1.0, size=(n, 6))
+                assert_same_bits(gram(x, combination).values,
+                                 oracle.weighted_block(x, x, specs, mu, same=True))
+
+
+def test_a_combination_evaluates_only_its_kernels_of_nonzero_weight():
+    # the arc-cosine kernel would fail on the zero row; a spec alone is one
+    # kernel of weight 1, and a combination needs a nonzero weight
+    x = np.array([[0.0, 0.0], [1.0, 2.0]])
+    arc, linear = parse_kernel("arccos(n=1,L=1)"), parse_kernel("linear")
+    np.testing.assert_array_equal(gram(x, ((0.0, arc), (1.0, linear))).values, x @ x.T)
+    assert_same_bits(cross_gram(x, x, ((1.0, linear),)), cross_gram(x, x, linear))
+    with pytest.raises(ZeroVectorError):
+        gram(x, ((0.5, arc), (0.5, linear)))
+    with pytest.raises(ValueError, match="all zero"):
+        cross_gram(x, x, ((0.0, arc), (0.0, linear)))
+
+
 @pytest.mark.parametrize("text", EVERY_FAMILY)
 def test_kernel_values_fill_and_return_the_dots_they_are_given(text):
     # every family writes its values over the dot products, so neither a

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 import tracemalloc
@@ -173,6 +174,34 @@ def test_fit_layer_holds_no_second_gram_once_combined(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * 400 ** 2
+
+
+def test_fit_layer_releases_the_combined_gram_after_kpca(live_fit_grams):
+    # kPCA turns the combined Gram into its eigensolver's workspace, so the
+    # training projections or cross, featsel and the validation cross run
+    # without that dead n x n array
+    x, y = blob_data(n_per_class=30)
+    cfg = LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=4)
+    fit_layer(x, y, cfg)
+    fit_layer(x, y, cfg, fit_idx=np.arange(0, 60, 2))
+    pipeline.fit_layer_grid(x, y, [[cfg, dataclasses.replace(cfg, width=3)]], valid=x[:10])
+    assert live_fit_grams == [0, 0, 0, 0]
+
+
+def test_a_three_kernel_combined_cross_holds_one_block():
+    # one product takes every weighted kernel's values, slab by slab: a
+    # block per kernel made the peak three times the result
+    rng = np.random.default_rng(18)
+    rows = rng.uniform(0.05, 1.0, size=(1500, 20))
+    cols = rng.uniform(0.05, 1.0, size=(1000, 20))
+    weights = KernelWeights(np.array([0.2, 0.3, 0.5]))
+    tracemalloc.start()
+    try:
+        cross = pipeline.combined_cross(rows, cols, (RBF, LINEAR, ARC), weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * cross.nbytes
 
 
 def test_vertex_weights_build_one_base_gram(built_grams):

@@ -7,7 +7,7 @@ import pytest
 from mlmkl import umkl
 from mlmkl.config import LayerConfig
 from mlmkl.errors import InvalidBasisSizeError, NumericalFailureError, ShapeError
-from mlmkl.kernels import _SLAB_BYTES, gram, parse_kernel
+from mlmkl.kernels import _SLAB_BYTES, GramMatrix, gram, parse_kernel
 from mlmkl.umkl import (
     KernelWeights,
     LocalBases,
@@ -273,6 +273,24 @@ def test_combine_scales_each_gram_in_place():
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * out.values.nbytes
+
+
+def test_a_three_kernel_combine_holds_one_gram_and_checks_it_once(monkeypatch):
+    # one product takes every weighted kernel's values, slab by slab: a Gram
+    # per kernel made the peak three times the result and checked each
+    checks = []
+    check = GramMatrix.__post_init__
+    monkeypatch.setattr(GramMatrix, "__post_init__",
+                        lambda k: checks.append(k.n) or check(k))
+    x = np.random.default_rng(19).uniform(0.05, 1.0, size=(1200, 20))
+    tracemalloc.start()
+    try:
+        out = combine(x, SPECS, KernelWeights(np.array([0.2, 0.3, 0.5])))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * out.values.nbytes
+    assert checks == [1200]
 
 
 def test_problem_from_strided_rows_is_exactly_symmetric():
