@@ -39,7 +39,9 @@ class UnsupportedDegreeError(MlmklError):
 
 
 class DegenerateRecursionError(MlmklError):
-    """A composed kernel recursion hit a non-positive self-similarity."""
+    """An arc-cosine level's scale, or the power of it that scales the
+    values, leaves the normal float range, where the values would be zeros,
+    inf or NaN."""
 
 
 class InvalidBasisSizeError(MlmklError):

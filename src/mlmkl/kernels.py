@@ -47,10 +47,15 @@ inputs as a one-row Gram, so their angle is pinned too.  An unpinned
 duplicate costs degree 0 only: J_0 has slope -1 at theta = 0, so its
 value moves by ~1e-8 at the first level and ~4e-5 at the second, while
 J_1 and J_2 are flat there and their duplicates stay at round-off.
+An arc-cosine level whose scale, the product of row and column norms or
+self-kernels, or the power of it that scales the values, leaves the
+normal float range raises ``DegenerateRecursionError``: there the values
+would be zeros, inf or NaN.
 """
 from __future__ import annotations
 
 import functools
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -315,8 +320,10 @@ def _as_matrix(x, name):
 
 
 def _row_norms(x):
-    """Row norms, which the arc-cosine kernel needs nonzero."""
-    norms = np.linalg.norm(x, axis=1)
+    """Row norms, which the arc-cosine kernel needs nonzero; one that
+    overflows is inf, which fails the kernel's range check."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVectorError("arc-cosine kernel undefined for zero row", int(np.argmin(norms)))
     return norms
@@ -362,6 +369,22 @@ def _j_n_of_cosine(c, degree):
     return c
 
 
+def _check_scale(rows, cols, degree, level):
+    """Raise ``DegenerateRecursionError`` unless an arc-cosine level's
+    scales, the products of its ``rows`` and ``cols`` factors (the norms at
+    level 0, under a square root the self-kernels after it), and the power
+    J_n(0)/pi scale**degree that bounds its values lie in the normal float
+    range, outside which the values would be zeros, inf or NaN.  IEEE
+    products and roots are monotone, so the factors' extremes bound every
+    entry: the check reads the factors alone, as Python floats, which
+    overflow to inf without a warning.  2**-1022 is the least normal float."""
+    p = float(rows.min()) * float(cols.min()), float(rows.max()) * float(cols.max())
+    lo, hi = map(math.sqrt, p) if level else p
+    bounds = (*p, math.prod([lo] * degree), _J0_OVER_PI[degree] * math.prod([hi] * degree))
+    if not all(2.0**-1022 <= b < math.inf for b in bounds):
+        raise DegenerateRecursionError("arc-cosine level %d leaves the float range" % (level + 1))
+
+
 def _arc_cosine_values(k, r, c, degree, depth, same):
     """Arc-cosine kernel values from dot products ``k`` (overwritten) and
     the norms ``r`` of their rows and ``c`` of their columns.  Each level
@@ -372,17 +395,15 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
     exactly the squared norms.
     """
     c0 = _J0_OVER_PI[degree]
-    s_rows, s_cols = r * r, c * c
+    s_rows, s_cols = r, c  # the factors of the level's scale: r c at level 0
     for level in range(depth):
-        if level == 0:
-            scale = r * c
-        else:
-            s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
-            if not (np.all(np.isfinite(s_rows)) and np.all(np.isfinite(s_cols))):
-                raise DegenerateRecursionError("self-kernel overflowed in arc-cosine recursion")
-            if np.any(s_rows <= 0.0) or np.any(s_cols <= 0.0):
-                raise DegenerateRecursionError("non-positive self-kernel in arc-cosine recursion")
-            scale = np.sqrt(s_rows * s_cols)
+        if level:
+            with np.errstate(over="ignore"):  # an overflow fails the range check
+                if level == 1:
+                    s_rows, s_cols = r * r, c * c
+                s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
+        _check_scale(s_rows, s_cols, degree, level)
+        scale = np.sqrt(s_rows * s_cols) if level else r * c
         k /= scale
         np.clip(k, -1.0, 1.0, out=k)
         _pin(k, same, 1.0)
@@ -494,7 +515,8 @@ def cross_gram(rows, cols, spec):
     """Rectangular kernel block k(rows_i, cols_j), under one KernelSpec or
     a combination of them, as for ``gram``.
 
-    ``rows`` may be empty (yields a 0 x n block); ``cols`` may not.
+    ``rows`` may be empty, which yields a 0 x n block; ``cols`` may not,
+    and a combination needs a nonzero weight whatever the row count.
     Unlike ``gram``, coincident row/col pairs are not detected, so a
     duplicated point resolves its zero angle only to arccos round-off
     (about 1e-8 at the first level).  Only degree 0 feels it: its value
@@ -512,8 +534,6 @@ def cross_gram(rows, cols, spec):
         raise ShapeError(
             "feature dimensions differ: %d vs %d" % (xr.shape[1], xc.shape[1])
         )
-    if xr.shape[0] == 0:
-        return np.zeros((0, xc.shape[0]))
     return _kernel_block(xr, xc, _weighted_terms(spec), same=False)
 
 

@@ -39,6 +39,10 @@ runs ("dsyevr" or "eigh").  The two agree to round-off, a few 1e-15 of
 the largest eigenvalue, not bit for bit; so do a fit at one component count
 and the leading components of a fit at a larger one (``leading``), which
 is why a ``cv`` candidate equals the same layer fitted alone to round-off.
+Either solver's failure (``dsyevr``'s nonzero info, ``eigh``'s
+``LinAlgError``) raises ``NumericalFailureError``, so a layer's candidate
+fails by the package's own error on both paths.  ``transform`` of no rows
+is the general code on none: a (0, p) float64 array.
 """
 from __future__ import annotations
 
@@ -85,9 +89,13 @@ SOLVER = "eigh" if _DSYEVR is None else "dsyevr"
 def _top_eigenpairs(a, k):
     """The ``k`` largest eigenvalues of the symmetric C-contiguous float64
     ``a``, descending, and their unit eigenvectors as columns.  Only the
-    upper triangle of ``a`` is read, and ``a`` is overwritten."""
+    upper triangle of ``a`` is read, and ``a`` is overwritten.  Either
+    solver's failure raises ``NumericalFailureError``."""
     if _DSYEVR is None:
-        lams, vecs = np.linalg.eigh(a, UPLO="U")
+        try:
+            lams, vecs = np.linalg.eigh(a, UPLO="U")
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailureError("eigh failed: %s" % exc) from None
         return lams[::-1][:k], vecs[:, ::-1][:, :k]
     n = a.shape[0]
     lams = np.empty(n)
@@ -113,13 +121,12 @@ def center_gram(k):
     k_ij - r_i - r_j + t, which is symmetric only to round-off: both
     eigensolvers read its upper triangle alone.
     """
-    v = _gram_values(k)
-    return _center_gram(v, np.empty(v.shape))
+    return _center_gram(_gram_values(k))
 
 
-def _center_gram(v, out):
+def _center_gram(v, out=None):
     """``center_gram`` of the float64 Gram values ``v`` into ``out``, which
-    may be ``v``."""
+    may be ``v``, or into a new array."""
     row_means = v.mean(axis=1)
     total_mean = float(v.mean())
     # a Gram's own row means are the fit set's: computed once, used as both
@@ -191,11 +198,10 @@ def fit(k, n_components, *, overwrite=False):
     usable = int(np.sum(lams > _EIGENVALUE_CUTOFF * lam_max))
     lams = lams[:usable].copy()
     vecs = vecs[:, :usable].copy()
-    # deterministic sign: make the largest-magnitude entry of each vector positive
-    for j in range(usable):
-        i = int(np.argmax(np.abs(vecs[:, j])))
-        if vecs[i, j] < 0.0:
-            vecs[:, j] = -vecs[:, j]
+    # deterministic sign: make the largest-magnitude entry of each vector
+    # positive (the first of equal ones), in one pass by its sign, +-1.0:
+    # a product by -1.0 negates exactly
+    vecs *= np.sign(vecs[np.argmax(np.abs(vecs), axis=0), np.arange(usable)])
     alphas = vecs / np.sqrt(lams)[None, :]
     model = KpcaModel(alphas=alphas, eigenvalues=lams, row_means=row_means,
                       total_mean=total_mean)
@@ -241,20 +247,18 @@ def transform(model, cross, out=None):
         raise ShapeError(
             "cross matrix must be (t, %d), got shape %r" % (model.n_fit, c.shape)
         )
-    if c.shape[0] == 0:
-        return np.zeros((0, model.n_components))
-    out = np.empty_like(c) if out is None else out
     return _center(c, model.row_means, model.total_mean, out) @ model.alphas
 
 
-def _center(cross, row_means, total_mean, out, own_means=None):
+def _center(cross, row_means, total_mean, out=None, own_means=None):
     """Centre the float64 ``cross`` against a fit set's ``row_means`` and
     ``total_mean`` into ``out``: cross - its own row means - row_means +
     total_mean, in that order.  ``own_means`` are ``cross.mean(axis=1)``
-    when the caller has them already.  ``out`` may be ``cross``."""
+    when the caller has them already.  ``out`` may be ``cross``; None
+    makes a new array, laid out as ``cross``."""
     if own_means is None:
         own_means = cross.mean(axis=1)
-    np.subtract(cross, own_means[:, None], out=out)
+    out = np.subtract(cross, own_means[:, None], out=out)
     out -= row_means[None, :]
     out += total_mean
     return out

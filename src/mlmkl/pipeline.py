@@ -191,8 +191,10 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     a row per gamma and a column per width, on the rows ``fit_idx`` of
     ``features`` (None means all of them); every row is transformed.
 
-    Returns, row by row, each candidate's ``LayerFit``, or the exception
-    that stopped it.  The candidates share the stages: one weight problem,
+    Returns, row by row, each candidate's ``LayerFit``, or the
+    ``MlmklError`` that stopped it: every failure that data can cause on
+    the layer path, ``score``'s included, is one.  Any other exception is a
+    bug and propagates.  The candidates share the stages: one weight problem,
     one QP per gamma, and per distinct weight vector one combined Gram, one
     kernel PCA at the largest component count, one training cross (none
     when every row is a fit row: those take their training projections)
@@ -208,13 +210,12 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     kernel PCA, which equal its own to round-off (``kpca.leading``), not
     bit for bit.
     """
-    failures = (MlmklError, ValueError)
     x, kernels = _as_matrix(features, "features"), grid[0][0].kernels
     # a copy either way, made once: every candidate's layer keeps it as its fit rows
     xs = np.array(x, copy=True) if fit_idx is None else x[fit_idx]
     try:
         problem = problem_from_features(xs, kernels, grid[0][0].basis_size)
-    except failures as exc:
+    except MlmklError as exc:
         return [exc] * sum(map(len, grid))
     counts = [cand.components for cand in grid[0]]
     top = counts.index(max(counts))
@@ -232,7 +233,7 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
             # before the validation cross, as each candidate fitted alone would
             kps = [kp if i == top else kpca.leading(kp, n) for i, n in enumerate(counts)]
             valid_cross = None if valid is None else combined_cross(valid, xs, kernels, weights)
-        except failures as exc:
+        except MlmklError as exc:
             return kp, [exc] * len(row)
         row_cells = []
         for cand, kc in zip(row, kps):
@@ -250,7 +251,7 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
                 reduced = None if valid_cross is None else kpca.transform(kept, valid_cross)
                 scored = None if score is None else score(train, reduced)
                 row_cells.append(LayerFit(layer, train, reduced, scored))
-            except failures as exc:
+            except MlmklError as exc:
                 row_cells.append(exc)
         return kp, row_cells
 
@@ -259,7 +260,7 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     for row in grid:
         try:
             weights = solve_simplex_qp(assemble_qp(problem, row[0].gamma))
-        except failures as exc:
+        except MlmklError as exc:
             cells += [exc] * len(row)
             continue
         key = weights.mu.tobytes()
@@ -420,9 +421,8 @@ def _stack(features, labels, config, seed, valid=None):
                     rep, y, valid_rep, valid.labels, config.classifier, config.probe_cap)
             except MlmklError as exc:
                 m = min(config.probe_cap, rep.shape[0])
-                probe = "%d training row%s" % (m, "" if m == 1 else "s")
-                raise type(exc)("layer %d validation probe on %s (probe_cap %d): %s"
-                                % (index + 1, probe, config.probe_cap, exc)) from None
+                raise type(exc)("layer %d validation probe on %d training rows (probe_cap %d): %s"
+                                % (index + 1, m, config.probe_cap, exc)) from None
         clock = time.perf_counter()
     clf = config.classifier
     machine = train_classifier(rep, y, clf.kernel, c=clf.c, tol=clf.tol)

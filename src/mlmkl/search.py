@@ -84,7 +84,7 @@ def grid_search(dataset, config, seed=0):
         feasible = np.all(np.isfinite(errors), axis=1)
         if not np.any(feasible):
             raise ConfigError("every layer %d candidate failed, e.g.: %s"
-                              % (li + 1, notes.get((li, 0), "unknown")))
+                              % (li + 1, notes[li, 0]))
         means = np.full(len(candidates), np.inf)
         stds = np.full(len(candidates), np.inf)
         means[feasible] = errors[feasible].mean(axis=1)

@@ -306,7 +306,4 @@ def decision_values(model, cross):
 
 def predict(model, cross):
     """Class ids with the largest decision value, ties to the smaller id."""
-    d = decision_values(model, cross)
-    if d.shape[0] == 0:
-        return model.classes[:0].copy()
-    return model.classes[np.argmax(d, axis=1)]
+    return model.classes[np.argmax(decision_values(model, cross), axis=1)]

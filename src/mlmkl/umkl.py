@@ -110,7 +110,10 @@ def build_local_bases(linear_gram, basis_size):
 
     Distances come from the linear Gram (||x_i - x_j||^2 = P_ii + P_jj
     - 2 P_ij, clipped at zero), a slab of rows at a time; the sample
-    itself is excluded and ties are broken toward the smaller index.
+    itself is excluded and ties are broken toward the smaller index.  A
+    row whose squared norm P_ii is above an eighth of the float range, or
+    not finite, raises ``NumericalFailureError`` naming it: its distances
+    could overflow, and NaN or inf distances rank no neighbours.
     """
     p = np.asarray(linear_gram, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -121,6 +124,11 @@ def build_local_bases(linear_gram, basis_size):
             "basis size must be an integer in [1, %d], got %r" % (n - 1, basis_size)
         )
     d = np.diag(p)
+    # ||x_i - x_j||^2 <= 2 (P_ii + P_jj): squared norms within an eighth of
+    # the float range keep each distance, and each term of it, finite
+    small = d <= np.finfo(np.float64).max / 8
+    if not small.all():
+        raise NumericalFailureError("squared distances from row %d overflow" % np.argmin(small))
     indices = np.empty((n, basis_size), dtype=np.int64)
     step = _slab_rows(n)
     for start in range(0, n, step):
@@ -171,7 +179,8 @@ def problem_from_features(features, specs, basis_size):
     """Neighbour bases, each kernel's entries at them and each sample's
     local linear Gram, all from P = x x^T, which is dropped on return."""
     x = _as_matrix(features, "features")
-    p = x @ x.T  # exactly symmetric for the contiguous rows of _as_matrix
+    with np.errstate(over="ignore", invalid="ignore"):  # build_local_bases fails what overflows
+        p = x @ x.T  # exactly symmetric for the contiguous rows of _as_matrix
     bases = build_local_bases(p, basis_size)
     idx, cols = bases.indices, np.arange(x.shape[0])[:, None]
     ext = np.concatenate([cols, idx], axis=1)  # each sample, then its bases

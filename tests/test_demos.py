@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion."""
+"""Every script in demos/ runs to completion, with numpy's warnings of
+overflow and invalid values as errors, as in the rest of the suite."""
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ def test_demo_runs(script, tmp_path):
     # without its data files the benchmark demo says where to put them and stops
     env.pop("MLMKL_DATA_DIR", None)
     result = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr

@@ -6,6 +6,7 @@ import pytest
 
 from mlmkl import kernels
 from mlmkl.errors import (
+    DegenerateRecursionError,
     ParseError,
     ShapeError,
     UnsupportedDegreeError,
@@ -445,8 +446,9 @@ def test_a_combination_evaluates_only_its_kernels_of_nonzero_weight():
     assert_same_bits(cross_gram(x, x, ((1.0, linear),)), cross_gram(x, x, linear))
     with pytest.raises(ZeroVectorError):
         gram(x, ((0.5, arc), (0.5, linear)))
-    with pytest.raises(ValueError, match="all zero"):
-        cross_gram(x, x, ((0.0, arc), (0.0, linear)))
+    for rows in (x, x[:0]):  # the one weights check, whatever the row count
+        with pytest.raises(ValueError, match="all zero"):
+            cross_gram(rows, x, ((0.0, arc), (0.0, linear)))
 
 
 @pytest.mark.parametrize("text", EVERY_FAMILY)
@@ -602,12 +604,50 @@ def test_cross_gram_shapes_and_edges():
     y = rng.uniform(0.1, 1.0, size=(3, 4))
     spec = parse_kernel("rbf(gamma=1)")
     assert cross_gram(y, x, spec).shape == (3, 6)
-    empty = cross_gram(np.zeros((0, 4)), x, spec)
-    assert empty.shape == (0, 6)
+    # no rows go through the general code of every family and of a combination
+    combination = ((0.25, parse_kernel("arccos(n=1,L=2)")), (0.0, parse_kernel("linear")),
+                   (0.75, spec))
+    for kernel in [parse_kernel(text) for text in EVERY_FAMILY] + [combination]:
+        empty = cross_gram(np.zeros((0, 4)), x, kernel)
+        assert empty.shape == (0, 6) and empty.dtype == np.float64 and empty.flags.c_contiguous
     with pytest.raises(ShapeError):
         cross_gram(y, np.zeros((0, 4)), spec)
     with pytest.raises(ShapeError):
         cross_gram(y, rng.uniform(size=(5, 7)), spec)
+
+
+# (row scale, kernel) where an arc-cosine level's scale, or the power of it
+# that scales its values, leaves the normal float range: the values were all
+# zeros (the first two) or held inf (the third), or failed only after numpy's
+# overflow warnings (the fourth)
+OUT_OF_RANGE = [(1e-100, "arccos(n=1,L=2)"), (1e-80, "arccos(n=2,L=2)"),
+                (1e100, "arccos(n=1,L=2)"), (1e100, "arccos(n=2,L=2)")]
+
+
+@pytest.mark.parametrize("scale,text", OUT_OF_RANGE)
+def test_an_arc_cosine_scale_out_of_the_float_range_raises(scale, text):
+    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(5, 4)) * scale
+    spec = parse_kernel(text)
+    rows = KernelRows(x, spec)
+    for block in (lambda: gram(x, spec), lambda: cross_gram(x[:2], x, spec),
+                  lambda: rows[1], lambda: rows.diagonal):
+        with pytest.raises(DegenerateRecursionError, match="leaves the float range"):
+            block()
+
+
+@pytest.mark.parametrize("text", ["arccos(n=%d,L=2)" % n for n in (0, 1, 2)])
+@pytest.mark.parametrize("power", [-120, 120])
+def test_arc_cosine_values_near_the_float_range_scale_exactly(text, power):
+    # k_n at depth L is homogeneous of degree 2 n**L, and a power of two
+    # scales every step exactly: rows scaled by 2**power get the values
+    # times 2**(power * 2 n**L), bit for bit, within the range checked
+    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(5, 4))
+    spec = parse_kernel(text)
+    a = 2.0**power
+    factor = a ** (2 * spec.degree**spec.depth)
+    assert_same_bits(gram(x * a, spec).values, gram(x, spec).values * factor)
+    assert_same_bits(cross_gram(x[:2] * a, x * a, spec), cross_gram(x[:2], x, spec) * factor)
+    assert_same_bits(KernelRows(x * a, spec)[1], KernelRows(x, spec)[1] * factor)
 
 
 def test_gram_rejects_bad_input():

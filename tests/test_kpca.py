@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from mlmkl import kpca
-from mlmkl.errors import DegenerateGramError, ShapeError
+from mlmkl.errors import DegenerateGramError, NumericalFailureError, ShapeError
 from mlmkl.kernels import GramMatrix, cross_gram, gram, parse_kernel
 
 import oracle
@@ -150,6 +150,19 @@ def test_transform_empty_rows():
     model = kpca.fit(linear_gram(x), 2)
     out = kpca.transform(model, np.zeros((0, 9)))
     assert out.shape == (0, 2)
+
+
+def test_an_eigh_failure_is_a_numerical_failure(monkeypatch):
+    # LinAlgError is a ValueError, which a candidate's fit does not catch
+    def eigh(a, UPLO):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(kpca, "_DSYEVR", None)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    x = np.random.default_rng(6).normal(size=(9, 3))
+    with pytest.raises(NumericalFailureError,
+                       match="^eigh failed: Eigenvalues did not converge$"):
+        kpca.fit(linear_gram(x), 2)
 
 
 def test_transform_rejects_wrong_width():

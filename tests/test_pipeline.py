@@ -15,8 +15,10 @@ from mlmkl.config import ClassifierConfig, ExperimentConfig
 from mlmkl.errors import (
     ChecksumError,
     DegenerateLabelsError,
+    DegenerateRecursionError,
     ModelIOError,
     NonFiniteInputError,
+    NumericalFailureError,
     RowCountError,
     ShapeError,
     TruncatedModelError,
@@ -337,7 +339,33 @@ def test_no_rows_give_no_labels():
     x, y = blob_data()
     model = pipeline.fit(x, y, default_configs(), subsample=0)
     assert pipeline.transform(model, np.zeros((0, 30))).shape == (0, 4)
-    assert pipeline.predict(model, np.zeros((0, 30))).shape == (0,)
+    labels = pipeline.predict(model, np.zeros((0, 30)))
+    assert labels.shape == (0,) and labels.dtype == model.classifier.classes.dtype
+
+
+def test_rows_too_large_for_the_arc_cosine_classifier_raise_rather_than_predict():
+    # their features' norms overflow: the decision values were NaN and every
+    # row was predicted the first class
+    x, y = blob_data()
+    model = pipeline.fit(x, y, [LayerConfig(kernels=(LINEAR,), width=4, basis_size=5)],
+                         subsample=0)
+    assert model.classifier.kernel == ClassifierConfig.kernel == ARC
+    np.testing.assert_array_equal(pipeline.predict(model, x[y == 1]), 1)
+    with pytest.raises(DegenerateRecursionError, match="leaves the float range"):
+        pipeline.predict(model, x[y == 1] * 1e155)
+
+
+def test_rows_whose_linear_gram_overflows_fail_the_layer():
+    # their neighbour distances were NaN, which left the tie cut no
+    # neighbours and ended in numpy's broadcast error
+    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(80, 5)) * 1e160
+    y = np.arange(80) % 3
+    cfg = LayerConfig(kernels=(parse_kernel("rbf(gamma=0.05)"),), width=4, basis_size=5)
+    message = "squared distances from row 0 overflow"
+    with pytest.raises(NumericalFailureError, match="^%s$" % message):
+        fit_layer(x, y, cfg)
+    (cell,) = pipeline.fit_layer_grid(x, y, [[cfg]])
+    assert type(cell) is NumericalFailureError and str(cell) == message
 
 
 def test_predict_holds_a_few_blocks_of_cross_gram(monkeypatch):

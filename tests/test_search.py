@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_equal_to_round_off, direction_blobs
-from mlmkl import data, kpca, pipeline, search, umkl
+from mlmkl import data, featsel, kpca, pipeline, search, umkl
 from mlmkl.config import parse_config
 from mlmkl.errors import (
     ConfigError, DegenerateGramError, InvalidBasisSizeError, InvalidWidthError,
@@ -214,6 +214,23 @@ def test_a_failing_stage_stops_the_candidates_it_stops_when_fitted_alone(monkeyp
                 assert_equal_to_round_off(reduced, f.train)
             np.testing.assert_array_equal(f.train, cell.train)
             np.testing.assert_array_equal(layer.selected, f.layer.selected)
+
+
+def test_an_error_that_is_not_the_packages_propagates_from_every_layer_entry(monkeypatch):
+    # a plain ValueError on the layer path is a bug, not a candidate's failure
+    def select(features, labels, width):
+        raise ValueError("a bug in a stage")
+
+    monkeypatch.setattr(featsel, "select", select)
+    cfg = experiment(GAMMAS, repeats=1)
+    train = data.split(corpus(), 40, 20, seed=0)[0]
+    cand = replace(cfg.layers[0], gamma=GAMMAS[0])
+    for entry in (lambda: pipeline.fit_layer_grid(train.features, train.labels, [[cand]]),
+                  lambda: pipeline.fit_layer(train.features, train.labels, cand),
+                  lambda: search.grid_search(corpus(), cfg, seed=0)):
+        with pytest.raises(ValueError, match="^a bug in a stage$") as raised:
+            entry()
+        assert raised.type is ValueError
 
 
 def test_a_zero_training_row_is_named_before_a_degenerate_gram(monkeypatch):

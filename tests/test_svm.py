@@ -155,14 +155,16 @@ def test_prediction_ties_break_to_smaller_class_id():
 
 
 def test_predict_empty_input():
-    model = svm.SvmModel(
-        classes=np.array([0, 1], dtype=np.int64),
-        support=np.array([0], dtype=np.int64),
-        dual_coef=np.zeros((2, 1)),
-        biases=np.zeros(2),
-        c=1.0,
-    )
-    assert svm.predict(model, np.zeros((0, 1))).shape == (0,)
+    for dtype in (np.int64, np.int32, np.float64, "<U3"):
+        model = svm.SvmModel(
+            classes=np.array([0, 1], dtype=dtype),
+            support=np.array([0], dtype=np.int64),
+            dual_coef=np.zeros((2, 1)),
+            biases=np.zeros(2),
+            c=1.0,
+        )
+        labels = svm.predict(model, np.zeros((0, 1)))
+        assert labels.shape == (0,) and labels.dtype == model.classes.dtype
 
 
 def test_decision_values_shape_check():

@@ -25,6 +25,21 @@ SPECS = [parse_kernel("rbf(gamma=0.5)"), parse_kernel("linear"),
          parse_kernel("arccos(n=1,L=1)")]
 
 
+def test_rows_whose_squared_distances_would_overflow_are_named():
+    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(8, 5))
+    x[3] *= 1e160  # its squared norm overflows
+    with pytest.raises(NumericalFailureError, match="^squared distances from row 3 overflow$"):
+        problem_from_features(x, SPECS, 2)
+    x[3] /= 1e160
+    # finite squared norms of 1.44e308, but their distance, 2.88e308, overflows
+    x[2], x[5] = 1.2e154 * np.eye(5)[:2]
+    with pytest.raises(NumericalFailureError, match="^squared distances from row 2 overflow$"):
+        build_local_bases(x @ x.T, 2)
+    # an eighth of the float range is the largest squared norm taken
+    x[2], x[5] = np.sqrt(np.finfo(np.float64).max / 8) * np.eye(5)[:2]
+    build_local_bases(x @ x.T, 2)
+
+
 GAMMA = 0.1
 
 
