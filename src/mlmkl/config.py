@@ -135,9 +135,9 @@ class CvConfig:
     the layer's value.  ``ExperimentConfig`` checks each gamma and width as
     a field of a candidate layer."""
 
-    kernel_sets: tuple  # tuple of tuples of KernelSpec
-    gammas: tuple
-    widths: tuple
+    kernel_sets: tuple = ()  # tuple of tuples of KernelSpec
+    gammas: tuple = ()
+    widths: tuple = ()
     svm_c: tuple = SVM_C_GRID
     repeats: int = 3
 
@@ -262,21 +262,18 @@ def _classifier(entry):
 
 
 def _cv(entry):
-    _object(entry, "cv", ("kernels", "gamma", "width", "svm_c", "repeats"))
-    groups = entry.get("kernels", ())
-    if "kernels" in entry and (not isinstance(groups, list) or not groups):
-        raise ConfigError("cv.kernels must be a nonempty list of kernel lists")
-    values = {
-        "kernel_sets": tuple(_kernel_list(group, "cv.kernels[%d]" % i)
-                             for i, group in enumerate(groups)),
-        "gammas": _list(entry.get("gamma", []), "cv.gamma"),
-        "widths": _list(entry.get("width", []), "cv.width"),
-    }
-    if "svm_c" in entry:
-        values["svm_c"] = _list(entry["svm_c"], "cv.svm_c")
-    if "repeats" in entry:
-        values["repeats"] = entry["repeats"]
-    return _build(CvConfig, "cv", values)
+    values = dict(_object(entry, "cv", ("kernels", "gamma", "width", "svm_c", "repeats")))
+    if "kernels" in values:
+        groups = values["kernels"]
+        if not isinstance(groups, list) or not groups:
+            raise ConfigError("cv.kernels must be a nonempty list of kernel lists")
+        values["kernels"] = tuple(_kernel_list(group, "cv.kernels[%d]" % i)
+                                  for i, group in enumerate(groups))
+    for key in ("gamma", "width", "svm_c"):
+        if key in values:
+            values[key] = _list(values[key], "cv." + key)
+    return _build(CvConfig, "cv", values,
+                  {"kernels": "kernel_sets", "gamma": "gammas", "width": "widths"})
 
 
 def parse_config(raw):

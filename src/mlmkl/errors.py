@@ -7,7 +7,16 @@ interesting cases (bad input files, corrupted models, numerical collapse).
 
 
 class MlmklError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    One about a single input row carries it, 0-based, as ``row`` (None
+    otherwise), so that rows passed on in blocks can be named by their
+    place in the whole batch.
+    """
+
+    def __init__(self, reason, row=None):
+        super().__init__(reason if row is None else "%s %d" % (reason, row))
+        self.reason, self.row = reason, row
 
 
 class ShapeError(MlmklError):
@@ -23,15 +32,7 @@ class RowCountError(MlmklError, ValueError):
 
 
 class ZeroVectorError(MlmklError):
-    """An input vector has zero norm where a direction is required.
-
-    Carries the offending 0-based row, so that rows passed on in blocks
-    can be named by their place in the whole batch.
-    """
-
-    def __init__(self, reason, row=None):
-        super().__init__(reason if row is None else "%s %d" % (reason, row))
-        self.reason, self.row = reason, row
+    """An input vector has zero norm where a direction is required."""
 
 
 class UnsupportedDegreeError(MlmklError):

@@ -36,16 +36,12 @@ def check_labels(labels, n):
     return y, classes
 
 
-def _check_inputs(features, labels):
+def anova_f_scores(features, labels):
+    """One-way ANOVA F statistic of every feature against the labels."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
         raise ShapeError("features must be 2-d, got shape %r" % (x.shape,))
-    return (x, *check_labels(labels, x.shape[0]))
-
-
-def anova_f_scores(features, labels):
-    """One-way ANOVA F statistic of every feature against the labels."""
-    x, y, classes = _check_inputs(features, labels)
+    y, classes = check_labels(labels, x.shape[0])
     n, d = x.shape
     c = classes.size
     grand = x.mean(axis=0)
@@ -68,11 +64,11 @@ def anova_f_scores(features, labels):
 def select(features, labels, width):
     """Keep the ``width`` best features; returns the ranking and the
     reduced matrix with columns in descending-score order."""
-    x, y, _ = _check_inputs(features, labels)
-    d = x.shape[1]
+    scores = anova_f_scores(features, labels)
+    d = scores.size
     if not isinstance(width, (int, np.integer)) or not 1 <= width <= d:
         raise InvalidWidthError("width must be an integer in [1, %d], got %r" % (d, width))
-    scores = anova_f_scores(x, y)
     order = np.argsort(-scores, kind="stable")
     selected = order[:width].copy()
+    x = np.asarray(features, dtype=np.float64)
     return FeatureRanking(scores=scores, order=order, selected=selected), x[:, selected]

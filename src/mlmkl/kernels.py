@@ -47,10 +47,14 @@ inputs as a one-row Gram, so their angle is pinned too.  An unpinned
 duplicate costs degree 0 only: J_0 has slope -1 at theta = 0, so its
 value moves by ~1e-8 at the first level and ~4e-5 at the second, while
 J_1 and J_2 are flat there and their duplicates stay at round-off.
-An arc-cosine level whose scale, the product of row and column norms or
-self-kernels, or the power of it that scales the values, leaves the
-normal float range raises ``DegenerateRecursionError``: there the values
-would be zeros, inf or NaN.
+The arc-cosine factors of a row set, its norms and each later level's
+self-kernels, are made once per set (``_row_terms``), and its range is
+checked there: a set whose scales, or the power of them that scales the
+values, leave the normal float range raises ``DegenerateRecursionError``,
+as its values would be zeros, inf or NaN.  Two sets that pass bound every
+pair between them, so no block, slab or kernel row is checked again.  A
+row that is not all zeros is no zero row, even when its norm underflows:
+it fails the range check.
 """
 from __future__ import annotations
 
@@ -320,19 +324,34 @@ def _as_matrix(x, name):
 
 
 def _row_norms(x):
-    """Row norms, which the arc-cosine kernel needs nonzero; one that
-    overflows is inf, which fails the kernel's range check."""
+    """Row norms, which the arc-cosine kernel needs nonzero.  Only a row
+    whose entries are all zero is a zero row: a norm that underflows to 0
+    or overflows to inf fails the kernel's range check instead."""
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(x, axis=1)
-    if np.any(norms == 0.0):
-        raise ZeroVectorError("arc-cosine kernel undefined for zero row", int(np.argmin(norms)))
+    zero = ~x.any(axis=1)
+    if zero.any():
+        raise ZeroVectorError("arc-cosine kernel undefined for zero row", int(np.argmax(zero)))
     return norms
 
 
 def _row_terms(x, spec):
-    """Row norms for arc-cosine, squared norms for rbf, zeros otherwise."""
+    """What each row of ``x`` brings to its kernel values: squared norms
+    for rbf, zeros for the linear and polynomial kernels, and for
+    arc-cosine a (depth, n) array of each level's factors: the row norms
+    at level 1, then each later level's self-kernels J_n(0)/pi s**n, where
+    s is the level before's self-kernel (at level 2, the squared norm).
+    An arc-cosine row set's range is checked here, once
+    (``_check_scale``); one without rows has nothing to check."""
     if spec.family is KernelFamily.ARC_COSINE:
-        return _row_norms(x)
+        f = np.empty((spec.depth, x.shape[0]))
+        s = f[0] = _row_norms(x)
+        with np.errstate(over="ignore"):  # an overflow fails the range check
+            for level in range(1, spec.depth):
+                s = f[level] = _J0_OVER_PI[spec.degree] * (s * s if level == 1 else s)**spec.degree
+        if x.shape[0]:
+            _check_scale(f, spec.degree)
+        return f
     if spec.family is KernelFamily.GAUSSIAN:
         return np.einsum("ij,ij->i", x, x)
     return np.zeros(x.shape[0])
@@ -369,41 +388,38 @@ def _j_n_of_cosine(c, degree):
     return c
 
 
-def _check_scale(rows, cols, degree, level):
-    """Raise ``DegenerateRecursionError`` unless an arc-cosine level's
-    scales, the products of its ``rows`` and ``cols`` factors (the norms at
-    level 0, under a square root the self-kernels after it), and the power
-    J_n(0)/pi scale**degree that bounds its values lie in the normal float
-    range, outside which the values would be zeros, inf or NaN.  IEEE
-    products and roots are monotone, so the factors' extremes bound every
-    entry: the check reads the factors alone, as Python floats, which
-    overflow to inf without a warning.  2**-1022 is the least normal float."""
-    p = float(rows.min()) * float(cols.min()), float(rows.max()) * float(cols.max())
-    lo, hi = map(math.sqrt, p) if level else p
-    bounds = (*p, math.prod([lo] * degree), _J0_OVER_PI[degree] * math.prod([hi] * degree))
-    if not all(2.0**-1022 <= b < math.inf for b in bounds):
-        raise DegenerateRecursionError("arc-cosine level %d leaves the float range" % (level + 1))
+def _check_scale(factors, degree):
+    """Raise ``DegenerateRecursionError`` unless every arc-cosine level of
+    one row set, its ``factors`` as ``_row_terms`` gives them, has scales
+    in the normal float range, outside which its values would be zeros,
+    inf or NaN.  A level's scale is the product of two rows' factors (under
+    a square root after level 1), and J_n(0)/pi scale**degree bounds its
+    values.  IEEE products and roots are monotone, so the factors'
+    extremes bound every pair of the set, and two sets that pass bound
+    every pair between them too: checking each row set once covers every
+    block of them.  The check reads the extremes alone, as Python floats,
+    which overflow to inf without a warning.  2**-1022 is the least normal
+    float."""
+    for level, s in enumerate(factors, 1):
+        p = tuple(float(v) * float(v) for v in (s.min(), s.max()))
+        lo, hi = map(math.sqrt, p) if level > 1 else p
+        bounds = (*p, math.prod([lo] * degree), _J0_OVER_PI[degree] * math.prod([hi] * degree))
+        if not all(2.0**-1022 <= b < math.inf for b in bounds):
+            raise DegenerateRecursionError("arc-cosine level %d leaves the float range" % level)
 
 
-def _arc_cosine_values(k, r, c, degree, depth, same):
+def _arc_cosine_values(k, r, c, degree, same):
     """Arc-cosine kernel values from dot products ``k`` (overwritten) and
-    the norms ``r`` of their rows and ``c`` of their columns.  Each level
-    turns the values of the level before into cosines, by the norms at
-    level 1 and by that level's self-kernels after it.  ``same`` (as in
+    the level factors (``_row_terms``) ``r`` of their rows and ``c`` of
+    their columns, already range-checked.  Each level turns the values of
+    the level before into cosines, by the norms r c at level 1 and by
+    sqrt of the self-kernels' product after it.  ``same`` (as in
     ``_kernel_values``) pins the diagonal angle to zero at every level,
     which keeps the degree-0 diagonal at exactly 1 and the degree-1 one at
     exactly the squared norms.
     """
-    c0 = _J0_OVER_PI[degree]
-    s_rows, s_cols = r, c  # the factors of the level's scale: r c at level 0
-    for level in range(depth):
-        if level:
-            with np.errstate(over="ignore"):  # an overflow fails the range check
-                if level == 1:
-                    s_rows, s_cols = r * r, c * c
-                s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
-        _check_scale(s_rows, s_cols, degree, level)
-        scale = np.sqrt(s_rows * s_cols) if level else r * c
+    for level, (s_rows, s_cols) in enumerate(zip(r, c)):
+        scale = np.sqrt(s_rows * s_cols) if level else s_rows * s_cols
         k /= scale
         np.clip(k, -1.0, 1.0, out=k)
         _pin(k, same, 1.0)
@@ -429,13 +445,15 @@ def _pin(k, same, value):
 def _kernel_values(dots, r, c, spec, same):
     """Fill ``dots``, dot products, with their kernel values, elementwise,
     and return it; ``r`` are the ``_row_terms`` of their rows and ``c`` of
-    their columns, broadcast to them.  ``same`` is the column of the
+    their columns, broadcast to them behind an arc-cosine kernel's leading
+    level axis (indexed ``[..., rows, None]`` and ``[..., None, :]``, which
+    fits every family).  ``same`` is the column of the
     block's first diagonal entry, whose diagonal (row i, column same + i)
     is pinned as a same-set Gram's, or None for a block without one.  A
     1-d ``dots`` with ``same`` set is a same-set diagonal, x_i . x_i, and
     every entry is pinned."""
     if spec.family is KernelFamily.ARC_COSINE:
-        return _arc_cosine_values(dots, r, c, spec.degree, spec.depth, same)
+        return _arc_cosine_values(dots, r, c, spec.degree, same)
     if spec.family is KernelFamily.GAUSSIAN:
         # in the order of r + c - 2 dots and exp(-gamma * sq), so the bits
         # are those of the plain expression
@@ -479,7 +497,7 @@ def _kernel_block(x_rows, x_cols, terms, same):
         rows = slice(start, start + step)
         for t, (w, spec) in enumerate(terms):
             dots = k[rows] if t == len(terms) - 1 else k[rows].copy()
-            value = _kernel_values(dots, r[t][rows, None], c[t][None, :], spec,
+            value = _kernel_values(dots, r[t][..., rows, None], c[t][..., None, :], spec,
                                    start if same else None)
             if w != 1.0:
                 value *= w
@@ -584,8 +602,8 @@ class KernelRows:
             slot = self.computed
             row = self._buffer[slot:slot + 1]
             np.matmul(self._x[i:i + 1], self._x.T, out=row)
-            _kernel_values(row, self._terms[i:i + 1, None], self._terms[None, :], self._spec,
-                           same=i)
+            terms = self._terms
+            _kernel_values(row, terms[..., i:i + 1, None], terms[..., None, :], self._spec, same=i)
             self._slot[i] = slot
             self.computed += 1
         return self._buffer[slot]

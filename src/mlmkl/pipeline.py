@@ -65,7 +65,6 @@ from .errors import (
     ShapeError,
     TruncatedModelError,
     UnsupportedVersionError,
-    ZeroVectorError,
 )
 from .kernels import (
     KernelFamily, KernelRows, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
@@ -501,9 +500,9 @@ _BLOCK_ROWS = 1024
 
 def _in_blocks(features, step):
     """``step`` applied to the rows of ``features`` ``_BLOCK_ROWS`` at a
-    time, its outputs stacked in row order; a zero row is named by its
-    place in the batch.  What is not a matrix of rows, or has none, is
-    passed whole."""
+    time, its outputs stacked in row order; a row that an error names is
+    named by its place in the batch.  What is not a matrix of rows, or has
+    none, is passed whole."""
     x = _finite(features)
     if x.ndim != 2 or x.shape[0] == 0:
         return step(x)
@@ -511,8 +510,10 @@ def _in_blocks(features, step):
     for start in range(0, x.shape[0], _BLOCK_ROWS):
         try:
             outs.append(step(x[start:start + _BLOCK_ROWS]))
-        except ZeroVectorError as exc:
-            raise ZeroVectorError(exc.reason, start + exc.row) from None
+        except MlmklError as exc:
+            if exc.row is None:
+                raise
+            raise type(exc)(exc.reason, start + exc.row) from None
     return np.concatenate(outs)
 
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ClassifierConfig, _real
-from .errors import DegenerateLabelsError, ShapeError
+from .errors import DegenerateLabelsError, NumericalFailureError, ShapeError
 from .featsel import check_labels
 from .kernels import GramMatrix, KernelRows, _gram_values
 
@@ -305,5 +305,11 @@ def decision_values(model, cross):
 
 
 def predict(model, cross):
-    """Class ids with the largest decision value, ties to the smaller id."""
-    return model.classes[np.argmax(decision_values(model, cross), axis=1)]
+    """Class ids with the largest decision value, ties to the smaller id.
+    A row whose decision values are not all finite, where argmax would
+    answer the first class, raises ``NumericalFailureError``."""
+    values = decision_values(model, cross)
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        raise NumericalFailureError("non-finite decision values in row", int(np.argmin(finite)))
+    return model.classes[np.argmax(values, axis=1)]

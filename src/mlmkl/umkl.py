@@ -186,7 +186,7 @@ def problem_from_features(features, specs, basis_size):
     ext = np.concatenate([cols, idx], axis=1)  # each sample, then its bases
     local = p[ext[:, :, None], ext[:, None, :]]
     terms = [_row_terms(x, s) for s in specs]
-    entries = [_kernel_values(p[idx, cols], r[idx], r[cols], s, same=None)
+    entries = [_kernel_values(p[idx, cols], r[..., idx], r[..., cols], s, same=None)
                for r, s in zip(terms, specs)]
     return UmklProblem(np.stack(entries, axis=2), local, bases)
 

@@ -105,7 +105,8 @@ def kernel_block(x_rows, x_cols, spec, same):
     elementwise steps over the whole ``x_rows @ x_cols.T`` at once."""
     r = _row_terms(x_rows, spec)
     c = r if same else _row_terms(x_cols, spec)
-    return _kernel_values(x_rows @ x_cols.T, r[:, None], c[None, :], spec, 0 if same else None)
+    return _kernel_values(x_rows @ x_cols.T, r[..., :, None], c[..., None, :], spec,
+                          0 if same else None)
 
 
 def weighted_block(x_rows, x_cols, specs, weights, same):

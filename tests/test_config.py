@@ -130,7 +130,7 @@ def test_cv_defaults():
     assert cv.svm_c == SVM_C_GRID
     assert cv.repeats == 3
     defaults = field_defaults(CvConfig)
-    assert set(defaults) == {"svm_c", "repeats"}
+    assert set(defaults) == {"kernel_sets", "gammas", "widths", "svm_c", "repeats"}
     assert {name: getattr(cv, name) for name in defaults} == defaults
 
 

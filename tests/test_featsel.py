@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from mlmkl import featsel
 from mlmkl.errors import DegenerateLabelsError, InvalidWidthError, MlmklError, ShapeError
 from mlmkl.featsel import anova_f_scores, select
 
@@ -123,3 +124,23 @@ def test_degenerate_labels():
 def test_shape_mismatch():
     with pytest.raises(ShapeError):
         anova_f_scores(np.zeros((4, 2)), np.array([0, 1]))
+
+
+def test_select_checks_its_inputs_once_and_in_order(monkeypatch):
+    # the features, then the labels, then the width, each checked once
+    calls = []
+    check_labels = featsel.check_labels
+
+    def counted(labels, n):
+        calls.append(n)
+        return check_labels(labels, n)
+
+    monkeypatch.setattr(featsel, "check_labels", counted)
+    x = np.random.default_rng(6).normal(size=(6, 3))
+    y = np.array([0, 1, 0, 1, 0, 1])
+    select(x, y, 2)
+    assert calls == [6]
+    for features, labels, error in [(x[0], y, ShapeError), (x, y[:4], ShapeError),
+                                    (x, np.zeros(6), DegenerateLabelsError)]:
+        with pytest.raises(error):
+            select(features, labels, 0)

@@ -460,7 +460,8 @@ def test_kernel_values_fill_and_return_the_dots_they_are_given(text):
     terms = kernels._row_terms(x, spec)
     for same in (None, 0):
         dots = x @ x.T
-        assert kernels._kernel_values(dots, terms[:, None], terms[None, :], spec, same) is dots
+        assert kernels._kernel_values(dots, terms[..., :, None], terms[..., None, :], spec,
+                                      same) is dots
     assert_same_bits(dots, gram(x, spec).values)
 
 
@@ -619,20 +620,68 @@ def test_cross_gram_shapes_and_edges():
 # (row scale, kernel) where an arc-cosine level's scale, or the power of it
 # that scales its values, leaves the normal float range: the values were all
 # zeros (the first two) or held inf (the third), or failed only after numpy's
-# overflow warnings (the fourth)
+# overflow warnings (the fourth); the fifth's norms underflow to 0, and its
+# rows, none of them zero, were called zero rows
 OUT_OF_RANGE = [(1e-100, "arccos(n=1,L=2)"), (1e-80, "arccos(n=2,L=2)"),
-                (1e100, "arccos(n=1,L=2)"), (1e100, "arccos(n=2,L=2)")]
+                (1e100, "arccos(n=1,L=2)"), (1e100, "arccos(n=2,L=2)"),
+                (1e-170, "arccos(n=1,L=1)")]
 
 
 @pytest.mark.parametrize("scale,text", OUT_OF_RANGE)
 def test_an_arc_cosine_scale_out_of_the_float_range_raises(scale, text):
-    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(5, 4)) * scale
+    # each row set is checked on its own, so a KernelRows fails as it is
+    # built, and a cross fails when either its rows or its columns alone
+    # leave the range
+    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(5, 4))
     spec = parse_kernel(text)
-    rows = KernelRows(x, spec)
-    for block in (lambda: gram(x, spec), lambda: cross_gram(x[:2], x, spec),
-                  lambda: rows[1], lambda: rows.diagonal):
+    far = x * scale
+    for block in (lambda: gram(far, spec), lambda: cross_gram(far[:2], far, spec),
+                  lambda: KernelRows(far, spec), lambda: cross_gram(far[:2], x, spec),
+                  lambda: cross_gram(x[:2], far, spec)):
         with pytest.raises(DegenerateRecursionError, match="leaves the float range"):
             block()
+
+
+def test_the_range_check_runs_once_per_arc_cosine_kernel_per_row_set(monkeypatch):
+    # never per slab or per kernel row: the factors and their check belong
+    # to the row set
+    calls = []
+    check_scale = kernels._check_scale
+
+    def counted(factors, degree):
+        calls.append(factors.shape)
+        check_scale(factors, degree)
+
+    monkeypatch.setattr(kernels, "_check_scale", counted)
+    x = np.random.default_rng(21).uniform(0.05, 1.0, size=(300, 4))
+    arc, deep = parse_kernel("arccos(n=1,L=1)"), parse_kernel("arccos(n=2,L=3)")
+    assert kernels._slab_rows(300) < 150  # gram walks more than one slab
+    gram(x, arc)
+    assert calls == [(1, 300)]
+    calls.clear()
+    gram(x, ((0.5, arc), (0.25, parse_kernel("linear")), (0.25, deep)))
+    assert calls == [(1, 300), (3, 300)]
+    calls.clear()
+    cross_gram(x[:200], x, deep)
+    assert calls == [(3, 200), (3, 300)]
+    calls.clear()
+    rows = KernelRows(x, deep)
+    for i in range(100):
+        rows[i]
+    rows.diagonal
+    assert calls == [(3, 300)] and rows.computed == 100
+
+
+def test_a_zero_row_is_a_row_of_zeros():
+    # named by its index among rows too small for the range, which fail
+    # the range check; a tiny row whose norm does not underflow keeps its bits
+    x = np.random.default_rng(0).uniform(0.1, 1.1, size=(5, 4))
+    spec = parse_kernel("arccos(n=0,L=1)")
+    tiny = x * 1e-170
+    tiny[3] = 0.0
+    with pytest.raises(ZeroVectorError, match="^arc-cosine kernel undefined for zero row 3$"):
+        gram(tiny, spec)
+    assert_same_bits(gram(x * 2.0**-500, spec).values, gram(x, spec).values)
 
 
 @pytest.mark.parametrize("text", ["arccos(n=%d,L=2)" % n for n in (0, 1, 2)])

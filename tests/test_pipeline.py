@@ -355,6 +355,25 @@ def test_rows_too_large_for_the_arc_cosine_classifier_raise_rather_than_predict(
         pipeline.predict(model, x[y == 1] * 1e155)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_rows_whose_decision_values_are_not_finite_raise_rather_than_predict(monkeypatch):
+    # a polynomial kernel has no range check: its values overflow to inf,
+    # the decision values were NaN and every row was predicted class 0
+    x, y = direction_blobs(10, 30, [(0, 8), (15, 23), (4, 27), (10, 19)])
+    model = pipeline.fit(x, y, [LayerConfig(kernels=(LINEAR,), width=4, basis_size=5)],
+                         subsample=0, classifier=parse_kernel("poly(degree=3)"))
+    rows = np.stack([x[y == c][0] for c in (1, 2, 3)])
+    np.testing.assert_array_equal(pipeline.predict(model, rows), [1, 2, 3])
+    with pytest.raises(NumericalFailureError, match="^non-finite decision values in row 0$"):
+        pipeline.predict(model, rows * 1e110)
+    # a row is named by its place in the batch, not in its block
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 2)
+    rows[2] *= 1e110
+    with pytest.raises(NumericalFailureError, match="^non-finite decision values in row 2$"):
+        pipeline.predict(model, rows)
+
+
 def test_rows_whose_linear_gram_overflows_fail_the_layer():
     # their neighbour distances were NaN, which left the tie cut no
     # neighbours and ended in numpy's broadcast error
