@@ -323,16 +323,15 @@ def _as_matrix(x, name):
     return arr
 
 
-def _row_norms(x):
-    """Row norms, which the arc-cosine kernel needs nonzero.  Only a row
-    whose entries are all zero is a zero row: a norm that underflows to 0
-    or overflows to inf fails the kernel's range check instead."""
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(x, axis=1)
+def _nonzero_rows(x):
+    """``x``, whose rows the arc-cosine kernel needs nonzero: the first
+    zero row raises ``ZeroVectorError``.  Only a row whose entries are all
+    zero is one: a norm that underflows to 0 or overflows to inf fails the
+    kernel's range check instead."""
     zero = ~x.any(axis=1)
     if zero.any():
         raise ZeroVectorError("arc-cosine kernel undefined for zero row", int(np.argmax(zero)))
-    return norms
+    return x
 
 
 def _row_terms(x, spec):
@@ -345,8 +344,8 @@ def _row_terms(x, spec):
     (``_check_scale``); one without rows has nothing to check."""
     if spec.family is KernelFamily.ARC_COSINE:
         f = np.empty((spec.depth, x.shape[0]))
-        s = f[0] = _row_norms(x)
         with np.errstate(over="ignore"):  # an overflow fails the range check
+            s = f[0] = np.linalg.norm(_nonzero_rows(x), axis=1)
             for level in range(1, spec.depth):
                 s = f[level] = _J0_OVER_PI[spec.degree] * (s * s if level == 1 else s)**spec.degree
         if x.shape[0]:
@@ -480,7 +479,15 @@ def _weighted_terms(spec):
     return terms
 
 
-def _kernel_block(x_rows, x_cols, terms, same):
+def _column_terms(cols, spec):
+    """The row terms (``_row_terms``) of ``cols`` under ``spec``, one
+    KernelSpec or a combination, as ``cross_gram`` makes them for its
+    columns: a caller that crosses many row blocks with the same columns
+    makes them once and passes them to each block."""
+    return [_row_terms(_as_matrix(cols, "cols"), s) for _, s in _weighted_terms(spec)]
+
+
+def _kernel_block(x_rows, x_cols, terms, same, c=None):
     """Block sum_t w_t k_t of the rows of ``x_rows`` against those of
     ``x_cols`` (the same array when ``same``) over the (w_t, k_t) ``terms``:
     one matmul of dot products, then slab by slab each kernel's elementwise
@@ -488,9 +495,10 @@ def _kernel_block(x_rows, x_cols, terms, same):
     the slab itself.  Each value is scaled unless its weight is 1 and added
     in ascending t, ((w_0 k_0 + w_1 k_1) + w_2 k_2), the bits of summing
     whole weighted blocks: one addition gives the same bits either way
-    round."""
+    round.  ``c`` are the columns' ``_column_terms`` when the caller has
+    them already."""
     r = [_row_terms(x_rows, s) for _, s in terms]
-    c = r if same else [_row_terms(x_cols, s) for _, s in terms]
+    c = c or (r if same else [_row_terms(x_cols, s) for _, s in terms])
     k = x_rows @ x_cols.T
     step = _slab_rows(k.shape[1])
     for start in range(0, k.shape[0], step):
@@ -529,9 +537,12 @@ def gram(samples, spec):
     return GramMatrix(_kernel_block(x, x, _weighted_terms(spec), same=True))
 
 
-def cross_gram(rows, cols, spec):
+def cross_gram(rows, cols, spec, col_terms=None):
     """Rectangular kernel block k(rows_i, cols_j), under one KernelSpec or
-    a combination of them, as for ``gram``.
+    a combination of them, as for ``gram``.  ``col_terms``, when given,
+    are ``_column_terms(cols, spec)``, made once for every block of rows
+    crossed with the same columns; the values have the same bits either
+    way.
 
     ``rows`` may be empty, which yields a 0 x n block; ``cols`` may not,
     and a combination needs a nonzero weight whatever the row count.
@@ -552,7 +563,7 @@ def cross_gram(rows, cols, spec):
         raise ShapeError(
             "feature dimensions differ: %d vs %d" % (xr.shape[1], xc.shape[1])
         )
-    return _kernel_block(xr, xc, _weighted_terms(spec), same=False)
+    return _kernel_block(xr, xc, _weighted_terms(spec), same=False, c=col_terms)
 
 
 class KernelRows:

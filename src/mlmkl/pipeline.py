@@ -12,16 +12,19 @@ There is one layer path, ``fit_layer_grid``: it fits a gamma x width grid
 of one kernel set's candidates and shares each stage between them.
 ``fit_layer`` is its one-candidate call, and ``search.grid_search`` runs it
 for every candidate grid of ``mlmkl cv``.  A row of the grid builds its
-combined Gram, kernel PCA and crosses once, before any width, and calls
-``kpca.fit`` and ``kpca.leading`` directly, so a short spectrum warns from
-``kpca`` alone; ``transform_layer`` projects through ``kpca.transform``.
+combined Gram, kernel PCA and projections once, before any width, and
+calls ``kpca.fit`` and ``kpca.leading`` directly, so a short spectrum warns
+from ``kpca`` alone.
 
 A row of the grid centres its combined Gram in place for kernel PCA, whose
-eigensolver then overwrites it, so a layer holds one n x n array.  When
-every training row is a fit row, they take their training projections;
-only a subsample needs a training cross.  ``transform`` and ``predict``
-push new rows through in blocks of ``_BLOCK_ROWS``, so their memory does
-not grow with the batch.
+eigensolver then overwrites it, so a layer holds one n x n array.  The fit
+rows take their training projections.  Every other row, a training row
+outside the subsample, a validation row of ``train`` or ``cv``, or a new
+row of ``transform`` and ``predict``, goes through one blocked projection
+(``_project``): ``combined_cross`` and then ``kpca.transform`` in that
+cross, ``_BLOCK_ROWS`` rows at a time, with the fit rows' kernel terms
+made once.  The classifier takes new rows in the same blocks, so no
+memory grows with the rows pushed through but their projections.
 
 There is one layer loop too, shared by ``fit`` and ``train``: it fits the
 layers greedily and then the classifier.  ``train`` splits a dataset by its
@@ -67,7 +70,8 @@ from .errors import (
     UnsupportedVersionError,
 )
 from .kernels import (
-    KernelFamily, KernelRows, _as_matrix, _row_norms, cross_gram, gram, parse_kernel,
+    KernelFamily, KernelRows, _as_matrix, _column_terms, _nonzero_rows, cross_gram, gram,
+    parse_kernel,
 )
 from .kpca import KpcaModel
 from .svm import SvmModel
@@ -86,7 +90,6 @@ __all__ = [
     "DEFAULT_SUBSAMPLE",
     "combined_cross",
     "draw_fit_rows",
-    "training_cross",
     "LayerFit",
     "fit_layer_grid",
     "fit_layer",
@@ -143,15 +146,58 @@ class LayerModel:
         return self.fit_sample.shape[1]
 
 
-def combined_cross(rows, cols, kernels, weights):
-    """Combined kernel block k(rows_i, cols_j) under simplex ``weights``.
+def combined_cross(rows, cols, kernels, weights, col_terms=None):
+    """Combined kernel block k(rows_i, cols_j) under simplex ``weights``;
+    ``col_terms``, when given, are the columns' terms as ``cross_gram``
+    takes them.
 
     A zero row fails with ``ZeroVectorError`` when the layer has an
-    arc-cosine kernel, whatever its weight, as it fails the layer's fit.
+    arc-cosine kernel, whatever its weight, as it fails the layer's fit:
+    one of nonzero weight finds it in the row norms it takes, and one of
+    weight zero, which is not evaluated, is checked here.
     """
-    if any(spec.family is KernelFamily.ARC_COSINE for spec in kernels):
-        _row_norms(np.asarray(rows, dtype=np.float64))
-    return cross_gram(rows, cols, tuple(zip(weights.mu, kernels)))
+    spec = tuple(zip(weights.mu, kernels))
+    if any(k.family is KernelFamily.ARC_COSINE and not w for w, k in spec):
+        _nonzero_rows(np.asarray(rows, dtype=np.float64))
+    return cross_gram(rows, cols, spec, col_terms)
+
+
+# Rows that a layer or the classifier takes at a time outside its fit rows,
+# so that a batch holds a block's cross-Gram, not the batch's.  At 1024 rows
+# a block keeps the throughput of the whole batch.
+_BLOCK_ROWS = 1024
+
+
+def _in_blocks(x, step, out, at=None):
+    """``out`` with the rows ``at`` of ``x`` (every row when None) set to
+    ``step`` of them, ``_BLOCK_ROWS`` rows at a time in order; a row that
+    an error names is named by its place in ``x``."""
+    n = len(x) if at is None else at.size
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS) if at is None else at[start:start + _BLOCK_ROWS]
+        try:
+            out[rows] = step(x[rows])
+        except MlmklError as exc:
+            if exc.row is None:
+                raise
+            raise type(exc)(exc.reason, int(np.arange(len(x))[rows][exc.row])) from None
+    return out
+
+
+def _project(x, kp, fit_rows, kernels, weights, at=None):
+    """The rows ``at`` of ``x`` (every row when None) through the kernel
+    PCA ``kp`` of a layer fitted on ``fit_rows``, into the same rows of a
+    new array with a row per row of ``x``: ``combined_cross``, then
+    ``kpca.transform`` in that cross, ``_BLOCK_ROWS`` rows at a time, with
+    the fit rows' kernel terms made once.  This is the one way a row that
+    is not a fit row reaches a layer's components."""
+    terms = _column_terms(fit_rows, tuple(zip(weights.mu, kernels)))
+
+    def step(rows):
+        cross = combined_cross(rows, fit_rows, kernels, weights, terms)
+        return kpca.transform(kp, cross, out=cross)
+
+    return _in_blocks(x, step, np.empty((len(x), kp.n_components)), at)
 
 
 def draw_fit_rows(rng, n, subsample):
@@ -162,18 +208,6 @@ def draw_fit_rows(rng, n, subsample):
     if subsample and subsample < n:
         return np.sort(rng.choice(n, size=subsample, replace=False))
     return None
-
-
-def training_cross(rows, fit_idx, kernels, weights, k_fit):
-    """Combined kernel rows of every training row against the fit rows
-    ``rows[fit_idx]``, whose combined Gram is ``k_fit``.  When every row
-    is a fit row there is no cross to build: their projections are the
-    kernel PCA's ``training_projections``."""
-    cross = combined_cross(rows, rows[fit_idx], kernels, weights)
-    # fit rows get their exact same-set kernel values, not the
-    # round-off-limited recomputation
-    cross[fit_idx] = k_fit.values
-    return cross
 
 
 class LayerFit(NamedTuple):
@@ -193,15 +227,18 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     Returns, row by row, each candidate's ``LayerFit``, or the
     ``MlmklError`` that stopped it: every failure that data can cause on
     the layer path, ``score``'s included, is one.  Any other exception is a
-    bug and propagates.  The candidates share the stages: one weight problem,
-    one QP per gamma, and per distinct weight vector one combined Gram, one
-    kernel PCA at the largest component count, one training cross (none
-    when every row is a fit row: those take their training projections)
-    and, given ``valid`` rows, one validation cross, all built before any
+    bug and propagates.  A layer with an arc-cosine kernel checks every
+    training row for zeros first, so a zero row is named by its place
+    among them.  The candidates share the stages: one weight problem, one
+    QP per gamma, and per distinct weight vector one combined Gram, which
+    its kernel PCA at the largest component count consumes as the
+    eigensolver's workspace, and the projections at that count of every
+    training row and, given ``valid`` rows, of those, all made before any
     width, so a failure among them stops every candidate of the row.  The
-    training cross copies the combined Gram into its fit rows before the
-    kernel PCA consumes that Gram as its eigensolver's workspace, so no
-    second array of its size is held.  Gamma enters only the QP, so rows
+    fit rows take their training projections; every other row goes through
+    the components ``_BLOCK_ROWS`` rows at a time (``_project``), so no
+    cross of all rows is held.  Each width takes the leading columns, and
+    each candidate its selected ones.  Gamma enters only the QP, so rows
     whose weights are equal get the same cells, computed once;
     ``score(train, valid)`` runs on each freshly fitted candidate.  A
     candidate at the largest count has the bits of the same layer fitted
@@ -213,43 +250,45 @@ def fit_layer_grid(features, labels, grid, fit_idx=None, valid=None, score=None)
     # a copy either way, made once: every candidate's layer keeps it as its fit rows
     xs = np.array(x, copy=True) if fit_idx is None else x[fit_idx]
     try:
+        if any(spec.family is KernelFamily.ARC_COSINE for spec in kernels):
+            _nonzero_rows(x)
         problem = problem_from_features(xs, kernels, grid[0][0].basis_size)
     except MlmklError as exc:
         return [exc] * sum(map(len, grid))
     counts = [cand.components for cand in grid[0]]
     top = counts.index(max(counts))
+    fit = np.arange(x.shape[0]) if fit_idx is None else fit_idx
+    rest = np.setdiff1d(np.arange(x.shape[0]), fit)  # the training rows that are not fit rows
 
     def fit_row(row, weights):
         """(kernel PCA or None, cells) of a row of candidates with ``weights``."""
-        kp = train_cross = None
+        kp = None
         try:
-            k_fit = combine(xs, kernels, weights)
-            if fit_idx is not None:  # reads k_fit, which kpca.fit then consumes
-                train_cross = training_cross(x, fit_idx, kernels, weights, k_fit)
-            kp = kpca.fit(k_fit, counts[top], overwrite=True)
-            del k_fit  # the eigensolver's workspace now: no later stage reads it
+            # the combined Gram becomes the eigensolver's workspace
+            kp = kpca.fit(combine(xs, kernels, weights), counts[top], overwrite=True)
             # fit warned for the top candidate, leading warns for the rest, all
-            # before the validation cross, as each candidate fitted alone would
+            # before any projection, as each candidate fitted alone would
             kps = [kp if i == top else kpca.leading(kp, n) for i, n in enumerate(counts)]
-            valid_cross = None if valid is None else combined_cross(valid, xs, kernels, weights)
+            train = _project(x, kp, xs, kernels, weights, at=rest)
+            train[fit] = kp.training_projections()
+            reduced = None if valid is None else _project(valid, kp, xs, kernels, weights)
         except MlmklError as exc:
             return kp, [exc] * len(row)
         row_cells = []
         for cand, kc in zip(row, kps):
             try:
-                # training rows are ranked on every component; the layer
-                # keeps, and projects new rows onto, the selected ones
-                projected = (kc.training_projections() if train_cross is None
-                             else kpca.transform(kc, train_cross))
-                ranking, train = featsel.select(projected, labels, cand.width)
+                # training rows are ranked on every component of the
+                # candidate's; the layer keeps, and projects new rows onto,
+                # the selected ones
+                ranking, feats = featsel.select(train[:, :kc.n_components], labels, cand.width)
                 sel = ranking.selected
                 kept = replace(kc, alphas=np.ascontiguousarray(kc.alphas[:, sel]),
                                eigenvalues=kc.eigenvalues[sel])
                 layer = LayerModel(kernels=kernels, weights=weights, kpca=kept,
                                    scores=ranking.scores, selected=sel, fit_sample=xs)
-                reduced = None if valid_cross is None else kpca.transform(kept, valid_cross)
-                scored = None if score is None else score(train, reduced)
-                row_cells.append(LayerFit(layer, train, reduced, scored))
+                valid_feats = None if reduced is None else reduced[:, sel]
+                scored = None if score is None else score(feats, valid_feats)
+                row_cells.append(LayerFit(layer, feats, valid_feats, scored))
             except MlmklError as exc:
                 row_cells.append(exc)
         return kp, row_cells
@@ -286,14 +325,13 @@ def fit_layer(features, labels, config, fit_idx=None):
 
 
 def transform_layer(layer, features):
-    """Push new rows through a fitted layer."""
+    """Push new rows through a fitted layer, ``_BLOCK_ROWS`` at a time."""
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != layer.input_dim:
         raise ShapeError(
             "expected rows of dimension %d, got shape %r" % (layer.input_dim, x.shape)
         )
-    cross = combined_cross(x, layer.fit_sample, layer.kernels, layer.weights)
-    return kpca.transform(layer.kpca, cross, out=cross)
+    return _project(x, layer.kpca, layer.fit_sample, layer.kernels, layer.weights)
 
 
 @dataclass
@@ -357,11 +395,14 @@ def train_classifier(features, labels, kernel, c=ClassifierConfig.c, tol=Classif
 
 def classifier_predict(machine, features):
     """Predict labels for feature rows with a classifier that kept its
-    support vectors."""
+    support vectors, ``_BLOCK_ROWS`` rows at a time, with the support
+    vectors' kernel terms made once."""
     if machine.support_vectors is None or machine.kernel is None:
         raise ValueError("classifier carries no support vectors or kernel")
-    cross = cross_gram(features, machine.support_vectors, machine.kernel)
-    return svm.predict(machine, cross)
+    x, sv, kernel = _as_matrix(features, "rows"), machine.support_vectors, machine.kernel
+    terms = _column_terms(sv, kernel)
+    return _in_blocks(x, lambda rows: svm.predict(machine, cross_gram(rows, sv, kernel, terms)),
+                      np.empty(x.shape[0], dtype=machine.classes.dtype))
 
 
 def error_percent(predicted, actual):
@@ -492,51 +533,23 @@ def train(dataset, config, seed=0):
     return TrainResult(model, report)
 
 
-# Rows that ``transform`` and ``predict`` push through the layers and the
-# classifier at a time, so that a batch holds a block's cross-Grams, not the
-# batch's.  At 1024 rows a block keeps the throughput of the whole batch.
-_BLOCK_ROWS = 1024
-
-
-def _in_blocks(features, step):
-    """``step`` applied to the rows of ``features`` ``_BLOCK_ROWS`` at a
-    time, its outputs stacked in row order; a row that an error names is
-    named by its place in the batch.  What is not a matrix of rows, or has
-    none, is passed whole."""
-    x = _finite(features)
-    if x.ndim != 2 or x.shape[0] == 0:
-        return step(x)
-    outs = []
-    for start in range(0, x.shape[0], _BLOCK_ROWS):
-        try:
-            outs.append(step(x[start:start + _BLOCK_ROWS]))
-        except MlmklError as exc:
-            if exc.row is None:
-                raise
-            raise type(exc)(exc.reason, start + exc.row) from None
-    return np.concatenate(outs)
-
-
-def _through_layers(model, rows):
-    for layer in model.layers:
-        rows = transform_layer(layer, rows)
-    return rows
-
-
 def transform(model, features):
-    """Final-layer representation of new rows, ``_BLOCK_ROWS`` at a time.
+    """Final-layer representation of new rows: the batch through each
+    layer in turn, ``_BLOCK_ROWS`` rows at a time.
 
     A batch of at most one block has the bits of its rows pushed through
     whole; in a larger one a row's values may differ from those at
     round-off, since BLAS rounds a product by its shape."""
-    return _in_blocks(features, lambda rows: _through_layers(model, rows))
+    x = _finite(features)
+    for layer in model.layers:
+        x = transform_layer(layer, x)
+    return x
 
 
 def predict(model, features):
-    """Class labels for new rows, ``_BLOCK_ROWS`` at a time through the
-    layers and the classifier, as ``transform`` pushes them."""
-    return _in_blocks(features, lambda rows: classifier_predict(
-        model.classifier, _through_layers(model, rows)))
+    """Class labels for new rows: ``transform``, then the classifier,
+    ``_BLOCK_ROWS`` rows at a time."""
+    return classifier_predict(model.classifier, transform(model, features))
 
 
 # ---------------------------------------------------------------------------

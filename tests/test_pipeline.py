@@ -10,7 +10,7 @@ import scipy.stats
 from conftest import (
     assert_equal_to_round_off, digits_like, direction_blobs, loo_nearest_neighbour_accuracy,
 )
-from mlmkl import data, featsel, kpca, pipeline
+from mlmkl import data, featsel, kernels, kpca, pipeline
 from mlmkl.config import ClassifierConfig, ExperimentConfig
 from mlmkl.errors import (
     ChecksumError,
@@ -89,9 +89,11 @@ def test_layer_transform_matches_fit_representation():
         np.testing.assert_allclose(again, reduced, rtol=0.0, atol=1e-9)
 
 
-def test_transform_layer_projects_its_own_cross_in_place():
-    # a layer fitted on 400 rows, applied to 2000: the cross is 6.4 MB and
-    # the projection is centred in it, not in a copy, with the same bits
+def test_transform_layer_projects_its_own_cross_in_place(monkeypatch):
+    # a layer fitted on 400 rows, applied to 2000 in one block: the cross is
+    # 6.4 MB and the projection is centred in it, not in a copy, with the
+    # same bits
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 2000)
     x, y = blob_data(n_per_class=200)
     layer, _ = fit_layer(x, y, LayerConfig(kernels=(ARC,), width=4, basis_size=4))
     new = blob_data(n_per_class=1000, seed=1)[0]
@@ -132,8 +134,13 @@ def test_fit_layer_is_the_composition_of_its_stages():
     weights = pipeline.solve_simplex_qp(pipeline.assemble_qp(problem, cfg.gamma))
     k_fit = pipeline.combine(x[fit_idx], cfg.kernels, weights)
     kp = kpca.leading(kpca.fit(k_fit, 2 * cfg.components), cfg.components)
-    cross = pipeline.training_cross(x, fit_idx, cfg.kernels, weights, k_fit)
-    ranking, feats = featsel.select(kpca.transform(kp, cross), y, cfg.width)
+    # the fit rows take their training projections, the others their cross
+    rest = np.setdiff1d(np.arange(60), fit_idx)
+    projected = np.empty((60, cfg.components))
+    projected[fit_idx] = kp.training_projections()
+    projected[rest] = kpca.transform(
+        kp, pipeline.combined_cross(x[rest], x[fit_idx], cfg.kernels, weights))
+    ranking, feats = featsel.select(projected, y, cfg.width)
     np.testing.assert_array_equal(x[fit_idx], layer.fit_sample)
     np.testing.assert_array_equal(weights.mu, layer.weights.mu)
     # the layer keeps the selected components only, in their order; a kPCA
@@ -176,6 +183,24 @@ def test_fit_layer_holds_no_second_gram_once_combined(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 8 * 400 ** 2
+
+
+def test_a_subsampled_layer_holds_a_few_blocks_of_its_training_cross(monkeypatch):
+    # 8000 training rows against 400 fit rows: their whole cross is 25.6 MB,
+    # and a copy of it was centred for each width.  The rows that are not
+    # fit rows go through in blocks, 1.6 MB each at 500 rows
+    x, y = blob_data(n_per_class=4000)
+    cfg = LayerConfig(kernels=(ARC, RBF), width=4, basis_size=4)
+    fit_idx = np.sort(np.random.default_rng(0).choice(8000, size=400, replace=False))
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 500)
+    tracemalloc.start()
+    try:
+        layer, reduced = fit_layer(x, y, cfg, fit_idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reduced.shape == (8000, 4)
+    assert peak < 0.25 * 8 * 8000 * 400
 
 
 def test_fit_layer_releases_the_combined_gram_after_kpca(live_fit_grams):
@@ -322,8 +347,8 @@ def test_a_one_row_tail_goes_through_an_arc_cosine_layer(monkeypatch):
     monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 4)  # 4 + 4 + 1 rows
     np.testing.assert_array_equal(pipeline.predict(model, x[:9]), labels)
     assert_equal_to_round_off(pipeline.transform(model, x[:9]), whole)
-    # rows of the wrong width stop at the first block, which names its shape
-    with pytest.raises(ShapeError, match=r"^expected rows of dimension 30, got shape \(4, 29\)$"):
+    # rows of the wrong width stop before the first block, named by the batch's shape
+    with pytest.raises(ShapeError, match=r"^expected rows of dimension 30, got shape \(9, 29\)$"):
         pipeline.predict(model, x[:9, :29])
     # a zero row is named by its place in the batch, not in its block
     for row in (6, 8):
@@ -387,6 +412,26 @@ def test_rows_whose_linear_gram_overflows_fail_the_layer():
     assert type(cell) is NumericalFailureError and str(cell) == message
 
 
+def test_predict_makes_the_kernel_terms_of_each_fit_set_once(monkeypatch):
+    # each layer's fit rows and the classifier's support vectors are crossed
+    # with every block of the batch; their terms are made once per batch,
+    # each block's own once per block
+    x, y = blob_data()
+    model = pipeline.fit(x, y, default_configs(), subsample=0)
+    new = blob_data(n_per_class=5, seed=1)[0]
+    calls = []
+    row_terms = kernels._row_terms
+    monkeypatch.setattr(kernels, "_row_terms",
+                        lambda rows, spec: calls.append(rows.shape[0]) or row_terms(rows, spec))
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 4)  # 4 + 4 + 2 rows
+    pipeline.predict(model, new)
+    want = []
+    for n_fit, weighted in [(layer.fit_sample.shape[0], np.count_nonzero(layer.weights.mu))
+                            for layer in model.layers] + [(model.classifier.n_support, 1)]:
+        want += [n_fit] * weighted + [4] * weighted + [4] * weighted + [2] * weighted
+    assert calls == want
+
+
 def test_predict_holds_a_few_blocks_of_cross_gram(monkeypatch):
     # fitted on 300 rows and applied to 4000: the batch's cross-Gram against
     # the fit rows would be 9.6 MB, a 256-row block's is 0.61 MB
@@ -437,12 +482,15 @@ def test_zero_row_fails_with_an_arc_cosine_kernel_whatever_its_weight(gamma, arc
     for entry in (pipeline.transform, pipeline.predict):
         with pytest.raises(ZeroVectorError, match="zero row 1"):
             entry(model, np.vstack([x[:1], np.zeros((1, 8))]))
-    # a zero training row outside the fit rows fails the fit as one inside does
+    # a zero training row fails the fit, named by its place among the
+    # training rows whether it is a fit row (row 8 is fit row 5) or not
     fit_rows = np.sort(np.random.default_rng(0).choice(120, size=60, replace=False))
     outside = np.setdiff1d(np.arange(120), fit_rows)[0]
-    x[outside] = 0.0
-    with pytest.raises(ZeroVectorError, match="zero row %d" % outside):
-        pipeline.fit(x, y, [cfg], subsample=60, seed=0)
+    for row in (outside, fit_rows[5]):
+        zeroed = x.copy()
+        zeroed[row] = 0.0
+        with pytest.raises(ZeroVectorError, match="zero row %d$" % row):
+            pipeline.fit(zeroed, y, [cfg], subsample=60, seed=0)
 
 
 @pytest.fixture

@@ -61,11 +61,13 @@ def test_gammas_with_equal_weights_share_one_layer_fit(monkeypatch, built_grams,
         len(x)) or train_classifier(x, *a, **kw))
     monkeypatch.setattr(pipeline, "combined_cross", lambda rows, *a: crosses.append(
         len(rows)) or combined_cross(rows, *a))
+    monkeypatch.setattr(pipeline, "_BLOCK_ROWS", 40)  # a cross per projection
     result = search.grid_search(corpus(), experiment(GAMMAS), seed=0)
     # per repeat: one probe SVM per width, not per (gamma, width), and one
-    # cross of the 40 training rows and one of the 20 validation rows
+    # cross of the 10 training rows that are not among the 30 fit rows and
+    # one of the 20 validation rows
     assert probes == [40] * 4
-    assert sorted(crosses) == [20, 20, 40, 40]
+    assert sorted(crosses) == [10, 10, 20, 20]
     # one QP per (repeat, gamma), all at the same vertex
     assert len(solved) == 4
     assert all(np.array_equal(mu, [0.0, 1.0]) for mu, _ in solved)
@@ -234,8 +236,8 @@ def test_an_error_that_is_not_the_packages_propagates_from_every_layer_entry(mon
 
 
 def test_a_zero_training_row_is_named_before_a_degenerate_gram(monkeypatch):
-    # the training cross reads the combined Gram, which kernel PCA then
-    # consumes, so it is built first and its failure is the one reported
+    # every training row of an arc-cosine layer is checked for zeros before
+    # the weight problem, so a zero row is reported before kernel PCA runs
     def degenerate(k, n, overwrite=False):
         raise DegenerateGramError("centered Gram has no positive eigenvalue")
 
