@@ -23,14 +23,28 @@ vector with itself reproduces ||x||^2 at every level.
 
 Every block (``gram``, ``cross_gram``) is one matmul of dot products,
 ``x_rows @ x_cols.T``, which becomes the output; the family's elementwise
-steps (divide, clip, J_n from the cosine with one arccos, scale; or the
-squared distance and exp) then run on it slab by slab, a few rows of
-about ``_SLAB_BYTES`` at a time, in place.  Each step is elementwise, so
-a slab gets the bits the whole block would get in one pass, while its
-operands stay in cache and no temporary is bigger than a slab: a block
-peaks at its output plus a few slabs.  The dot products themselves are not computed per slab: a
-product of a few rows does not always have the bits of those rows of the
-whole product.
+steps (the arc-cosine levels below; or the squared distance and exp) then
+run on it slab by slab, a few rows of about ``_SLAB_BYTES`` at a time, in
+place.  Each step is elementwise, so a slab gets the bits the whole block
+would get in one pass, while its operands stay in cache and no temporary
+is bigger than a slab: a block peaks at its output plus a few slabs.  A
+caller may finish each slab there too, by a rule that treats each row on
+its own (kernel PCA centres a layer's cross so, ``pipeline._project``).
+The dot products themselves are not computed per slab: a product of a few
+rows does not always have the bits of those rows of the whole product.
+
+The arc-cosine levels run in cosine space.  A row's level-L self-kernel is
+J_n(0)/pi times the level before's to the n (J_n(0) = pi, pi, 3 pi), so
+the scale of a level-L value, [k^(L)(x,x) k^(L)(y,y)]^(1/2), is J_n(0)/pi
+times the scale^n that the level-L value carries, and the next level's
+cosine is exactly J_n(theta^(L)) / J_n(0): no level but the first and the
+last needs a scale.  A block makes the first cosines as the dots over
+||x|| ||y||, then per level clips, pins, takes J_n from the cosine with
+one arccos and multiplies by 1/J_n(0), or at the last level by 1/pi, and
+then by (a_x a_y)^n, where a_x^2 is x's self-kernel at the level before
+the last: at depth 1 a_x is ||x|| and the first level's scale serves
+again.  The norms and a are made once per row set (``_row_terms``), so no
+entry is divided by a scale or square-rooted after the first level.
 
 A layer's kernel is a weighted combination sum_t w_t k_t, and it too is
 one product per weighted block: ``gram`` and ``cross_gram`` take (w_t,
@@ -43,18 +57,23 @@ Numerical care: arccos is ill-conditioned near cos = 1, so a dot-product
 round-off of one ulp turns into an angle of ~1e-8.  Same-set Gram
 construction therefore pins theta = 0 on the diagonal at every
 composition level, and ``evaluate`` takes a pair of exactly equal
-inputs as a one-row Gram, so their angle is pinned too.  An unpinned
-duplicate costs degree 0 only: J_0 has slope -1 at theta = 0, so its
-value moves by ~1e-8 at the first level and ~4e-5 at the second, while
-J_1 and J_2 are flat there and their duplicates stay at round-off.
-The arc-cosine factors of a row set, its norms and each later level's
-self-kernels, are made once per set (``_row_terms``), and its range is
-checked there: a set whose scales, or the power of them that scales the
-values, leave the normal float range raises ``DegenerateRecursionError``,
-as its values would be zeros, inf or NaN.  Two sets that pass bound every
-pair between them, so no block, slab or kernel row is checked again.  A
-row that is not all zeros is no zero row, even when its norm underflows:
-it fails the range check.
+inputs as a one-row Gram, so their angle is pinned too.  The diagonals
+are exact because of it: a pinned level's J_n is J_n(0) exactly, so the
+last level's J_n (1/pi) is exactly 1 for degrees 0 and 1, which makes the
+degree-0 diagonal exactly 1 and the degree-1 one exactly a_x a_x, the
+squared norm at every depth (each later self-kernel of degree 1 is
+||x||^2 again, and sqrt(||x||^2) is ||x|| itself).  An unpinned duplicate
+costs degree 0 only: J_0 has slope -1 at theta = 0, so its value moves by
+~1e-8 at the first level and ~4e-5 at the second, while J_1 and J_2 are
+flat there and their duplicates stay at round-off.  The arc-cosine
+factors of a row set, its norms and each later level's self-kernels, are
+made once per set (``_row_terms``), and its range is checked there: a set
+whose scales, or the power of them that scales the values, leave the
+normal float range raises ``DegenerateRecursionError``, as its values
+would be zeros, inf or NaN.  Two sets that pass bound every pair between
+them, so no block, slab or kernel row is checked again.  A row that is
+not all zeros is no zero row, even when its norm underflows: it fails the
+range check.
 """
 from __future__ import annotations
 
@@ -89,6 +108,12 @@ __all__ = [
 
 # J_n(0) / pi, exact: J_0(0) = pi, J_1(0) = pi, J_2(0) = 3*pi.
 _J0_OVER_PI = {0: 1.0, 1: 1.0, 2: 3.0}
+# 1 / J_n(0), which turns a level's J_n into the next level's cosine, and
+# 1 / pi, which the last level's J_n is multiplied by: a product by 1/pi
+# costs about a third of a division by pi, and it is exact at J_n(0),
+# since pi (1/pi) and (3 pi)(1/pi) round to exactly 1 and 3
+_INV_J0 = {n: 1.0 / (v * math.pi) for n, v in _J0_OVER_PI.items()}
+_INV_PI = 1.0 / math.pi
 
 
 def _check_degree(degree):
@@ -337,11 +362,14 @@ def _nonzero_rows(x):
 def _row_terms(x, spec):
     """What each row of ``x`` brings to its kernel values: squared norms
     for rbf, zeros for the linear and polynomial kernels, and for
-    arc-cosine a (depth, n) array of each level's factors: the row norms
-    at level 1, then each later level's self-kernels J_n(0)/pi s**n, where
-    s is the level before's self-kernel (at level 2, the squared norm).
-    An arc-cosine row set's range is checked here, once
-    (``_check_scale``); one without rows has nothing to check."""
+    arc-cosine a (2, n) array: each row's norm ||x||, which turns dot
+    products into the first level's cosines, and a, where a**2 is the
+    self-kernel that the last level scales by: a is the norm at depth 1
+    and the square root of the last level factor after it.  The level
+    factors are what ``_check_scale`` reads: the row norms, then each later
+    level's self-kernels J_n(0)/pi s**n, where s is the level before's
+    self-kernel (at level 2, the squared norm).  An arc-cosine row set's
+    range is checked here, once; one without rows has nothing to check."""
     if spec.family is KernelFamily.ARC_COSINE:
         f = np.empty((spec.depth, x.shape[0]))
         with np.errstate(over="ignore"):  # an overflow fails the range check
@@ -350,7 +378,7 @@ def _row_terms(x, spec):
                 s = f[level] = _J0_OVER_PI[spec.degree] * (s * s if level == 1 else s)**spec.degree
         if x.shape[0]:
             _check_scale(f, spec.degree)
-        return f
+        return np.stack([f[0], f[0] if spec.depth == 1 else np.sqrt(f[-1])])
     if spec.family is KernelFamily.GAUSSIAN:
         return np.einsum("ij,ij->i", x, x)
     return np.zeros(x.shape[0])
@@ -389,7 +417,7 @@ def _j_n_of_cosine(c, degree):
 
 def _check_scale(factors, degree):
     """Raise ``DegenerateRecursionError`` unless every arc-cosine level of
-    one row set, its ``factors`` as ``_row_terms`` gives them, has scales
+    one row set, its ``factors`` as ``_row_terms`` makes them, has scales
     in the normal float range, outside which its values would be zeros,
     inf or NaN.  A level's scale is the product of two rows' factors (under
     a square root after level 1), and J_n(0)/pi scale**degree bounds its
@@ -407,25 +435,31 @@ def _check_scale(factors, degree):
             raise DegenerateRecursionError("arc-cosine level %d leaves the float range" % level)
 
 
-def _arc_cosine_values(k, r, c, degree, same):
+def _arc_cosine_values(k, r, c, degree, depth, same):
     """Arc-cosine kernel values from dot products ``k`` (overwritten) and
-    the level factors (``_row_terms``) ``r`` of their rows and ``c`` of
-    their columns, already range-checked.  Each level turns the values of
-    the level before into cosines, by the norms r c at level 1 and by
-    sqrt of the self-kernels' product after it.  ``same`` (as in
-    ``_kernel_values``) pins the diagonal angle to zero at every level,
-    which keeps the degree-0 diagonal at exactly 1 and the degree-1 one at
-    exactly the squared norms.
+    the terms (``_row_terms``) ``r`` of their rows and ``c`` of their
+    columns, already range-checked.  The levels run in cosine space: the
+    first level's cosines are the dots over ||x|| ||y||, and each later
+    level's are the level before's J_n / J_n(0), since its scale cancels
+    (the module docstring).  Only the last level's J_n is taken times 1/pi
+    and then scaled, by (a_x a_y)**n; at depth 1 a is the norm, so that
+    scale is the first level's, kept.  ``same`` (as in ``_kernel_values``)
+    pins the diagonal angle to zero at every level, so the diagonal's J_n
+    is J_n(0) exactly: the degree-0 diagonal is exactly 1 and the degree-1
+    one exactly a_x a_x, the squared norm.
     """
-    for level, (s_rows, s_cols) in enumerate(zip(r, c)):
-        scale = np.sqrt(s_rows * s_cols) if level else s_rows * s_cols
-        k /= scale
+    scale = np.multiply(r[0], c[0])
+    k /= scale
+    for level in range(depth):
         np.clip(k, -1.0, 1.0, out=k)
         _pin(k, same, 1.0)
         _j_n_of_cosine(k, degree)
-        k /= np.pi
-        if degree:  # scale**degree, bit for bit, without a slab for the power
-            k *= np.multiply(scale, scale, out=scale) if degree == 2 else scale
+        k *= _INV_J0[degree] if level < depth - 1 else _INV_PI
+    if degree:
+        if depth > 1:
+            np.multiply(r[1], c[1], out=scale)
+        # scale**degree, bit for bit, without a slab for the power
+        k *= np.multiply(scale, scale, out=scale) if degree == 2 else scale
     return k
 
 
@@ -445,14 +479,14 @@ def _kernel_values(dots, r, c, spec, same):
     """Fill ``dots``, dot products, with their kernel values, elementwise,
     and return it; ``r`` are the ``_row_terms`` of their rows and ``c`` of
     their columns, broadcast to them behind an arc-cosine kernel's leading
-    level axis (indexed ``[..., rows, None]`` and ``[..., None, :]``, which
-    fits every family).  ``same`` is the column of the
+    axis of two terms (indexed ``[..., rows, None]`` and ``[..., None, :]``,
+    which fits every family).  ``same`` is the column of the
     block's first diagonal entry, whose diagonal (row i, column same + i)
     is pinned as a same-set Gram's, or None for a block without one.  A
     1-d ``dots`` with ``same`` set is a same-set diagonal, x_i . x_i, and
     every entry is pinned."""
     if spec.family is KernelFamily.ARC_COSINE:
-        return _arc_cosine_values(dots, r, c, spec.degree, same)
+        return _arc_cosine_values(dots, r, c, spec.degree, spec.depth, same)
     if spec.family is KernelFamily.GAUSSIAN:
         # in the order of r + c - 2 dots and exp(-gamma * sq), so the bits
         # are those of the plain expression
@@ -487,7 +521,7 @@ def _column_terms(cols, spec):
     return [_row_terms(_as_matrix(cols, "cols"), s) for _, s in _weighted_terms(spec)]
 
 
-def _kernel_block(x_rows, x_cols, terms, same, c=None):
+def _kernel_block(x_rows, x_cols, terms, same, c=None, finish=None):
     """Block sum_t w_t k_t of the rows of ``x_rows`` against those of
     ``x_cols`` (the same array when ``same``) over the (w_t, k_t) ``terms``:
     one matmul of dot products, then slab by slab each kernel's elementwise
@@ -496,7 +530,9 @@ def _kernel_block(x_rows, x_cols, terms, same, c=None):
     in ascending t, ((w_0 k_0 + w_1 k_1) + w_2 k_2), the bits of summing
     whole weighted blocks: one addition gives the same bits either way
     round.  ``c`` are the columns' ``_column_terms`` when the caller has
-    them already."""
+    them already.  ``finish``, when given, is applied in place to each
+    slab of finished values while it is still in cache; a rule that treats
+    each row on its own gives the bits of applying it to the whole block."""
     r = [_row_terms(x_rows, s) for _, s in terms]
     c = c or (r if same else [_row_terms(x_cols, s) for _, s in terms])
     k = x_rows @ x_cols.T
@@ -510,6 +546,8 @@ def _kernel_block(x_rows, x_cols, terms, same, c=None):
             if w != 1.0:
                 value *= w
             total = value if t == 0 else np.add(value, total, out=value)
+        if finish is not None:
+            finish(k[rows])
     return k
 
 
@@ -537,12 +575,14 @@ def gram(samples, spec):
     return GramMatrix(_kernel_block(x, x, _weighted_terms(spec), same=True))
 
 
-def cross_gram(rows, cols, spec, col_terms=None):
+def cross_gram(rows, cols, spec, col_terms=None, *, _finish=None):
     """Rectangular kernel block k(rows_i, cols_j), under one KernelSpec or
     a combination of them, as for ``gram``.  ``col_terms``, when given,
     are ``_column_terms(cols, spec)``, made once for every block of rows
     crossed with the same columns; the values have the same bits either
-    way.
+    way.  ``_finish`` is private: a row-by-row rule that the slab walk
+    applies to each slab of values as it finishes it (``_kernel_block``),
+    which is how a layer centres its cross for kernel PCA.
 
     ``rows`` may be empty, which yields a 0 x n block; ``cols`` may not,
     and a combination needs a nonzero weight whatever the row count.
@@ -563,7 +603,7 @@ def cross_gram(rows, cols, spec, col_terms=None):
         raise ShapeError(
             "feature dimensions differ: %d vs %d" % (xr.shape[1], xc.shape[1])
         )
-    return _kernel_block(xr, xc, _weighted_terms(spec), same=False, c=col_terms)
+    return _kernel_block(xr, xc, _weighted_terms(spec), same=False, c=col_terms, finish=_finish)
 
 
 class KernelRows:

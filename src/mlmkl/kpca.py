@@ -6,25 +6,28 @@ The Gram matrix is double-centered in feature space,
 
 in one whole-array pass, k_ij - r_i - r_j + t in that order, with r the
 fit set's row means and t its total mean.  New rows are centred against
-the fit set by the same rule, r_i then being the new row's own mean.  The
-centred Gram is symmetric only to round-off and is not mirrored: both
-eigensolvers read its upper triangle alone.  Its leading eigenpairs are
-computed, and the eigenvectors are rescaled by 1/sqrt(lambda) so that
-projecting a centered kernel row onto them yields unit-variance principal
-directions in feature space.  Components whose eigenvalue falls below
-1e-10 times the largest are dropped as numerically rank-deficient.  With a
-linear kernel the result coincides with ordinary PCA scores up to
-per-component sign.
+the fit set by the same rule, r_i then being the new row's own mean: a
+rule of each row alone (``_center``), so a layer centres its cross slab by
+slab inside the kernel walk that makes it, with the bits of centring the
+whole cross.  The centred Gram is symmetric only to round-off and is not
+mirrored: both eigensolvers read its upper triangle alone.  Its leading
+eigenpairs are computed, and the eigenvectors are rescaled by
+1/sqrt(lambda) so that projecting a centered kernel row onto them yields
+unit-variance principal directions in feature space.  Components whose
+eigenvalue falls below 1e-10 times the largest are dropped as numerically
+rank-deficient.  With a linear kernel the result coincides with ordinary
+PCA scores up to per-component sign.
 
 Each rule is one function.  ``leading`` decides how many components are
 kept, and warns from one line of this module when fewer are usable than
 asked for, whoever called it; ``fit`` returns the leading ones of its
-usable pairs.  ``transform`` centres and projects new rows, into a new
-array or into the caller's cross-Gram (``out``).  The fit rows themselves
-need no cross: their projections are sqrt(lambda) v
-(``KpcaModel.training_projections``).  ``fit(k, n, overwrite=True)``
-centres the Gram in its own buffer and hands it to the eigensolver as its
-workspace, so a fit holds one n x n array, not two.
+usable pairs.  ``transform`` centres new rows' cross-Gram into a new
+array and projects it; a layer's walk hands it a cross it has centred
+already.  The fit rows themselves need no cross: their projections are
+sqrt(lambda) v (``KpcaModel.training_projections``).
+``fit(k, n, overwrite=True)`` centres the Gram in its own buffer and hands
+it to the eigensolver as its workspace, so a fit holds one n x n array,
+not two.
 
 The eigensolver is LAPACK's ``dsyevr`` with RANGE='I', asked for only the
 top min(n_components, n) pairs: an exact method (tridiagonal reduction,
@@ -232,22 +235,25 @@ def leading(model, n_components):
                    eigenvalues=model.eigenvalues[:n_components].copy())
 
 
-def transform(model, cross, out=None):
+def transform(model, cross, _centered=False):
     """Project new points given their kernel values against the fit set.
 
     ``cross`` has one row per new point and one column per fit sample.
     Centering uses the stored fit-set statistics, so the projection is
-    consistent with the training-time geometry.  The centred rows go to
-    ``out``, a new array by default; ``out`` may be a float64 ``cross``
-    itself when the caller no longer needs it, so that no second t x n
-    array is held.
+    consistent with the training-time geometry.  The centred rows go to a
+    new array, and ``cross`` is left as it is.  ``_centered`` is private:
+    True when the caller has centred ``cross`` by this rule (``_center``)
+    already, as a layer's kernel walk does slab by slab, so that only the
+    product is left, with the same bits.
     """
     c = np.asarray(cross, dtype=np.float64)
     if c.ndim != 2 or c.shape[1] != model.n_fit:
         raise ShapeError(
             "cross matrix must be (t, %d), got shape %r" % (model.n_fit, c.shape)
         )
-    return _center(c, model.row_means, model.total_mean, out) @ model.alphas
+    if not _centered:
+        c = _center(c, model.row_means, model.total_mean)
+    return c @ model.alphas
 
 
 def _center(cross, row_means, total_mean, out=None, own_means=None):

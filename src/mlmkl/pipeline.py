@@ -21,9 +21,11 @@ eigensolver then overwrites it, so a layer holds one n x n array.  The fit
 rows take their training projections.  Every other row, a training row
 outside the subsample, a validation row of ``train`` or ``cv``, or a new
 row of ``transform`` and ``predict``, goes through one blocked projection
-(``_project``): ``combined_cross`` and then ``kpca.transform`` in that
-cross, ``_BLOCK_ROWS`` rows at a time, with the fit rows' kernel terms
-made once.  The classifier takes new rows in the same blocks, so no
+(``_project``), ``_BLOCK_ROWS`` rows at a time: ``combined_cross``, whose
+slab walk centres each slab by kPCA's row rule as it finishes it, while
+the slab is in cache, and then one product with the kept components
+(``kpca.transform`` of the centred cross), with the fit rows' kernel
+terms made once.  The classifier takes new rows in the same blocks, so no
 memory grows with the rows pushed through but their projections.
 
 There is one layer loop too, shared by ``fit`` and ``train``: it fits the
@@ -146,10 +148,10 @@ class LayerModel:
         return self.fit_sample.shape[1]
 
 
-def combined_cross(rows, cols, kernels, weights, col_terms=None):
+def combined_cross(rows, cols, kernels, weights, col_terms=None, _finish=None):
     """Combined kernel block k(rows_i, cols_j) under simplex ``weights``;
-    ``col_terms``, when given, are the columns' terms as ``cross_gram``
-    takes them.
+    ``col_terms``, when given, are the columns' terms, and ``_finish`` the
+    private per-slab rule, as ``cross_gram`` takes them.
 
     A zero row fails with ``ZeroVectorError`` when the layer has an
     arc-cosine kernel, whatever its weight, as it fails the layer's fit:
@@ -159,7 +161,7 @@ def combined_cross(rows, cols, kernels, weights, col_terms=None):
     spec = tuple(zip(weights.mu, kernels))
     if any(k.family is KernelFamily.ARC_COSINE and not w for w, k in spec):
         _nonzero_rows(np.asarray(rows, dtype=np.float64))
-    return cross_gram(rows, cols, spec, col_terms)
+    return cross_gram(rows, cols, spec, col_terms, _finish=_finish)
 
 
 # Rows that a layer or the classifier takes at a time outside its fit rows,
@@ -187,15 +189,20 @@ def _in_blocks(x, step, out, at=None):
 def _project(x, kp, fit_rows, kernels, weights, at=None):
     """The rows ``at`` of ``x`` (every row when None) through the kernel
     PCA ``kp`` of a layer fitted on ``fit_rows``, into the same rows of a
-    new array with a row per row of ``x``: ``combined_cross``, then
-    ``kpca.transform`` in that cross, ``_BLOCK_ROWS`` rows at a time, with
-    the fit rows' kernel terms made once.  This is the one way a row that
-    is not a fit row reaches a layer's components."""
+    new array with a row per row of ``x``: ``combined_cross``, centred
+    slab by slab by kPCA's rule (``kpca._center``) as the kernel walk
+    finishes each slab, then one product with the components,
+    ``_BLOCK_ROWS`` rows at a time, with the fit rows' kernel terms made
+    once.  The bits are ``kpca.transform``'s of the block's cross.  This is
+    the one way a row that is not a fit row reaches a layer's components."""
     terms = _column_terms(fit_rows, tuple(zip(weights.mu, kernels)))
 
+    def center(slab):
+        kpca._center(slab, kp.row_means, kp.total_mean, slab)
+
     def step(rows):
-        cross = combined_cross(rows, fit_rows, kernels, weights, terms)
-        return kpca.transform(kp, cross, out=cross)
+        cross = combined_cross(rows, fit_rows, kernels, weights, terms, center)
+        return kpca.transform(kp, cross, _centered=True)
 
     return _in_blocks(x, step, np.empty((len(x), kp.n_components)), at)
 
@@ -366,10 +373,13 @@ class MlmklModel:
 
 
 def _fingerprint(x, y):
+    """sha256 of the rows' shape, their float64 bytes in C order and the
+    labels' int64 bytes: the digest of their ``.tobytes()``, read in place
+    from C-ordered arrays, not copied."""
     h = hashlib.sha256()
     h.update(struct.pack("<QQ", *x.shape))
-    h.update(np.ascontiguousarray(x, dtype=np.float64).tobytes())
-    h.update(np.ascontiguousarray(y, dtype=np.int64).tobytes())
+    h.update(memoryview(np.ascontiguousarray(x, dtype=np.float64)))
+    h.update(memoryview(np.ascontiguousarray(y, dtype=np.int64)))
     return h.hexdigest()
 
 
@@ -605,7 +615,9 @@ def _manifest(model):
 
 
 def save(model, path):
-    """Write a model file; byte-identical for equal models."""
+    """Write a model file; byte-identical for equal models.  The arrays'
+    bytes are hashed and written where they were encoded, not copied into
+    one whole file first."""
     header, arrays = _manifest(model)
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     payload = io.BytesIO()
@@ -613,13 +625,15 @@ def save(model, path):
         np.lib.format.write_array(
             payload, np.ascontiguousarray(arr), version=(1, 0), allow_pickle=False
         )
-    payload = payload.getvalue()
-    total = 8 + _PREFIX.size + len(header_bytes) + len(payload) + 32
-    body = _MAGIC + _PREFIX.pack(_VERSION, len(header_bytes), total) + header_bytes + payload
-    digest = hashlib.sha256(body).digest()
-    with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(digest)
+    with payload.getbuffer() as arrays_bytes:
+        total = 8 + _PREFIX.size + len(header_bytes) + arrays_bytes.nbytes + 32
+        head = _MAGIC + _PREFIX.pack(_VERSION, len(header_bytes), total) + header_bytes
+        digest = hashlib.sha256(head)
+        digest.update(arrays_bytes)
+        with open(path, "wb") as fh:
+            fh.write(head)
+            fh.write(arrays_bytes)
+            fh.write(digest.digest())
 
 
 def _finite_content(name, value):
@@ -657,7 +671,7 @@ def load(path):
         )
     if len(blob) > total:
         raise ModelIOError("%d bytes of trailing data" % (len(blob) - total))
-    if hashlib.sha256(blob[: total - 32]).digest() != blob[total - 32 :]:
+    if hashlib.sha256(memoryview(blob)[: total - 32]).digest() != blob[total - 32 :]:
         raise ChecksumError("content does not match its sha256 digest")
     try:
         header = json.loads(blob[start : start + header_len].decode("utf-8"))

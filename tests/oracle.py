@@ -132,28 +132,30 @@ def arc_cosine_block(x_rows, x_cols, degree, depth, same):
     """Arc-cosine block of the rows of ``x_rows`` against those of
     ``x_cols`` (the same array when ``same``, whose diagonal is then pinned)
     by the angle path, over the whole block at once: each level's cosines,
-    divided and clipped (and pinned) as the library does, become
-    theta = arccos(c) and then ``kernels.j_n(theta, degree)``, which takes
-    cos and sin of theta again.  The reference for the library's J_n
+    built in the library's order (the dots over ||x|| ||y||, then each
+    level's J_n / J_n(0)) and clipped (and pinned) as the library does,
+    become theta = arccos(c) and then ``kernels.j_n(theta, degree)``, which
+    takes cos and sin of theta again; the last level's J_n is multiplied
+    by 1/pi and scaled by (sqrt(s_x s_y))**n, s being the self-kernel that
+    the last level scales by.  The reference for the library's J_n
     computed from the cosine itself."""
-    r = np.linalg.norm(x_rows, axis=1)[:, None]
-    c = r.T if same else np.linalg.norm(x_cols, axis=1)[None, :]
-    c0 = J0_OVER_PI[degree]
-    s_rows, s_cols = r * r, c * c
+    r = np.linalg.norm(x_rows, axis=1)
+    c = r if same else np.linalg.norm(x_cols, axis=1)
     k = x_rows @ x_cols.T
+    k /= np.multiply.outer(r, c)
+    s_rows, s_cols = r * r, c * c
     for level in range(depth):
-        if level == 0:
-            scale = r * c
-        else:
-            s_rows, s_cols = c0 * s_rows**degree, c0 * s_cols**degree
-            scale = np.sqrt(s_rows * s_cols)
-        k /= scale
         np.clip(k, -1.0, 1.0, out=k)
         if same:
             np.fill_diagonal(k, 1.0)
         k = angle_j_n(np.arccos(k), degree)
-        k /= np.pi
-        k *= scale**degree
+        if level < depth - 1:
+            k *= 1.0 / angle_j_n(0.0, degree)
+            s_rows = J0_OVER_PI[degree] * s_rows**degree
+            s_cols = J0_OVER_PI[degree] * s_cols**degree
+    k *= 1.0 / np.pi
+    if degree:
+        k *= np.multiply.outer(np.sqrt(s_rows), np.sqrt(s_cols))**degree
     return k
 
 

@@ -284,14 +284,18 @@ def test_gram_frozen_two_point_value():
 
 
 def test_gram_matches_pointwise():
-    rng = np.random.default_rng(10)
-    x = rng.uniform(0.05, 1.0, size=(8, 4))
-    for text in ("arccos(n=2,L=2)", "arccos(n=1,L=3)"):
-        spec = parse_kernel(text)
-        k = gram(x, spec).values
-        for i in range(4):
-            for j in range(4, 8):
-                assert k[i, j] == pytest.approx(oracle.evaluate(spec, x[i], x[j]), rel=1e-10)
+    # blocks run the levels in cosine space, pointwise oracle.arc_cosine by
+    # the recursion on self-kernels and angles, which shares none of their
+    # steps: they agree within a few 1e-15 of the block's largest value, on
+    # rows of either sign, at every degree and depth
+    for x, y in arc_cosine_inputs():
+        x, y = x[:16], y[:16]
+        for degree in (0, 1, 2):
+            for depth in (1, 2, 3):
+                spec = KernelSpec(KernelFamily.ARC_COSINE, degree=degree, depth=depth)
+                for block, rows in ((gram(x, spec).values, x), (cross_gram(y, x, spec), y)):
+                    want = np.array([[oracle.evaluate(spec, a, b) for b in x] for a in rows])
+                    assert np.max(np.abs(block - want)) <= 4e-15 * np.max(np.abs(want))
 
 
 def test_cross_gram_consistent_with_gram():

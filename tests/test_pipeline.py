@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -590,6 +591,17 @@ def test_save_load_roundtrip_is_bitwise(tmp_path):
         np.testing.assert_array_equal(la.kpca.alphas, lb.kpca.alphas)
         np.testing.assert_array_equal(la.selected, lb.selected)
         assert la.kernels == lb.kernels
+
+
+def test_the_data_fingerprint_is_the_digest_of_the_rows_bytes_in_any_layout():
+    # the rows are hashed in place, not through a copy of their bytes, with
+    # the digest of their .tobytes() (C order) whatever their layout
+    x, y = blob_data()
+    for rows in (x, np.asfortranarray(x), np.repeat(x, 2, axis=1)[:, ::2]):
+        want = hashlib.sha256(struct.pack("<QQ", *rows.shape) + rows.tobytes()
+                              + y.astype(np.int64).tobytes()).hexdigest()
+        assert pipeline._fingerprint(rows, y) == want
+        assert pipeline._fingerprint(rows, np.repeat(y, 2)[::2]) == want  # strided labels
 
 
 def test_a_saved_layer_holds_its_kept_components_only(tmp_path):
