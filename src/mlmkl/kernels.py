@@ -33,6 +33,22 @@ its own (kernel PCA centres a layer's cross so, ``pipeline._project``).
 The dot products themselves are not computed per slab: a product of a few
 rows does not always have the bits of those rows of the whole product.
 
+A block of two or more slabs walks them in two halves at once, split at a
+slab boundary: the caller walks the first half and one helper thread the
+second, with the same per-slab steps, diagonal pins and finishing rule, so
+no bit depends on the split.  numpy runs the elementwise steps on one core
+and releases the interpreter lock inside them, so the helper can take the
+other; but after the block's product OpenBLAS's idle workers spin for a
+while and hold that core.  The caller therefore parks them first, through
+OpenBLAS's exported ``blas_thread_shutdown_``; OpenBLAS starts them again
+at its next threaded call.  The helper runs in the caller's context, where
+numpy 2 keeps its error state, and is joined before the walk returns or
+raises.  The walk stays serial, and parks nothing, where the BLAS exports
+no park, where the process may run on one CPU only, and while any Python
+thread but the caller lives (a notebook kernel's, say), since that thread
+could be inside BLAS when the pool is parked.  A walk's helper ends with
+it, so nothing is carried across a ``fork``.
+
 The arc-cosine levels run in cosine space.  A row's level-L self-kernel is
 J_n(0)/pi times the level before's to the n (J_n(0) = pi, pi, 3 pi), so
 the scale of a level-L value, [k^(L)(x,x) k^(L)(y,y)]^(1/2), is J_n(0)/pi
@@ -42,7 +58,7 @@ last needs a scale.  A block makes the first cosines as the dots over
 ||x|| ||y||, then per level clips, pins, takes J_n from the cosine with
 one arccos and multiplies by 1/J_n(0), or at the last level by 1/pi, and
 then by (a_x a_y)^n, where a_x^2 is x's self-kernel at the level before
-the last: at depth 1 a_x is ||x|| and the first level's scale serves
+the last: at depth 1 a_x is ||x||, and the first level's scale is made
 again.  The norms and a are made once per row set (``_row_terms``), so no
 entry is divided by a scale or square-rooted after the first level.
 
@@ -77,10 +93,15 @@ range check.
 """
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import functools
 import math
 import operator
+import os
 import re
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -443,21 +464,21 @@ def _arc_cosine_values(k, r, c, degree, depth, same):
     level's are the level before's J_n / J_n(0), since its scale cancels
     (the module docstring).  Only the last level's J_n is taken times 1/pi
     and then scaled, by (a_x a_y)**n; at depth 1 a is the norm, so that
-    scale is the first level's, kept.  ``same`` (as in ``_kernel_values``)
-    pins the diagonal angle to zero at every level, so the diagonal's J_n
-    is J_n(0) exactly: the degree-0 diagonal is exactly 1 and the degree-1
-    one exactly a_x a_x, the squared norm.
+    scale is the first level's, made again: held through the levels, it
+    would be a third slab-sized temporary beside J_n's two in each thread
+    that walks slabs.  ``same`` (as in ``_kernel_values``) pins the
+    diagonal angle to zero at every level, so the diagonal's J_n is J_n(0)
+    exactly: the degree-0 diagonal is exactly 1 and the degree-1 one
+    exactly a_x a_x, the squared norm.
     """
-    scale = np.multiply(r[0], c[0])
-    k /= scale
+    k /= np.multiply(r[0], c[0])
     for level in range(depth):
         np.clip(k, -1.0, 1.0, out=k)
         _pin(k, same, 1.0)
         _j_n_of_cosine(k, degree)
         k *= _INV_J0[degree] if level < depth - 1 else _INV_PI
     if degree:
-        if depth > 1:
-            np.multiply(r[1], c[1], out=scale)
+        scale = np.multiply(r[1], c[1])
         # scale**degree, bit for bit, without a slab for the power
         k *= np.multiply(scale, scale, out=scale) if degree == 2 else scale
     return k
@@ -521,6 +542,54 @@ def _column_terms(cols, spec):
     return [_row_terms(_as_matrix(cols, "cols"), s) for _, s in _weighted_terms(spec)]
 
 
+def _find_blas_shutdown():
+    """OpenBLAS's ``blas_thread_shutdown_``, which stops its worker threads
+    until its next threaded call, from the BLAS that numpy links, or None
+    where that library does not export it.  numpy 1.x keeps its error
+    state per thread, where a helper would not see the caller's: None."""
+    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
+        return None
+    try:
+        # dlsym on the extension module also searches the libraries it links
+        routine = ctypes.CDLL(np._core._multiarray_umath.__file__).blas_thread_shutdown_
+    except (AttributeError, OSError):
+        return None
+    routine.restype, routine.argtypes = ctypes.c_int, []
+    return routine
+
+
+_BLAS_SHUTDOWN = _find_blas_shutdown()
+
+
+def _cpus():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _walk_in_halves(walk, n, step):
+    """``walk(begin, end)`` over rows [0, n), which it walks ``step`` rows
+    a slab at a time, split at a slab boundary into two contiguous halves:
+    the caller walks the first and one helper thread, in the caller's
+    context (numpy's error state is a context variable), the second, after
+    OpenBLAS's spinning workers are parked (the module docstring).  The
+    helper is joined before this returns or raises, and when both halves
+    raise, the first half's exception wins, as in a serial walk.  The walk
+    stays serial, and parks nothing, for a single slab, without the park
+    symbol, on one CPU, or while any other Python thread lives, since that
+    thread could be inside BLAS."""
+    mid = step * (-(-n // step) // 2)
+    if not mid or _BLAS_SHUTDOWN is None or _cpus() < 2 or threading.active_count() > 1:
+        walk(0, n)
+        return
+    _BLAS_SHUTDOWN()
+    with ThreadPoolExecutor(1) as helper:
+        second = helper.submit(contextvars.copy_context().run, walk, mid, n)
+        walk(0, mid)
+    second.result()
+
+
 def _kernel_block(x_rows, x_cols, terms, same, c=None, finish=None):
     """Block sum_t w_t k_t of the rows of ``x_rows`` against those of
     ``x_cols`` (the same array when ``same``) over the (w_t, k_t) ``terms``:
@@ -532,22 +601,27 @@ def _kernel_block(x_rows, x_cols, terms, same, c=None, finish=None):
     round.  ``c`` are the columns' ``_column_terms`` when the caller has
     them already.  ``finish``, when given, is applied in place to each
     slab of finished values while it is still in cache; a rule that treats
-    each row on its own gives the bits of applying it to the whole block."""
+    each row on its own gives the bits of applying it to the whole block.
+    The slabs are walked in two halves at once (``_walk_in_halves``)."""
     r = [_row_terms(x_rows, s) for _, s in terms]
     c = c or (r if same else [_row_terms(x_cols, s) for _, s in terms])
     k = x_rows @ x_cols.T
     step = _slab_rows(k.shape[1])
-    for start in range(0, k.shape[0], step):
-        rows = slice(start, start + step)
-        for t, (w, spec) in enumerate(terms):
-            dots = k[rows] if t == len(terms) - 1 else k[rows].copy()
-            value = _kernel_values(dots, r[t][..., rows, None], c[t][..., None, :], spec,
-                                   start if same else None)
-            if w != 1.0:
-                value *= w
-            total = value if t == 0 else np.add(value, total, out=value)
-        if finish is not None:
-            finish(k[rows])
+
+    def walk(begin, end):
+        for start in range(begin, end, step):
+            rows = slice(start, start + step)
+            for t, (w, spec) in enumerate(terms):
+                dots = k[rows] if t == len(terms) - 1 else k[rows].copy()
+                value = _kernel_values(dots, r[t][..., rows, None], c[t][..., None, :], spec,
+                                       start if same else None)
+                if w != 1.0:
+                    value *= w
+                total = value if t == 0 else np.add(value, total, out=value)
+            if finish is not None:
+                finish(k[rows])
+
+    _walk_in_halves(walk, k.shape[0], step)
     return k
 
 

@@ -677,11 +677,15 @@ def load(path):
         header = json.loads(blob[start : start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelIOError("unreadable header: %s" % exc) from None
-    stream = io.BytesIO(blob[start + header_len : total - 32])
+    stream = io.BytesIO(blob)  # shares the bytes of ``blob``, unlike a slice of it
+    stream.seek(start + header_len)
     arrays = {}
     try:
         for name in header["arrays"]:
             arrays[name] = np.lib.format.read_array(stream, allow_pickle=False)
+        if stream.tell() != total - 32:  # unread bytes, or an array read into the digest
+            raise ModelIOError("the arrays end at byte %d, the digest starts at %d"
+                               % (stream.tell(), total - 32))
 
         def finite_arrays(prefix, names):
             return {name: _finite_content(prefix + name, arrays[prefix + name])

@@ -1,5 +1,9 @@
 import math
+import os
+import signal
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -601,6 +605,177 @@ def test_blocks_peak_near_their_output(text):
         tracemalloc.stop()
     assert cross_peak <= 1.1 * 2000 * 1500 * 8
     assert gram_peak <= 1.1 * k.values.nbytes
+
+
+# ---------------------------------------------------------------------------
+# the slab walk in two halves
+
+
+@pytest.fixture
+def parks(monkeypatch):
+    """The threads that park OpenBLAS's pool, one entry per park, with a
+    split walk possible on any host: the park is a counter that calls this
+    build's park where it has one, and the process may run on two CPUs."""
+    calls = []
+    real = kernels._BLAS_SHUTDOWN
+
+    def park():
+        calls.append(threading.get_ident())
+        return 0 if real is None else real()
+
+    monkeypatch.setattr(kernels, "_BLAS_SHUTDOWN", park)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return calls
+
+
+ARC_1 = parse_kernel("arccos(n=1,L=1)")
+
+
+def serially(fn):
+    """``fn()`` with the slab walk serial, as without the park symbol."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(kernels, "_BLAS_SHUTDOWN", None)
+        return fn()
+
+
+def slab_threads():
+    """A per-slab rule that centres each row and records the thread that
+    ran it, and that list of threads."""
+    threads = []
+
+    def finish(slab):
+        threads.append(threading.get_ident())
+        slab -= slab.mean(axis=1)[:, None]
+
+    return finish, threads
+
+
+@pytest.mark.parametrize("text", EVERY_FAMILY)
+@pytest.mark.parametrize("n", [10, 40, 43])  # 2, 8 and 9 slabs of 5 rows, the last one short
+def test_the_split_walk_has_the_serial_walks_bits(monkeypatch, parks, text, n):
+    # each half takes the same per-slab steps and the gram's diagonal pins,
+    # which cross the split; the caller parks the pool once per block
+    monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * n * 5)
+    spec = parse_kernel(text)
+    rng = np.random.default_rng(21)
+    x = rng.uniform(0.05, 1.0, size=(n, 6))
+    cols = rng.uniform(0.05, 1.0, size=(n, 6))
+    cols[n - 2] = x[n - 3]  # a coincident pair in the helper's half
+    for block in (lambda: gram(x, spec).values, lambda: cross_gram(x, cols, spec)):
+        want = serially(block)
+        parks.clear()
+        assert_same_bits(block(), want)
+        assert parks == [threading.get_ident()]
+
+
+def test_a_split_combination_with_a_finish_rule_has_the_serial_bits(monkeypatch, parks):
+    # three kernels, one of weight zero, and a row-by-row rule that each
+    # half applies to its own slabs
+    specs = (parse_kernel("arccos(n=1,L=2)"), parse_kernel("rbf(gamma=0.5)"),
+             parse_kernel("poly(degree=2,coef0=1,scale=1)"))
+    combination = tuple(zip((0.25, 0.0, 0.75), specs))
+    rng = np.random.default_rng(22)
+    x = rng.uniform(0.05, 1.0, size=(45, 6))
+    cols = rng.uniform(0.05, 1.0, size=(30, 6))
+    monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * 30 * 4)  # 12 slabs, the last one short
+    assert_same_bits(gram(x, combination).values, serially(lambda: gram(x, combination).values))
+    finish, threads = slab_threads()
+    want = serially(lambda: cross_gram(x, cols, combination, _finish=finish))
+    assert set(threads) == {threading.get_ident()} and len(threads) == 12
+    threads.clear()
+    assert_same_bits(cross_gram(x, cols, combination, _finish=finish), want)
+    assert len(set(threads)) == 2 and len(threads) == 12
+    assert len(parks) == 2
+
+
+@pytest.mark.parametrize("condition", ["no park symbol", "one CPU", "another thread", "one slab"])
+def test_the_walk_stays_serial_and_parks_nothing(monkeypatch, parks, condition):
+    rng = np.random.default_rng(23)
+    x = rng.uniform(0.05, 1.0, size=(45, 6))
+    cols = rng.uniform(0.05, 1.0, size=(30, 6))
+    if condition != "one slab":  # 12 slabs
+        monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * 30 * 4)
+    if condition == "no park symbol":
+        monkeypatch.setattr(kernels, "_BLAS_SHUTDOWN", None)
+    elif condition == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    if condition == "another thread":
+        other.start()
+    finish, threads = slab_threads()
+    try:
+        want = serially(lambda: cross_gram(x, cols, ARC_1, _finish=finish))
+        threads.clear()
+        assert_same_bits(cross_gram(x, cols, ARC_1, _finish=finish), want)
+        if condition == "one slab":  # as a block of a few rows, and evaluate, always are
+            gram(x[:3], parse_kernel("rbf(gamma=0.5)"))
+            evaluate(parse_kernel("arccos(n=0,L=2)"), x[0], x[1])
+    finally:
+        release.set()
+        if condition == "another thread":
+            other.join(10)
+    assert not other.is_alive()
+    assert set(threads) == {threading.get_ident()}
+    assert parks == []
+
+
+@pytest.mark.parametrize("failing", ["both", "helper"])
+def test_the_helper_is_joined_and_the_first_halfs_exception_wins(monkeypatch, parks, failing):
+    # as a serial walk would raise the first half's first
+    caller = threading.get_ident()
+    rng = np.random.default_rng(24)
+    x = rng.uniform(0.05, 1.0, size=(45, 6))
+    cols = rng.uniform(0.05, 1.0, size=(30, 6))
+    monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * 30 * 4)
+
+    def finish(slab):
+        if threading.get_ident() != caller:
+            raise ArithmeticError("the second half")
+        if failing == "both":
+            raise LookupError("the first half")
+
+    with pytest.raises(LookupError if failing == "both" else ArithmeticError):
+        cross_gram(x, cols, ARC_1, _finish=finish)
+    assert len(parks) == 1 and threading.active_count() == 1
+
+
+def test_the_helper_walks_in_the_callers_error_state(parks):
+    # rows 300 on, all in the helper's half of 40 slabs, overflow a
+    # degree-3 polynomial; numpy's error state is the caller's there too
+    rng = np.random.default_rng(25)
+    rows = rng.uniform(0.5, 1.0, size=(400, 4))
+    rows[300:] *= 1e110
+    cols = rng.uniform(0.5, 1.0, size=(3000, 4))
+    spec = parse_kernel("poly(degree=3)")
+    assert kernels._slab_rows(3000) == 10  # 40 slabs, split at row 200
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        cross_gram(rows, cols, spec)
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = cross_gram(rows, cols, spec)
+    assert np.isinf(k[300:]).all() and np.isfinite(k[:300]).all()
+    assert len(parks) == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork on this platform")
+def test_a_forked_child_walks_in_halves_too(parks):
+    # no helper thread outlives its walk, so a child forked after one has
+    # none to wait for; the alarm ends a child that hangs
+    x = np.random.default_rng(26).uniform(0.05, 1.0, size=(300, 6))  # 3 slabs
+    want = gram(x, ARC_1).values
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(5)
+            same = gram(x, ARC_1).values.tobytes() == want.tobytes()
+            code = 0 if same and len(parks) == 2 else 2
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert len(parks) == 1
 
 
 def test_cross_gram_shapes_and_edges():

@@ -709,6 +709,75 @@ def test_trailing_bytes_are_rejected(tmp_path):
         pipeline.load(path)
 
 
+def _signed_again(blob, payload):
+    """The model file ``blob`` with ``payload`` for its arrays' bytes, and
+    its declared length and digest made to fit."""
+    start = 8 + pipeline._PREFIX.size
+    version, header_len, _ = pipeline._PREFIX.unpack(blob[8:start])
+    head = blob[start:start + header_len]
+    body = (blob[:8] + pipeline._PREFIX.pack(version, header_len, start + header_len
+                                             + len(payload) + 32) + head + payload)
+    return body + hashlib.sha256(body).digest()
+
+
+def _payload(blob):
+    start = 8 + pipeline._PREFIX.size
+    _, header_len, total = pipeline._PREFIX.unpack(blob[8:start])
+    return blob[start + header_len:total - 32]
+
+
+def test_bytes_after_the_last_array_are_rejected(tmp_path):
+    _, _, model = fitted_model()
+    path = tmp_path / "model.bin"
+    pipeline.save(model, path)
+    blob = path.read_bytes()
+    path.write_bytes(_signed_again(blob, _payload(blob)))
+    pipeline.load(path)  # signed again as it was, it loads
+    path.write_bytes(_signed_again(blob, _payload(blob) + b"\0" * 8))
+    with pytest.raises(ModelIOError, match="the digest starts"):
+        pipeline.load(path)
+
+
+def test_a_last_array_that_claims_more_rows_does_not_read_the_digest(tmp_path):
+    # the last array is the support vectors; one more row of them is 32
+    # bytes, which the file holds only as its digest
+    _, _, model = fitted_model()
+    n, width = model.classifier.support_vectors.shape
+    assert width * 8 == 32
+    path = tmp_path / "model.bin"
+    pipeline.save(model, path)
+    payload = _payload(path.read_bytes())
+    old, new = (b"'shape': (%d, %d)" % (rows, width) for rows in (n, n + 1))
+    at = payload.rindex(old)
+    end = payload.index(b"\n", at)
+    grow = len(new) - len(old)
+    assert payload[end - grow:end] == b" " * grow  # the header's padding absorbs a wider shape
+    payload = payload[:at] + new + payload[at + len(old):end - grow] + payload[end:]
+    path.write_bytes(_signed_again(path.read_bytes(), payload))
+    with pytest.raises(ModelIOError, match="the digest starts"):
+        pipeline.load(path)
+
+
+def test_load_holds_the_file_and_its_arrays_not_a_copy_of_the_payload(tmp_path):
+    # the arrays read from the file's own bytes: a 2 MB model peaks at the
+    # file, its arrays and a chunk of numpy's reader, 2.27x the file, where
+    # a copy of the payload made it 3.27x
+    x, y = direction_blobs(300, 400, [(0, 8), (15, 23)], seed=0)
+    model = pipeline.fit(x, y, [LayerConfig(kernels=(RBF, LINEAR), width=4, basis_size=5)])
+    path = tmp_path / "model.bin"
+    pipeline.save(model, path)
+    size = path.stat().st_size
+    assert size > 1.9e6
+    tracemalloc.start()
+    try:
+        back = pipeline.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.layers[0].fit_sample.tobytes() == model.layers[0].fit_sample.tobytes()
+    assert peak < 2.5 * size
+
+
 @pytest.mark.parametrize("version", [1, 9])  # 1: layers held every kPCA component
 def test_unknown_version_is_rejected(tmp_path, version):
     _, _, model = fitted_model()
