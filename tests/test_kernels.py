@@ -1,6 +1,7 @@
 import math
 import os
 import signal
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -686,6 +687,30 @@ def test_a_split_combination_with_a_finish_rule_has_the_serial_bits(monkeypatch,
     assert_same_bits(cross_gram(x, cols, combination, _finish=finish), want)
     assert len(set(threads)) == 2 and len(threads) == 12
     assert len(parks) == 2
+
+
+def test_the_halves_keep_the_serial_bits_under_a_short_switch_interval(monkeypatch, parks):
+    # the two threads write disjoint slabs of one block: with the
+    # interpreter lock handed over as often as it can be, every slab is
+    # still finished once and no slab loses a write
+    specs = (parse_kernel("arccos(n=2,L=2)"), parse_kernel("rbf(gamma=0.5)"))
+    combination = tuple(zip((0.5, 0.5), specs))
+    rng = np.random.default_rng(27)
+    x = rng.uniform(0.05, 1.0, size=(90, 6))
+    cols = rng.uniform(0.05, 1.0, size=(30, 6))
+    monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * 30 * 3)  # 30 slabs
+    finish, threads = slab_threads()
+    want = serially(lambda: cross_gram(x, cols, combination, _finish=finish))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(30):
+            threads.clear()
+            assert_same_bits(cross_gram(x, cols, combination, _finish=finish), want)
+            assert len(threads) == 30 and len(set(threads)) == 2
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(parks) == 30
 
 
 @pytest.mark.parametrize("condition", ["no park symbol", "one CPU", "another thread", "one slab"])
