@@ -615,8 +615,8 @@ def test_blocks_peak_near_their_output(text):
 @pytest.fixture
 def parks(monkeypatch):
     """The threads that park OpenBLAS's pool, one entry per park, with a
-    split walk possible on any host: the park is a counter that calls this
-    build's park where it has one, and the process may run on two CPUs."""
+    split walk possible on any build: the park is a counter that calls this
+    build's park where it has one."""
     calls = []
     real = kernels._BLAS_SHUTDOWN
 
@@ -625,7 +625,6 @@ def parks(monkeypatch):
         return 0 if real is None else real()
 
     monkeypatch.setattr(kernels, "_BLAS_SHUTDOWN", park)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return calls
 
 
@@ -669,9 +668,13 @@ def test_the_split_walk_has_the_serial_walks_bits(monkeypatch, parks, text, n):
         assert parks == [threading.get_ident()]
 
 
-def test_a_split_combination_with_a_finish_rule_has_the_serial_bits(monkeypatch, parks):
+@pytest.mark.parametrize("interval, repeats", [(None, 1), (1e-6, 30)])
+def test_a_split_combination_with_a_finish_rule_has_the_serial_bits(monkeypatch, parks, interval,
+                                                                     repeats):
     # three kernels, one of weight zero, and a row-by-row rule that each
-    # half applies to its own slabs
+    # half applies to its own slabs; with the interpreter lock handed over
+    # as often as it can be, the two threads still finish every slab once
+    # and lose no write
     specs = (parse_kernel("arccos(n=1,L=2)"), parse_kernel("rbf(gamma=0.5)"),
              parse_kernel("poly(degree=2,coef0=1,scale=1)"))
     combination = tuple(zip((0.25, 0.0, 0.75), specs))
@@ -683,37 +686,19 @@ def test_a_split_combination_with_a_finish_rule_has_the_serial_bits(monkeypatch,
     finish, threads = slab_threads()
     want = serially(lambda: cross_gram(x, cols, combination, _finish=finish))
     assert set(threads) == {threading.get_ident()} and len(threads) == 12
-    threads.clear()
-    assert_same_bits(cross_gram(x, cols, combination, _finish=finish), want)
-    assert len(set(threads)) == 2 and len(threads) == 12
-    assert len(parks) == 2
-
-
-def test_the_halves_keep_the_serial_bits_under_a_short_switch_interval(monkeypatch, parks):
-    # the two threads write disjoint slabs of one block: with the
-    # interpreter lock handed over as often as it can be, every slab is
-    # still finished once and no slab loses a write
-    specs = (parse_kernel("arccos(n=2,L=2)"), parse_kernel("rbf(gamma=0.5)"))
-    combination = tuple(zip((0.5, 0.5), specs))
-    rng = np.random.default_rng(27)
-    x = rng.uniform(0.05, 1.0, size=(90, 6))
-    cols = rng.uniform(0.05, 1.0, size=(30, 6))
-    monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * 30 * 3)  # 30 slabs
-    finish, threads = slab_threads()
-    want = serially(lambda: cross_gram(x, cols, combination, _finish=finish))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(interval or previous)
     try:
-        for _ in range(30):
+        for _ in range(repeats):
             threads.clear()
             assert_same_bits(cross_gram(x, cols, combination, _finish=finish), want)
-            assert len(threads) == 30 and len(set(threads)) == 2
+            assert len(set(threads)) == 2 and len(threads) == 12
     finally:
-        sys.setswitchinterval(interval)
-    assert len(parks) == 30
+        sys.setswitchinterval(previous)
+    assert len(parks) == 1 + repeats
 
 
-@pytest.mark.parametrize("condition", ["no park symbol", "one CPU", "another thread", "one slab"])
+@pytest.mark.parametrize("condition", ["no park symbol", "another thread", "one slab"])
 def test_the_walk_stays_serial_and_parks_nothing(monkeypatch, parks, condition):
     rng = np.random.default_rng(23)
     x = rng.uniform(0.05, 1.0, size=(45, 6))
@@ -722,8 +707,6 @@ def test_the_walk_stays_serial_and_parks_nothing(monkeypatch, parks, condition):
         monkeypatch.setattr(kernels, "_SLAB_BYTES", 8 * 30 * 4)
     if condition == "no park symbol":
         monkeypatch.setattr(kernels, "_BLAS_SHUTDOWN", None)
-    elif condition == "one CPU":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10,))
     if condition == "another thread":
