@@ -12,7 +12,8 @@ digit.  It reads each number to the same bits as Python's ``float()``, but
 accepts only ASCII decimal tokens: ``1_0`` and non-ASCII digits, which
 ``float()`` reads, are rejected.  A rejected file, and only such a file, is
 read a second time, one line at a time, to name its first bad line in the
-``ParseError``.
+``ParseError``.  ``write_amat`` writes each pixel to 17 significant digits,
+which ``load_amat`` reads back bit for bit.
 """
 from __future__ import annotations
 
@@ -123,8 +124,10 @@ def _first_fault(path):
 
 
 def write_amat(dataset, path):
-    """Write rows back out in the amat layout (load_amat inverts this)."""
-    row = " ".join(["%.10g"] * _PIXELS) + " %d\n"
+    """Write rows back out in the amat layout, each pixel as ``%.17g``:
+    enough digits for every float64, so ``load_amat`` reads back the same
+    bits."""
+    row = " ".join(["%.17g"] * _PIXELS) + " %d\n"
     with open(path, "w") as fh:
         for x, y in zip(dataset.features, dataset.labels.tolist()):
             fh.write(row % (*x.tolist(), y))

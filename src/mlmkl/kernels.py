@@ -50,6 +50,18 @@ parked.  A walk's helper ends with it, so nothing is carried across a
 ``fork``.  A process on one CPU splits too: a predict there took within
 2% of its serial time.
 
+The package reaches the OpenBLAS that numpy links through one handle,
+``_openblas``, on numpy's linear-algebra extension, whose symbol lookup
+also searches the libraries it links.  It calls two routines there, and
+each has its own fallback where the library or the symbol is missing
+(numpy 1.x wheels, conda/MKL, a system BLAS): without
+``blas_thread_shutdown_``, and on numpy 1.x, which keeps its error state
+per thread, every walk is serial, with the same bits, on one core (a
+stack3k predict took about 1.2 times as long); without
+``scipy_LAPACKE_dsyevr64_`` kernel PCA runs ``np.linalg.eigh``, which
+holds a second n x n array and agrees with ``dsyevr`` to round-off
+(``kpca``).
+
 The arc-cosine levels run in cosine space.  A row's level-L self-kernel is
 J_n(0)/pi times the level before's to the n (J_n(0) = pi, pi, 3 pi), so
 the scale of a level-L value, [k^(L)(x,x) k^(L)(y,y)]^(1/2), is J_n(0)/pi
@@ -542,23 +554,29 @@ def _column_terms(cols, spec):
     return [_row_terms(_as_matrix(cols, "cols"), s) for _, s in _weighted_terms(spec)]
 
 
-def _find_blas_shutdown():
-    """OpenBLAS's ``blas_thread_shutdown_``, which stops its worker threads
-    until its next threaded call, from the BLAS that numpy links, or None
-    where that library does not export it.  numpy 1.x keeps its error
-    state per thread, where a helper would not see the caller's: None."""
-    if np.lib.NumpyVersion(np.__version__) < "2.0.0":
-        return None
-    try:
-        # dlsym on the extension module also searches the libraries it links
-        routine = ctypes.CDLL(np._core._multiarray_umath.__file__).blas_thread_shutdown_
-    except (AttributeError, OSError):
-        return None
-    routine.restype, routine.argtypes = ctypes.c_int, []
+try:
+    # dlsym on the extension module also searches the libraries it links
+    _NUMPY_LINALG = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+except (AttributeError, OSError):
+    _NUMPY_LINALG = None
+
+
+def _openblas(name, restype=ctypes.c_int, argtypes=()):
+    """The routine ``name`` of the OpenBLAS that numpy's linear algebra
+    links, declared with ``restype`` and ``argtypes`` (by default ``int
+    name(void)``), or None where that library or the symbol is missing: one
+    handle for every routine the package calls there.  Each caller keeps its
+    own fallback for None (the module docstring)."""
+    routine = getattr(_NUMPY_LINALG, name, None)
+    if routine is not None:
+        routine.restype, routine.argtypes = restype, list(argtypes)
     return routine
 
 
-_BLAS_SHUTDOWN = _find_blas_shutdown()
+# stops OpenBLAS's worker threads until its next threaded call; numpy 1.x
+# keeps its error state per thread, where a helper would not see the caller's
+_BLAS_SHUTDOWN = (_openblas("blas_thread_shutdown_")
+                  if np.lib.NumpyVersion(np.__version__) >= "2.0.0" else None)
 
 
 def _walk_in_halves(walk, n, step):

@@ -26,19 +26,23 @@ array and projects it; a layer's walk hands it a cross it has centred
 already.  The fit rows themselves need no cross: their projections are
 sqrt(lambda) v (``KpcaModel.training_projections``).
 ``fit(k, n, overwrite=True)`` centres the Gram in its own buffer and hands
-it to the eigensolver as its workspace, so a fit holds one n x n array,
-not two.
+it to the eigensolver as its workspace, so on ``dsyevr`` a fit holds one
+n x n array; on the ``eigh`` fallback it holds two (below).
 
 The eigensolver is LAPACK's ``dsyevr`` with RANGE='I', asked for only the
 top min(n_components, n) pairs: an exact method (tridiagonal reduction,
 then bisection and inverse iteration for the chosen pairs), which skips
 the other n - k eigenvectors and the n x n matrix that would hold them.
 It is looked up once, at import, as ``scipy_LAPACKE_dsyevr64_`` (64-bit
-ints) in the OpenBLAS that numpy's own linear algebra links, so the
-package needs nothing beyond numpy.  Where numpy links a LAPACK without
-that symbol (numpy 1.x wheels, conda/MKL, a system LAPACK), ``fit`` calls
-``np.linalg.eigh`` and keeps the top pairs.  ``SOLVER`` says which one
-runs ("dsyevr" or "eigh").  The two agree to round-off, a few 1e-15 of
+ints) through ``kernels._openblas``, the package's one handle on the
+OpenBLAS that numpy's own linear algebra links, so the package needs
+nothing beyond numpy.  Where that library or symbol is missing (numpy 1.x
+wheels, conda/MKL, a system LAPACK), ``fit`` calls ``np.linalg.eigh`` and
+keeps the top pairs.  That fallback computes all n eigenvectors into a
+second n x n array: a 1500-row rbf fit of 60 components with
+``overwrite`` peaked 1.04 Grams above the Gram under tracemalloc, against
+0.12 on ``dsyevr``, and took about twice as long.  ``SOLVER`` says which
+one runs ("dsyevr" or "eigh").  The two agree to round-off, a few 1e-15 of
 the largest eigenvalue, not bit for bit; so do a fit at one component count
 and the leading components of a fit at a larger one (``leading``), which
 is why a ``cv`` candidate equals the same layer fitted alone to round-off.
@@ -56,36 +60,23 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateGramError, NumericalFailureError, ShapeError
-from .kernels import _gram_values
+from .kernels import _gram_values, _openblas
 
 __all__ = ["SOLVER", "KpcaModel", "center_gram", "fit", "leading", "transform"]
 
 _EIGENVALUE_CUTOFF = 1e-10
 _COL_MAJOR = 102  # LAPACK_COL_MAJOR
 
-
-def _find_dsyevr():
-    """LAPACKE's ``dsyevr`` with 64-bit ints from the LAPACK that numpy's
-    linear algebra links, or None where that library does not export it."""
-    try:
-        # dlsym on the extension module also searches the libraries it links
-        routine = ctypes.CDLL(np.linalg._umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
-    except (AttributeError, OSError):
-        return None
-    i64, real = ctypes.c_int64, ctypes.c_double
-    routine.restype = i64
-    routine.argtypes = [
-        ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, i64,  # layout jobz range uplo n
-        np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS"), i64,  # a lda
-        real, real, i64, i64, real,  # vl vu il iu abstol
-        ctypes.POINTER(i64), np.ctypeslib.ndpointer(np.float64, 1),  # m w
-        np.ctypeslib.ndpointer(np.float64, 2, flags="F_CONTIGUOUS"), i64,  # z ldz
-        np.ctypeslib.ndpointer(np.int64, 1),  # isuppz
-    ]
-    return routine
-
-
-_DSYEVR = _find_dsyevr()
+# LAPACKE's dsyevr with 64-bit ints, or None where numpy's LAPACK lacks it
+_i64, _real = ctypes.c_int64, ctypes.c_double
+_DSYEVR = _openblas("scipy_LAPACKE_dsyevr64_", _i64, [
+    ctypes.c_int, ctypes.c_char, ctypes.c_char, ctypes.c_char, _i64,  # layout jobz range uplo n
+    np.ctypeslib.ndpointer(np.float64, 2, flags="C_CONTIGUOUS"), _i64,  # a lda
+    _real, _real, _i64, _i64, _real,  # vl vu il iu abstol
+    ctypes.POINTER(_i64), np.ctypeslib.ndpointer(np.float64, 1),  # m w
+    np.ctypeslib.ndpointer(np.float64, 2, flags="F_CONTIGUOUS"), _i64,  # z ldz
+    np.ctypeslib.ndpointer(np.int64, 1),  # isuppz
+])
 SOLVER = "eigh" if _DSYEVR is None else "dsyevr"
 
 
@@ -181,11 +172,12 @@ def fit(k, n_components, *, overwrite=False):
     centered Gram carries no variance and is rejected.
 
     With ``overwrite`` the Gram is centred in its own buffer, which the
-    eigensolver then overwrites, so no second n x n array is made: ``k``
-    must then be a writeable C-contiguous float64 array or ``GramMatrix``,
-    as ``umkl.combine`` returns, and the caller must not read it
-    afterwards.  Without it ``k`` is untouched.  The model is the same
-    either way, bit for bit.
+    eigensolver then overwrites, so ``dsyevr`` makes no second n x n array
+    (the ``eigh`` fallback's eigenvectors are one): ``k`` must then be a
+    writeable C-contiguous float64 array or ``GramMatrix``, as
+    ``umkl.combine`` returns, and the caller must not read it afterwards.
+    Without it ``k`` is untouched.  The model is the same either way, bit
+    for bit.
     """
     _check_count(n_components)
     v = _gram_values(k)

@@ -17,8 +17,9 @@ calls ``kpca.fit`` and ``kpca.leading`` directly, so a short spectrum warns
 from ``kpca`` alone.
 
 A row of the grid centres its combined Gram in place for kernel PCA, whose
-eigensolver then overwrites it, so a layer holds one n x n array.  The fit
-rows take their training projections.  Every other row, a training row
+eigensolver then overwrites it, so a layer holds one n x n array on
+``dsyevr`` and two on the ``eigh`` fallback (``kpca``).  The fit rows take
+their training projections.  Every other row, a training row
 outside the subsample, a validation row of ``train`` or ``cv``, or a new
 row of ``transform`` and ``predict``, goes through one blocked projection
 (``_project``), ``_BLOCK_ROWS`` rows at a time: ``combined_cross``, whose
@@ -383,10 +384,12 @@ def _fingerprint(x, y):
     return h.hexdigest()
 
 
-# Bytes of the largest classifier Gram that is built whole.  Above it, SMO
-# computes each kernel row the first time a machine reads it: one-vs-rest
-# machines read about a third of the rows, and reading rows overtakes
-# building the whole Gram near 3000 rows.
+# Bytes of the largest classifier Gram that is built whole: a memory
+# budget, not a speed cut-over.  Above it, SMO computes each kernel row the
+# first time a machine reads it; one-vs-rest machines read about a third of
+# the rows, but the whole Gram stays faster: training stack3k's classifier
+# on its 3000 rows of 60 features took 0.24 s dense against 0.38 s on rows,
+# and on 1200 of them 0.08 s against 0.13 s (2-core Xeon).
 _DENSE_GRAM_BYTES = 100 * 2**20
 
 

@@ -386,5 +386,5 @@ def write_amat(dataset, path):
     """Write rows back out in the amat layout (load_amat inverts this)."""
     with open(path, "w") as fh:
         for x, y in zip(dataset.features, dataset.labels):
-            fh.write(" ".join("%.10g" % v for v in x))
+            fh.write(" ".join("%.17g" % v for v in x))
             fh.write(" %d\n" % y)

@@ -29,13 +29,17 @@ def small_dataset(n=6, seed=0):
 
 
 def test_amat_roundtrip(tmp_path):
-    ds = small_dataset()
+    # every float64 pixel comes back bit for bit: uniform ones, which 10
+    # significant digits would round, and the k/256 ones of 8-bit images
+    rng = np.random.default_rng(0)
     path = tmp_path / "digits.amat"
-    write_amat(ds, path)
-    back = load_amat(path)
-    np.testing.assert_allclose(back.features, ds.features, atol=1e-9)
-    np.testing.assert_array_equal(back.labels, ds.labels)
-    assert back.name == "digits.amat"
+    for features in (rng.random((5, 784)), rng.integers(0, 257, size=(5, 784)) / 256):
+        ds = Dataset(features, rng.integers(0, 10, size=5))
+        write_amat(ds, path)
+        back = load_amat(path)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, ds.labels)
+        assert back.name == "digits.amat"
 
 
 def test_amat_preserves_row_order(tmp_path):

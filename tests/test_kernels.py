@@ -1,10 +1,13 @@
+import json
 import math
 import os
 import signal
+import subprocess
 import sys
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -784,6 +787,46 @@ def test_a_forked_child_walks_in_halves_too(parks):
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
     assert len(parks) == 1
+
+
+def test_a_symbol_numpys_openblas_lacks_is_none():
+    assert kernels._openblas("no_such_symbol_") is None
+
+
+NO_LIBRARY = """
+import ctypes, json, sys
+import numpy as np
+
+def no_library(*args, **kwargs):
+    raise OSError("cannot open shared object file")
+
+ctypes.CDLL = no_library
+from mlmkl import kernels, kpca
+kernels._SLAB_BYTES = int(sys.argv[1])
+rng = np.random.default_rng(27)
+cross = kernels.cross_gram(rng.uniform(0.05, 1.0, size=(11, 6)),
+                           rng.uniform(0.05, 1.0, size=(30, 6)),
+                           kernels.parse_kernel("arccos(n=1,L=2)"))
+print(json.dumps([kpca.SOLVER, kernels._BLAS_SHUTDOWN is None, cross.tobytes().hex()]))
+"""
+
+
+def test_without_numpys_openblas_each_caller_takes_its_fallback(monkeypatch, parks):
+    # where numpy's linear algebra cannot be opened, kernel PCA runs eigh and
+    # the slab walk stays on the caller's thread, with this process's bits
+    slab_bytes = 8 * 30 * 4  # 11 rows of 30 columns: 3 slabs, the last one short
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-c", NO_LIBRARY, str(slab_bytes)], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    solver, serial, bits = json.loads(result.stdout)
+    assert solver == "eigh" and serial
+    monkeypatch.setattr(kernels, "_SLAB_BYTES", slab_bytes)
+    rng = np.random.default_rng(27)
+    cross = cross_gram(rng.uniform(0.05, 1.0, size=(11, 6)), rng.uniform(0.05, 1.0, size=(30, 6)),
+                       parse_kernel("arccos(n=1,L=2)"))
+    assert len(parks) == 1  # walked in halves here
+    assert cross.tobytes().hex() == bits
 
 
 def test_cross_gram_shapes_and_edges():
